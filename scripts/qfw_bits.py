@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from fwlab.constraints import L1Ball
-from fwlab.distsim import UNQUANTIZED, run_qfw, schedule_from_theorem
+from fwlab.distsim import run_qfw, schedule_from_theorem
 from fwlab.problems import FiniteSumProblem, LogisticL1
 from fwlab.rng import RngStream
 from fwlab.solvers import deterministic_fw
@@ -43,9 +43,7 @@ def main():
         cq = schedule_from_theorem("finite_convex", fs.n, args.workers,
                                    fs.dim, T=T)
         cu = schedule_from_theorem("finite_convex", fs.n, args.workers,
-                                   fs.dim, T=T)
-        cu.s1_fn = lambda i, k: UNQUANTIZED
-        cu.s2_fn = lambda i, k: UNQUANTIZED
+                                   fs.dim, T=T, mode="unquantized")
         tq, lq = run_qfw(fs, set_, cq, T, RngStream(args.seed))
         tu, lu = run_qfw(fs, set_, cu, T, RngStream(args.seed))
         print(f"{T:>5} {fs.value(tq.output) - fstar:>12.6f} "

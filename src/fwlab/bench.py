@@ -20,7 +20,7 @@ import numpy as np
 
 from . import constraints as C
 from . import problems as P
-from .distsim import QfwConfig, run_qfw, schedule_from_theorem
+from .distsim import MODES, SETTINGS, run_qfw, schedule_from_theorem
 from .rng import RngStream
 from .solvers import (
     Schedule,
@@ -64,7 +64,14 @@ _SCHEMA = {
         "algorithm", "mode", "option", "t", "delta", "batch", "l",
         "sweep", "eta_c", "eta_a", "log_every",
     },
-    "distsim": {"setting", "m", "t", "mode", "s1", "s2", "n"},
+    "distsim": {"setting", "m", "t", "mode"},
+}
+
+# The values of [distsim] keys a CLI run can execute.  stoch_convex is left
+# out: its schedule needs constants (sigma, L, D) that no key supplies.
+_DISTSIM_CHOICES = {
+    "setting": tuple(s for s in SETTINGS if s != "stoch_convex"),
+    "mode": MODES,
 }
 
 TRACE_HEADER = ["t", "objective", "fw_gap", "est_error", "oracle_calls",
@@ -139,6 +146,11 @@ def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
     )
     if not cfg.seeds:
         raise ConfigError("seeds list is empty")
+    for key, allowed in _DISTSIM_CHOICES.items():
+        value = (cfg.distsim or {}).get(key)
+        if value is not None and value not in allowed:
+            raise ConfigError(
+                f"distsim.{key}={value!r} is not one of {', '.join(allowed)}")
     return cfg
 
 

@@ -30,6 +30,8 @@ __all__ = [
     "run_snc_qfw",
     "schedule_from_theorem",
     "RAW_BITS_PER_COORD",
+    "SETTINGS",
+    "MODES",
 ]
 
 RAW_BITS_PER_COORD = 32
@@ -37,6 +39,10 @@ LEVEL_CAP = 2**16
 _WORKER_STREAM = 0x700
 _MASTER_STREAM = 0x600
 _OUTPUT_STREAM = 0xA11
+
+SETTINGS = ("finite_convex", "stoch_convex", "finite_nonconvex",
+            "stoch_nonconvex")
+MODES = ("quantized", "unquantized", "fl")
 
 
 @dataclass
@@ -81,11 +87,9 @@ class QfwConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("need at least one worker")
-        if self.setting not in (
-            "finite_convex", "stoch_convex", "finite_nonconvex", "stoch_nonconvex"
-        ):
+        if self.setting not in SETTINGS:
             raise ValueError(f"unknown setting {self.setting!r}")
-        if self.mode not in ("quantized", "unquantized", "fl"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -99,7 +103,8 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
     """Theorem-prescribed periods, batches, steps, and quantization levels.
 
     Fractional quantities are rounded up and floored at 1; levels are
-    additionally capped at 2^16.
+    additionally capped at 2^16.  With ``mode="unquantized"`` both links
+    send raw vectors (levels ``UNQUANTIZED``) on the same schedule.
     """
     if n_total % M != 0:
         raise ValueError(f"component count {n_total} not divisible by M={M}")
@@ -146,6 +151,8 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
             math.sqrt(T * d) if k == 1 else math.sqrt(d) * n_total**0.25)
     else:
         raise ValueError(f"unknown setting {setting!r}")
+    if mode == "unquantized":
+        s1 = s2 = lambda i, k: UNQUANTIZED
 
     return QfwConfig(M=M, setting=setting, period_fn=period,
                      anchor_batch_fn=anchor, inner_batch_fn=inner,
@@ -312,15 +319,24 @@ def run_snc_qfw(p: StochasticProblem, set_: FeasibleSet, cfg: QfwConfig,
                 T: int, n_surrogate: int, rng: RngStream, log_points=None):
     """Stochastic non-convex wrapper: draw ``n_surrogate`` samples once,
     build the finite-sum surrogate (1/n) sum f(x; z_i), and run the
-    finite-sum simulator on it with the nonconvex schedules."""
+    finite-sum simulator on it with the nonconvex schedules.
+
+    The surrogate's index-array oracles evaluate ``p`` on the stacked
+    samples one at a time, since a ``StochasticProblem`` has per-sample
+    oracles only."""
     if n_surrogate % cfg.M != 0:
         raise ValueError("surrogate size must be divisible by worker count")
     x0 = set_.lmo_min(np.zeros(p.dim))
     srng = rng.child(0x5A)
     samples = [p.sample(x0, srng) for _ in range(n_surrogate)]
-    vals = [lambda x, s=s: p.value(x, s) for s in samples]
-    grads = [lambda x, s=s: p.grad(x, s) for s in samples]
-    surrogate = FiniteSumProblem(p.dim, vals, grads)
+
+    def values(x, idx):
+        return np.array([p.value(x, samples[i]) for i in idx])
+
+    def grads(x, idx):
+        return np.array([p.grad(x, samples[i]) for i in idx]).reshape(-1, p.dim)
+
+    surrogate = FiniteSumProblem(p.dim, n_surrogate, values, grads)
     trace, ledger = run_qfw(surrogate, set_, cfg, T, rng, log_points)
     trace.meta["surrogate_n"] = n_surrogate
     if p.has("exact_reference") and trace.output is not None:

@@ -290,12 +290,6 @@ class LogisticL1(StochasticProblem):
         sig = _sigmoid(-self.y * (self.A @ x))
         return -(self.A.T @ (self.y * sig)) / self.n
 
-    def component_value(self, x, i):
-        return float(np.logaddexp(0.0, self._margin(x, i)))
-
-    def component_grad(self, x, i):
-        return self.grad(x, Sample(z=int(i)))
-
 
 class RobustLRMR(StochasticProblem):
     """Robust low-rank matrix recovery on observed entries.
@@ -720,47 +714,70 @@ class MultilinearProblem(StochasticProblem):
 class FiniteSumProblem:
     """Deterministic finite sum f(x) = (1/N) Σ f_i(x) for the simulator.
 
-    Built from any StochasticProblem exposing component oracles, or from an
-    explicit list of (value_fn, grad_fn) pairs.
+    The components are given by two vectorized oracles over an index array
+    ``idx`` of component numbers (repeats allowed): ``values(x, idx)``
+    returns the shape ``(len(idx),)`` array of f_i(x) and ``grads(x, idx)``
+    the ``(len(idx), dim)`` array of ∇f_i(x), one row per entry of ``idx``.
     """
 
-    def __init__(self, dim: int, value_fns, grad_fns):
-        if len(value_fns) != len(grad_fns) or not value_fns:
-            raise ValueError("need matching nonempty component lists")
+    def __init__(self, dim: int, n: int, values, grads):
+        if n < 1:
+            raise ValueError("need a nonempty finite sum")
         self.dim = int(dim)
-        self.value_fns = list(value_fns)
-        self.grad_fns = list(grad_fns)
-        self.n = len(value_fns)
+        self.n = int(n)
+        self.values = values
+        self.grads = grads
+        self._all = np.arange(self.n)
 
     @classmethod
     def from_logistic(cls, p: LogisticL1) -> "FiniteSumProblem":
-        vals = [lambda x, i=i: p.component_value(x, i) for i in range(p.n)]
-        grads = [lambda x, i=i: p.component_grad(x, i) for i in range(p.n)]
-        return cls(p.dim, vals, grads)
+        """Components are the rows of ``p``: f_i(w) = log(1 + exp(−y_i w·a_i)).
+
+        Margins use ``np.vecdot`` row by row, which rounds exactly as the
+        per-sample ``a_i @ w`` does (a matrix-vector product does not).
+        """
+        A, y = p.A, p.y
+
+        def margins(x, idx):
+            return -y[idx] * np.vecdot(A[idx], x)
+
+        def values(x, idx):
+            return np.logaddexp(0.0, margins(x, idx))
+
+        def grads(x, idx):
+            return (-y[idx] * _sigmoid(margins(x, idx)))[:, None] * A[idx]
+
+        return cls(p.dim, p.n, values, grads)
 
     @classmethod
     def from_quadratics(cls, targets: np.ndarray) -> "FiniteSumProblem":
+        """Components f_i(x) = 0.5‖x − t_i‖² for the rows t_i of ``targets``."""
         targets = check_finite(targets, "targets")
-        vals = [
-            lambda x, t=t: 0.5 * float(np.sum((x - t) ** 2)) for t in targets
-        ]
-        grads = [lambda x, t=t: x - t for t in targets]
-        return cls(targets.shape[1], vals, grads)
 
-    def component_grad(self, x, i):
-        return self.grad_fns[i](x)
+        def values(x, idx):
+            return 0.5 * np.sum((x - targets[idx]) ** 2, axis=1)
+
+        def grads(x, idx):
+            return x - targets[idx]
+
+        return cls(targets.shape[1], targets.shape[0], values, grads)
 
     def batch_grad(self, x, idx):
-        g = np.zeros(self.dim)
-        for i in idx:
-            g += self.grad_fns[i](x)
-        return g / max(len(idx), 1)
+        """Mean of ∇f_i(x) over ``idx``, summed in index order."""
+        idx = np.asarray(idx)
+        if idx.size == 0:
+            return np.zeros(self.dim)
+        # add.accumulate adds the rows strictly in order for every shape
+        # (add.reduce sums a lone column pairwise); + 0.0 turns a column of
+        # −0.0 into +0.0, as a loop starting from zeros does.
+        total = np.add.accumulate(self.grads(x, idx), axis=0)[-1] + 0.0
+        return total / idx.size
 
     def full_grad(self, x):
-        return self.batch_grad(x, range(self.n))
+        return self.batch_grad(x, self._all)
 
     def value(self, x):
-        return float(np.mean([f(x) for f in self.value_fns]))
+        return float(np.mean(self.values(x, self._all)))
 
 
 def make_facility_location(d: int, n_clients: int, rng: RngStream) -> FacilityLocation:

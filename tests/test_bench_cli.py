@@ -322,6 +322,71 @@ def test_cli_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _distsim_ini(tmp_path):
+    """8 logistic rows, d=3, M=2 workers, T=6 rounds."""
+    rows = [f"{(-1) ** i},{0.1 * i},{0.2},{-0.3 * i}" for i in range(8)]
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    return _write(tmp_path, f"""\
+[experiment]
+name = dist
+seeds = 0
+[problem]
+kind = logistic_csv
+path = {csv_path}
+[constraint]
+kind = l1ball
+radius = 1.0
+[distsim]
+setting = finite_convex
+m = 2
+t = 6
+""")
+
+
+def test_cli_distsim_unquantized_charges_raw_floats(tmp_path, capsys):
+    path = _distsim_ini(tmp_path)
+    bits = {}
+    for mode in ("quantized", "unquantized"):
+        out = tmp_path / mode
+        assert main(["distsim", "--config", path, "--out", str(out),
+                     "--override", f"distsim.mode={mode}"]) == 0
+        (sidecar,) = out.glob("dist-*-s0.json")
+        bits[mode] = json.loads(sidecar.read_text())["meta"]["cum_bits"]
+    capsys.readouterr()
+    T, M, d = 6, 2, 3
+    assert bits["unquantized"] == T * (M + 1) * 32 * d
+    assert bits["quantized"] != bits["unquantized"]
+
+
+@pytest.mark.parametrize("override", [
+    "distsim.s1=999",
+    "distsim.s2=999",
+    "distsim.n=8",
+    "distsim.setting=stoch_convex",
+    "distsim.setting=bogus",
+    "distsim.mode=bogus",
+])
+def test_cli_distsim_rejects_at_load(tmp_path, capsys, override):
+    path = _distsim_ini(tmp_path)
+    assert main(["distsim", "--config", path, "--out", str(tmp_path / "r"),
+                 "--override", override]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("override", [
+    "distsim.setting=finite_nonconvex",
+    "distsim.setting=stoch_nonconvex",
+    "distsim.mode=fl",
+])
+def test_cli_distsim_accepted_values_run(tmp_path, capsys, override):
+    path = _distsim_ini(tmp_path)
+    assert main(["distsim", "--config", path, "--out", str(tmp_path / "r"),
+                 "--override", override]) == 0
+    capsys.readouterr()
+
+
 def test_cli_distsim_requires_section(tmp_path, capsys):
     path = _write(tmp_path, QUAD_INI)
     assert main(["distsim", "--config", path]) == 2

@@ -12,7 +12,7 @@ from fwlab.distsim import (
     run_snc_qfw,
     schedule_from_theorem,
 )
-from fwlab.problems import FiniteSumProblem, LogisticL1, Quadratic
+from fwlab.problems import FiniteSumProblem, LogisticL1, Quadratic, Sample
 from fwlab.rng import RngStream
 
 
@@ -22,6 +22,70 @@ def _tiny_logistic(n=40, d=6, seed=2):
     y = np.sign(rng.normal(size=n))
     y[y == 0] = 1
     return FiniteSumProblem.from_logistic(LogisticL1(A, y))
+
+
+def _loop_mean_grad(grad_fns, x, idx):
+    """The per-component reference: a `g += row` loop, then the mean."""
+    g = np.zeros(x.size)
+    for i in idx:
+        g += grad_fns[i](x)
+    return g / max(len(idx), 1)
+
+
+def _index_cases(n, rng):
+    dup = rng.integers(n, size=3 * n)  # with replacement
+    assert len(set(dup.tolist())) < dup.size
+    return {"duplicates": dup, "single": np.array([n - 1]),
+            "full": np.arange(n)}
+
+
+@pytest.mark.parametrize("d", [1, 6])
+def test_logistic_finite_sum_equals_per_sample_loop(d):
+    rng = RngStream(11)
+    n = 40
+    A = rng.normal(size=(n, d))
+    y = np.where(rng.normal(size=n) < 0, -1.0, 1.0)
+    p = LogisticL1(A, y)
+    fs = FiniteSumProblem.from_logistic(p)
+    grad_fns = [lambda x, i=i: p.grad(x, Sample(z=i)) for i in range(n)]
+    for _ in range(3):
+        x = rng.normal(size=d)
+        for name, idx in _index_cases(n, rng).items():
+            assert np.array_equal(fs.batch_grad(x, idx),
+                                  _loop_mean_grad(grad_fns, x, idx)), name
+        assert np.array_equal(fs.full_grad(x),
+                              _loop_mean_grad(grad_fns, x, range(n)))
+        assert fs.value(x) == float(np.mean(
+            [p.value(x, Sample(z=i)) for i in range(n)]))
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_quadratic_finite_sum_equals_per_component_loop(d):
+    rng = RngStream(12)
+    n = 20
+    targets = rng.normal(size=(n, d))
+    parts = [Quadratic(t) for t in targets]
+    fs = FiniteSumProblem.from_quadratics(targets)
+    grad_fns = [q.exact_grad for q in parts]
+    for _ in range(3):
+        x = rng.normal(size=d)
+        for name, idx in _index_cases(n, rng).items():
+            assert np.array_equal(fs.batch_grad(x, idx),
+                                  _loop_mean_grad(grad_fns, x, idx)), name
+        assert np.array_equal(fs.full_grad(x),
+                              _loop_mean_grad(grad_fns, x, range(n)))
+        assert fs.value(x) == float(np.mean([q.exact_value(x) for q in parts]))
+
+
+def test_finite_sum_keeps_sign_of_zero_like_the_loop():
+    # every row's gradient is exactly −0.0 in the first coordinate
+    fs = FiniteSumProblem.from_quadratics(np.array([[0.0, 1.0], [0.0, 2.0]]))
+    x = np.array([-0.0, 0.0])
+    g = fs.batch_grad(x, [0, 1])
+    ref = _loop_mean_grad([lambda x: x - np.array([0.0, 1.0]),
+                           lambda x: x - np.array([0.0, 2.0])], x, [0, 1])
+    assert np.array_equal(np.signbit(g), np.signbit(ref))
+    assert np.array_equal(g, ref)
 
 
 def _unquantize(cfg):
@@ -185,6 +249,16 @@ def test_snc_qfw_zero_noise_matches_surrogate():
     x = trace.output
     assert np.allclose(surrogate.full_grad(x), p.exact_grad(x), atol=1e-12)
     assert trace.meta["surrogate_gap"] == pytest.approx(trace.meta["true_gap"], abs=1e-9)
+
+
+def test_unquantized_mode_sends_raw_vectors():
+    cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=10,
+                                mode="unquantized")
+    assert cfg.s1_fn(3, 1) == UNQUANTIZED
+    assert cfg.s2_fn(3, 2) == UNQUANTIZED
+    _, ledger = run_qfw(_tiny_logistic(), L1Ball(2.0, 6), cfg, 10,
+                        RngStream(8))
+    assert ledger.total == 10 * (4 + 1) * 32 * 6
 
 
 def test_config_validation():
