@@ -34,7 +34,7 @@ def main():
           f"(1-1/e) OPT = {guarantee:.4f}")
 
     p = MultilinearProblem(f)
-    oracle = lambda y: multilinear_exact(f, np.clip(y, 0.0, 1.0))
+    oracle = lambda Y: multilinear_exact(f, np.clip(Y, 0.0, 1.0))
     results = {"one_sfw": [], "bcg": [], "dbg": []}
     for seed in range(args.seeds):
         tr = one_sfw(p, poly, Schedule.preset("dr_submodular_max", 2000),

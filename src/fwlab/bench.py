@@ -41,12 +41,7 @@ __all__ = [
     "run_experiment",
     "brute_force_opt",
     "emit_report",
-    "STEP_GRID_C",
-    "STEP_GRID_A",
 ]
-
-STEP_GRID_C = (0.1, 0.25, 0.5, 1.0, 2.0)
-STEP_GRID_A = (1.0, 2.0 / 3.0, 0.5)
 
 MAX_BASES = 10**6
 
@@ -62,7 +57,7 @@ _SCHEMA = {
     },
     "solver": {
         "algorithm", "mode", "option", "t", "delta", "batch", "l",
-        "sweep", "eta_c", "eta_a", "log_every",
+        "eta_c", "eta_a",
     },
     "distsim": {"setting", "m", "t", "mode"},
 }
@@ -325,7 +320,7 @@ def _run_one_seed(cfg: RunConfig, seed: int):
             raise ConfigError("bcg needs a multilinear problem block")
         delta = float(solver.get("delta", 0.02))
         box = C.Box.unit(problem.dim)
-        out = bcg(lambda y: P.multilinear_exact(setf, np.clip(y, 0, 1)),
+        out = bcg(lambda Y: P.multilinear_exact(setf, np.clip(Y, 0, 1)),
                   set_, box, T, delta, int(solver.get("batch", problem.dim)),
                   rng)
         trace = SolveTrace(output=out, meta={"objective": problem.exact_value(out)})
@@ -412,8 +407,3 @@ def emit_report(rows, path: Path):
                 if r["final_objective"] is not None]
         if objs:
             w.writerow(["mean", float(np.mean(objs)), "", "", ""])
-
-
-def step_size_grid():
-    """The benchmark step-size sweep: eta_t = min(1, c/(t+1)^a)."""
-    return [(c, a) for c in STEP_GRID_C for a in STEP_GRID_A]

@@ -25,11 +25,8 @@ __all__ = [
     "BudgetBoxPolytope",
     "NuclearNormBall",
     "PartitionMatroid",
-    "lmo_min",
-    "lmo_max",
     "nuclear_lmo",
     "shrink_translate",
-    "diameter",
     "pipage_round",
     "InfeasibleShrinkError",
     "InfeasiblePointError",
@@ -69,9 +66,6 @@ class FeasibleSet:
 
     def diameter(self) -> float:
         raise NotImplementedError
-
-    #: True when diameter() is an upper bound rather than the exact value.
-    diameter_is_bound = False
 
 
 class L1Ball(FeasibleSet):
@@ -277,8 +271,6 @@ class PartitionMatroidPolytope(FeasibleSet):
             for blk, b in zip(self.blocks, self.budgets)
         )
 
-    diameter_is_bound = True
-
     def diameter(self):
         # bound via the containing unit box
         return float(np.sqrt(self.dim))
@@ -345,8 +337,6 @@ class BudgetBoxPolytope(FeasibleSet):
         return all(
             float(np.sum(x[blk])) <= c + tol for blk, c in zip(self.blocks, self.caps)
         )
-
-    diameter_is_bound = True
 
     def diameter(self):
         return float(np.linalg.norm(self.upper))
@@ -423,18 +413,6 @@ def nuclear_lmo(G: np.ndarray, radius: float, tol: float = 1e-8,
     u = u / sigma
     M = -radius * np.outer(u, v)
     return M, {"degenerate": False, "converged": ok}
-
-
-def lmo_min(set_: FeasibleSet, g: np.ndarray) -> np.ndarray:
-    return set_.lmo_min(np.asarray(g, dtype=float))
-
-
-def lmo_max(set_: FeasibleSet, g: np.ndarray) -> np.ndarray:
-    return set_.lmo_max(np.asarray(g, dtype=float))
-
-
-def diameter(set_: FeasibleSet) -> float:
-    return set_.diameter()
 
 
 def shrink_translate(set_: FeasibleSet, box: Box, delta: float) -> FeasibleSet:

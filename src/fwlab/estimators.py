@@ -174,6 +174,10 @@ def two_point_gradient(value_oracle, x: np.ndarray, delta: float,
     (1/B) sum_i (d / (2 delta)) [F(x + delta u_i) - F(x - delta u_i)] u_i
     with u_i uniform on the unit sphere.  Unbiased for the smoothed
     gradient; the value oracle itself may be stochastic.
+
+    ``value_oracle`` maps a (k, d) array of points to their (k,) values.  It
+    is called once, on the probes x + delta u_1, x - delta u_1,
+    x + delta u_2, ... in that row order.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -181,23 +185,28 @@ def two_point_gradient(value_oracle, x: np.ndarray, delta: float,
         raise ValueError("batch must be >= 1")
     x = check_finite(x, "two-point center")
     d = x.size
+    U = np.array([sample_unit_sphere(rng, d) for _ in range(batch)])
+    probes = np.empty((2 * batch, d))
+    probes[0::2] = x + delta * U
+    probes[1::2] = x - delta * U
+    vals = np.asarray(value_oracle(probes), dtype=float)
     g = np.zeros(d)
-    for _ in range(batch):
-        u = sample_unit_sphere(rng, d)
-        g += (value_oracle(x + delta * u) - value_oracle(x - delta * u)) * u
+    for v_plus, v_minus, u in zip(vals[0::2], vals[1::2], U):
+        g += (v_plus - v_minus) * u
     return (d / (2.0 * delta)) * g / batch
 
 
 def smoothed_value_mc(value_oracle, x: np.ndarray, delta: float,
                       n_samples: int, rng: RngStream) -> tuple[float, float]:
-    """Monte-Carlo mean of F over the delta-ball around x, with its SE."""
+    """Monte-Carlo mean of F over the delta-ball around x, with its SE.
+
+    ``value_oracle`` maps a (k, d) array of points to their (k,) values.
+    """
     x = check_finite(x, "smoothing center")
     if delta == 0.0:
-        return float(value_oracle(x)), 0.0
-    vals = np.array([
-        value_oracle(x + delta * sample_unit_ball(rng, x.size))
-        for _ in range(n_samples)
-    ])
+        return float(value_oracle(x[None, :])[0]), 0.0
+    balls = np.array([sample_unit_ball(rng, x.size) for _ in range(n_samples)])
+    vals = np.asarray(value_oracle(x + delta * balls), dtype=float)
     se = float(np.std(vals, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else np.inf
     return float(np.mean(vals)), se
 

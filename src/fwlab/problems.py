@@ -549,14 +549,14 @@ class LogDet(SetFunction):
 
 # --- exact multilinear oracles --------------------------------------------
 
-_mask_cache: dict[int, np.ndarray] = {}
+#: Subset-weight table entries built at once; a stack of points is
+#: processed in row blocks of at most this many entries (one row at d = 20).
+WEIGHT_BLOCK_ENTRIES = 2**20
 
 
 def _all_masks(d: int) -> np.ndarray:
-    if d not in _mask_cache:
-        ints = np.arange(2**d, dtype=np.uint32)
-        _mask_cache[d] = (ints[:, None] >> np.arange(d)[None, :]) & 1 == 1
-    return _mask_cache[d]
+    ints = np.arange(2**d, dtype=np.uint32)
+    return (ints[:, None] >> np.arange(d)[None, :]) & 1 == 1
 
 
 def _all_values(f: SetFunction) -> np.ndarray:
@@ -572,57 +572,90 @@ def _all_values(f: SetFunction) -> np.ndarray:
     return vals
 
 
-def _subset_weights(x: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    return np.where(masks, x[None, :], 1.0 - x[None, :]).prod(axis=1)
+def _multilinear_rows(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F at each row of a (k, d) stack, from the 2^d table ``vals``.
+
+    Row r's weight for subset S (bit i of the index set iff i ∈ S) is
+    Π_{i∈S} x_ri Π_{i∉S} (1 − x_ri), multiplied out in coordinate order by
+    doubling: coordinate i splits the first 2^i weights into the halves
+    without and with i.  The products and the per-row ``np.vecdot`` round
+    exactly as a per-point mask product and ``vals @ w`` do.
+    """
+    k, d = X.shape
+    out = np.empty(k)
+    rows = max(1, WEIGHT_BLOCK_ENTRIES >> d)
+    W = np.empty((min(k, rows), 2**d))
+    for lo in range(0, k, rows):
+        Xb = X[lo:lo + rows]
+        w = W[:len(Xb)]
+        w[:, 0] = 1.0
+        for i in range(d):
+            h = 1 << i
+            np.multiply(w[:, :h], Xb[:, i:i + 1], out=w[:, h:2 * h])
+            w[:, :h] *= 1.0 - Xb[:, i:i + 1]
+        out[lo:lo + rows] = np.vecdot(w, vals)
+    return out
 
 
-def multilinear_exact(f: SetFunction, x: np.ndarray) -> float:
-    """Exact multilinear extension F(x) = Σ_S f(S) Π x_i Π (1−x_j)."""
+def multilinear_exact(f: SetFunction, x: np.ndarray):
+    """Exact multilinear extension F(x) = Σ_S f(S) Π x_i Π (1−x_j).
+
+    A ``(d,)`` point gives a float; a ``(k, d)`` stack gives the ``(k,)``
+    values of its rows.
+    """
     x = check_finite(x, "multilinear point")
     d = f.ground_size
-    if x.shape != (d,):
-        raise ValueError("dimension mismatch")
-    return float(_all_values(f) @ _subset_weights(x, _all_masks(d)))
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"dimension mismatch: need (d,) or (k, d) with d={d}, "
+                         f"got {x.shape}")
+    F = _multilinear_rows(_all_values(f), x.reshape(-1, d))
+    return float(F[0]) if x.ndim == 1 else F
+
+
+def _pinned(x: np.ndarray, pins) -> np.ndarray:
+    """Copies of x, one per row of the pins: row r sets x[cols[r]] = b for
+    each (cols, b) in ``pins``."""
+    Y = np.tile(x, (len(pins[0][0]), 1))
+    rows = np.arange(len(Y))
+    for cols, b in pins:
+        Y[rows, cols] = b
+    return Y
 
 
 def multilinear_grad_hess(f: SetFunction, x: np.ndarray, want_hess: bool = True):
     """(F, gradF, hessF) of the multilinear extension by coordinate pinning.
 
     ∂F/∂x_i = F(x|x_i=1) − F(x|x_i=0); the mixed second derivative pins two
-    coordinates (the diagonal is zero by multilinearity).
+    coordinates (the diagonal is zero by multilinearity).  All pinned points
+    are evaluated as one stack.
     """
     x = check_finite(x, "multilinear point")
     d = f.ground_size
-    masks = _all_masks(d)
-    vals = _all_values(f)
-
-    def F_pinned(pins):
-        y = x.copy()
-        for i, b in pins:
-            y[i] = b
-        return float(vals @ _subset_weights(y, masks))
-
-    F = F_pinned([])
-    grad = np.array([F_pinned([(i, 1.0)]) - F_pinned([(i, 0.0)]) for i in range(d)])
+    if x.shape != (d,):
+        raise ValueError("dimension mismatch")
+    diag = np.arange(d)
+    I, J = np.triu_indices(d, 1)
+    stacks = [x[None, :], _pinned(x, [(diag, 1.0)]), _pinned(x, [(diag, 0.0)])]
+    if want_hess:
+        stacks += [_pinned(x, [(I, bi), (J, bj)])
+                   for bi, bj in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))]
+    vals = _multilinear_rows(_all_values(f), np.concatenate(stacks))
+    F, F1, F0 = float(vals[0]), vals[1:d + 1], vals[d + 1:2 * d + 1]
     if not want_hess:
-        return F, grad, None
+        return F, F1 - F0, None
+    F11, F10, F01, F00 = vals[2 * d + 1:].reshape(4, len(I))
     hess = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            hij = (
-                F_pinned([(i, 1.0), (j, 1.0)])
-                - F_pinned([(i, 1.0), (j, 0.0)])
-                - F_pinned([(i, 0.0), (j, 1.0)])
-                + F_pinned([(i, 0.0), (j, 0.0)])
-            )
-            hess[i, j] = hess[j, i] = hij
-    return F, grad, hess
+    hess[I, J] = hess[J, I] = F11 - F10 - F01 + F00
+    return F, F1 - F0, hess
 
 
 def multilinear_value(f: SetFunction, x: np.ndarray, rng: RngStream | None = None,
                       n_samples: int = 200) -> float:
-    """F(x): exact enumeration when d fits the budget, else sample average."""
+    """F(x) at one (d,) point: exact enumeration when d fits the budget,
+    else sample average."""
     d = f.ground_size
+    if np.shape(x) != (d,):
+        raise ValueError("dimension mismatch")
     if d <= ENUM_MAX_D:
         return multilinear_exact(f, x)
     if rng is None:

@@ -323,6 +323,8 @@ def bcg(value_oracle, set_: FeasibleSet, box, T: int, delta: float,
     so every two-point probe delta 1 + x_t +/- delta u stays inside the
     function's box domain.  rho_t = 2/(t+3)^{2/3}; the update x += v/T
     averages T vertices of K'; the output is shifted back by delta 1.
+    ``value_oracle`` maps a (k, d) array of points to their (k,) values;
+    each iteration makes one call, on all 2·batch probes.
     """
     if not 0 < delta:
         raise ValueError("delta must be positive")
@@ -335,7 +337,7 @@ def bcg(value_oracle, set_: FeasibleSet, box, T: int, delta: float,
     gbar = np.zeros(set_.dim)
     for t in range(1, T + 1):
         rho = 2.0 / (t + 3.0) ** (2.0 / 3.0)
-        g = two_point_gradient(lambda y: value_oracle(y + shift), x, delta,
+        g = two_point_gradient(lambda Y: value_oracle(Y + shift), x, delta,
                                int(batch_fn(t)), rng.child(t))
         gbar = (1.0 - rho) * gbar + rho * g
         v = kp.lmo_max(gbar)
@@ -370,10 +372,14 @@ def dbg(f, m, T: int, delta: float, l: int, batch, rng: RngStream):
     box = _Box.unit(d)
     oracle_rng = rng.child(0xD1)
 
-    def value_oracle(y):
-        q = np.clip(y, 0.0, 1.0)
-        draws = oracle_rng.random((l, d)) < q[None, :]
-        return float(np.mean(f.batch(draws)))
+    def value_oracle(Y):
+        # row by row, so oracle_rng serves the probes in order
+        out = np.empty(len(Y))
+        for r, y in enumerate(Y):
+            q = np.clip(y, 0.0, 1.0)
+            draws = oracle_rng.random((l, d)) < q[None, :]
+            out[r] = np.mean(f.batch(draws))
+        return out
 
     x = bcg(value_oracle, set_, box, T, delta, batch, rng.child(0xD2))
     return pipage_round(x, m, f, rng.child(0xD3))

@@ -5,14 +5,11 @@ import pytest
 
 from fwlab.bench import (
     ConfigError,
-    STEP_GRID_A,
-    STEP_GRID_C,
     brute_force_opt,
     build_constraint,
     build_problem,
     load_config,
     run_experiment,
-    step_size_grid,
 )
 from fwlab.cli import main
 from fwlab.constraints import Box, L1Ball, PartitionMatroid, PartitionMatroidPolytope
@@ -186,12 +183,6 @@ def test_brute_force_guard():
         brute_force_opt(f, m)
 
 
-def test_step_size_grid():
-    grid = step_size_grid()
-    assert len(grid) == len(STEP_GRID_C) * len(STEP_GRID_A)
-    assert (0.1, 1.0) in grid and (2.0, 0.5) in grid
-
-
 # --- run_experiment ---------------------------------------------------------
 
 def test_run_experiment_row_count_and_files(tmp_path):
@@ -281,6 +272,15 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r"),
                  "--override", "solver.learning_rate=0.1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("override", ["solver.sweep=1", "solver.log_every=10"])
+def test_cli_unread_solver_keys_exit_2(tmp_path, capsys, override):
+    path = _write(tmp_path, QUAD_INI)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r"),
+                 "--override", override]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
 
 
 def test_cli_runtime_failure_exit_3(tmp_path, capsys):

@@ -24,7 +24,7 @@ from fwlab.problems import (
     multilinear_grad_hess,
     _all_masks,
 )
-from fwlab.rng import RngStream
+from fwlab.rng import RngStream, sample_unit_sphere
 
 
 def _enum_expectation(p, x, fn):
@@ -210,30 +210,72 @@ def test_two_point_linear_unbiased():
     c = np.array([1.0, -2.0, 0.5])
     rng = RngStream(8)
     n = 10**5
-    est = two_point_gradient(lambda y: float(c @ y), np.zeros(3), 0.1, n, rng)
+    est = two_point_gradient(lambda Y: np.vecdot(Y, c), np.zeros(3), 0.1, n, rng)
     # E[uu^T] = I/d makes the estimator exact in expectation for linear F
     assert np.all(np.abs(est - c) < 0.05)
 
 
 def test_two_point_constant_zero():
     rng = RngStream(9)
-    est = two_point_gradient(lambda y: 5.0, np.ones(4), 0.2, 16, rng)
+    est = two_point_gradient(lambda Y: np.full(len(Y), 5.0), np.ones(4), 0.2, 16, rng)
     assert np.allclose(est, 0.0)
 
 
 def test_two_point_symmetry_1d():
     rng = RngStream(10)
-    est = two_point_gradient(lambda y: float(y[0] ** 2), np.zeros(1), 0.5, 8, rng)
+    est = two_point_gradient(lambda Y: Y[:, 0] ** 2, np.zeros(1), 0.5, 8, rng)
     assert est[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _two_point_per_probe(value_oracle, x, delta, batch, rng):
+    """The estimator with one oracle call per probe point, in probe order."""
+    d = x.size
+    g = np.zeros(d)
+    for _ in range(batch):
+        u = sample_unit_sphere(rng, d)
+        g += (value_oracle(x + delta * u) - value_oracle(x - delta * u)) * u
+    return (d / (2.0 * delta)) * g / batch
+
+
+_C5 = np.array([0.7, -1.3, 2.1, 0.4, -0.2])
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_two_point_equals_per_probe_loop(batch):
+    x = RngStream(30).uniform(size=5)
+    for t in range(3):
+        est = two_point_gradient(lambda Y: np.vecdot(np.sin(Y), _C5), x, 0.05,
+                                 batch, RngStream(31, t))
+        ref = _two_point_per_probe(lambda y: float(np.sin(y) @ _C5), x, 0.05,
+                                   batch, RngStream(31, t))
+        assert np.all(est == ref)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_two_point_stochastic_oracle_equals_per_probe_loop(batch):
+    # the oracle draws from its own stream, one draw per probe row
+    x = RngStream(32).uniform(size=5)
+    noise_rows, noise_points = RngStream(33, 1), RngStream(33, 1)
+
+    def rows(Y):
+        return np.array([float(np.sin(y) @ _C5) + noise_rows.normal() for y in Y])
+
+    def point(y):
+        return float(np.sin(y) @ _C5) + noise_points.normal()
+
+    for t in range(3):
+        est = two_point_gradient(rows, x, 0.05, batch, RngStream(34, t))
+        ref = _two_point_per_probe(point, x, 0.05, batch, RngStream(34, t))
+        assert np.all(est == ref)
 
 
 def test_smoothed_value_linear_and_lipschitz():
     rng = RngStream(11)
     c = np.array([2.0, 1.0])
-    m, se = smoothed_value_mc(lambda y: float(c @ y), np.ones(2), 0.3, 4000, rng)
+    m, se = smoothed_value_mc(lambda Y: np.vecdot(Y, c), np.ones(2), 0.3, 4000, rng)
     assert abs(m - 3.0) <= 3 * se
     # delta = 0 short-circuits
-    m0, se0 = smoothed_value_mc(lambda y: float(c @ y), np.ones(2), 0.0, 1, rng)
+    m0, se0 = smoothed_value_mc(lambda Y: np.vecdot(Y, c), np.ones(2), 0.0, 1, rng)
     assert m0 == 3.0 and se0 == 0.0
 
 

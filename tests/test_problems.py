@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fwlab.problems import (
+    _all_masks,
+    _all_values,
     Coverage,
     EnumerationBudgetError,
     FacilityLocation,
@@ -168,6 +172,123 @@ def test_monotone_dr_property():
             Fy, gy, _ = multilinear_grad_hess(f, y, want_hess=False)
             assert Fx <= Fy + 1e-9
             assert np.all(gx >= gy - 1e-9)
+
+
+# The subset-weight formula as a mask product, one point at a time, and
+# coordinate pinning one point per partial derivative: the references the
+# stacked kernel must match bit for bit.
+
+def _ref_exact(f, x):
+    masks = _all_masks(f.ground_size)
+    w = np.where(masks, x[None, :], 1.0 - x[None, :]).prod(axis=1)
+    return float(_all_values(f) @ w)
+
+
+def _ref_grad_hess(f, x):
+    def F_pinned(pins):
+        y = x.copy()
+        for i, b in pins:
+            y[i] = b
+        return _ref_exact(f, y)
+
+    d = x.size
+    F = F_pinned([])
+    grad = np.array([F_pinned([(i, 1.0)]) - F_pinned([(i, 0.0)]) for i in range(d)])
+    hess = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            hess[i, j] = hess[j, i] = (
+                F_pinned([(i, 1.0), (j, 1.0)])
+                - F_pinned([(i, 1.0), (j, 0.0)])
+                - F_pinned([(i, 0.0), (j, 1.0)])
+                + F_pinned([(i, 0.0), (j, 0.0)])
+            )
+    return F, grad, hess
+
+
+def _exactness_points(d, rng):
+    """Interior points, points outside [0,1]^d, the same clipped, and points
+    with random coordinates pinned to 0 or 1."""
+    inner = rng.uniform(0.0, 1.0, size=(3, d))
+    outer = rng.uniform(-0.5, 1.5, size=(3, d))
+    pinned = rng.uniform(0.0, 1.0, size=(3, d))
+    pin = rng.random((3, d)) < 0.4
+    pinned[pin] = (rng.random((3, d)) < 0.5)[pin]
+    return np.concatenate([inner, outer, np.clip(outer, 0.0, 1.0), pinned])
+
+
+def _exactness_functions(d, rng):
+    return [make_random_bounded(d, rng.child(0)),
+            make_coverage(d, 4, rng.child(1))]
+
+
+@pytest.mark.parametrize("d", [1, 4, 10, 12])
+def test_multilinear_exact_equals_mask_product(d):
+    rng = RngStream(40 + d)
+    X = _exactness_points(d, rng)
+    for f in _exactness_functions(d, rng):
+        ref = np.array([_ref_exact(f, x) for x in X])
+        for x, r in zip(X, ref):
+            v = multilinear_exact(f, x)
+            assert isinstance(v, float) and v == r
+        stack = X[[0, 1, 1, 5, 0, 11, 11]]           # duplicate rows
+        out = multilinear_exact(f, stack)
+        assert out.shape == (7,)
+        assert np.all(out == ref[[0, 1, 1, 5, 0, 11, 11]])
+
+
+def test_multilinear_exact_stack_spanning_row_blocks():
+    d = 12                     # 256 rows per block; 600 rows make 3 blocks
+    rng = RngStream(52)
+    f = make_random_bounded(d, rng)
+    X = rng.uniform(-0.2, 1.2, size=(600, d))
+    out = multilinear_exact(f, X)
+    assert np.all(out == [_ref_exact(f, x) for x in X])
+    assert multilinear_exact(f, X[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("d", [1, 4, 10, 12])
+def test_multilinear_grad_hess_equals_pinning(d):
+    rng = RngStream(60 + d)
+    X = _exactness_points(d, rng)[::2] if d == 12 else _exactness_points(d, rng)
+    for f in _exactness_functions(d, rng):
+        for x in X:
+            F, g, H = multilinear_grad_hess(f, x)
+            rF, rg, rH = _ref_grad_hess(f, x)
+            assert isinstance(F, float) and F == rF
+            assert np.all(g == rg) and np.all(H == rH)
+            F2, g2, none = multilinear_grad_hess(f, x, want_hess=False)
+            assert F2 == rF and np.all(g2 == rg) and none is None
+
+
+def test_multilinear_exact_rejects_bad_shapes():
+    f = make_random_bounded(4, RngStream(70))
+    with pytest.raises(ValueError):
+        multilinear_exact(f, np.full((3, 5), 0.5))
+    with pytest.raises(ValueError):
+        multilinear_exact(f, np.full(5, 0.5))
+    with pytest.raises(ValueError):
+        multilinear_exact(f, np.full((2, 3, 4), 0.5))
+    with pytest.raises(ValueError):
+        multilinear_grad_hess(f, np.full((1, 4), 0.5))
+    with pytest.raises(ValueError):          # one point, at any d
+        multilinear_value(f, np.full((2, 4), 0.5))
+
+
+def test_multilinear_hessian_memory_is_bounded():
+    # 4*C(14,2) + 2*14 + 1 = 393 pinned points: a single 393 x 2^14 weight
+    # table would take 51 MB; row blocks keep the peak near one 8 MB block.
+    d = 14
+    rng = RngStream(71)
+    f = make_random_bounded(d, rng)
+    x = rng.uniform(size=d)
+    tracemalloc.start()
+    try:
+        multilinear_grad_hess(f, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_bernoulli_sampling_law():

@@ -13,6 +13,7 @@ from fwlab.problems import (
     MultilinearProblem,
     Quadratic,
     make_coverage,
+    make_facility_location,
     multilinear_exact,
 )
 from fwlab.rng import RngStream
@@ -179,7 +180,7 @@ def test_bcg_linear_near_lp_optimum():
     c = np.array([1.0, 3.0, 2.0, 0.5])
     poly = PartitionMatroidPolytope([[0, 1], [2, 3]], [1, 1], d)
     opt = float(poly.lmo_max(c) @ c)
-    out = bcg(lambda y: float(c @ np.clip(y, 0, 1)), poly, Box.unit(d),
+    out = bcg(lambda Y: np.vecdot(np.clip(Y, 0, 1), c), poly, Box.unit(d),
               200, 0.01, d, RngStream(10))
     assert poly.contains(out, tol=1e-8)
     assert float(c @ out) >= opt - 0.05 * opt
@@ -189,7 +190,7 @@ def test_bcg_single_step_is_shifted_vertex():
     d = 2
     poly = PartitionMatroidPolytope([[0, 1]], [1], d)
     delta = 0.05
-    out = bcg(lambda y: float(np.sum(y)), poly, Box.unit(d), 1, delta, 2,
+    out = bcg(lambda Y: np.sum(Y, axis=1), poly, Box.unit(d), 1, delta, 2,
               RngStream(11))
     # output = v_1 + delta*1 with v_1 a vertex of the shrunk set
     assert poly.contains(out, tol=1e-8)
@@ -202,7 +203,7 @@ def test_bcg_iterates_stay_in_shrunk_domain():
     poly = PartitionMatroidPolytope([[0, 1], [2, 3]], [1, 1], 4)
     delta = 0.05
     seen = []
-    out = bcg(lambda y: multilinear_exact(f, np.clip(y, 0, 1)), poly,
+    out = bcg(lambda Y: multilinear_exact(f, np.clip(Y, 0, 1)), poly,
               Box.unit(4), 50, delta, 4, RngStream(13),
               log_fn=lambda t, x, g: seen.append(x.copy()))
     for x in seen:
@@ -218,6 +219,31 @@ def test_dbg_modular_exact():
     S = dbg(f, m, 60, 0.05, 10, 1, RngStream(14))
     assert m.is_base(S)
     assert f(S) == pytest.approx(5.0 + 6.0)
+
+
+def test_dbg_pinned_at_seed(monkeypatch):
+    # The sampled oracle serves probe rows in order, so oracle_rng is used
+    # as with one call per probe: the last smoothed gradient and the
+    # rounded set are pinned to that implementation's values, bit for bit.
+    import fwlab.solvers as solvers
+
+    grads = []
+    two_point = solvers.two_point_gradient
+
+    def spy(*args):
+        grads.append(two_point(*args))
+        return grads[-1]
+
+    monkeypatch.setattr(solvers, "two_point_gradient", spy)
+    f = make_facility_location(6, 4, RngStream(21, 5))
+    m = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 2], 6)
+    S = dbg(f, m, 40, 0.05, 5, 3, RngStream(7))
+    assert S.astype(int).tolist() == [0, 1, 0, 0, 1, 1]
+    assert len(grads) == 40
+    assert [v.hex() for v in grads[-1]] == [
+        "0x1.8fc09e8eabcacp+1", "0x1.5866d0dff6d3bp-1", "0x1.9e62c03869351p+2",
+        "0x1.b7dffac0a0a80p+0", "-0x1.10c52080b248dp+2", "-0x1.588fdac17b711p-1",
+    ]
 
 
 def test_dbg_zero_budgets():
