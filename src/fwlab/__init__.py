@@ -6,7 +6,7 @@ continuous greedy for DR-submodular maximization, plus the constraint
 oracles and benchmark problems used to verify their guarantees.
 """
 
-from .rng import RngStream, sample_unit_ball, sample_unit_sphere, norms
+from .rng import RngStream, sample_unit_ball, sample_unit_sphere
 from .constraints import (
     Box,
     L1Ball,

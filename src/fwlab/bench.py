@@ -146,6 +146,15 @@ def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
         if value is not None and value not in allowed:
             raise ConfigError(
                 f"distsim.{key}={value!r} is not one of {', '.join(allowed)}")
+    # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
+    # problem on a box supplies them (MultilinearProblem.domain_constants).
+    if (cfg.distsim is None
+            and cfg.solver.get("algorithm", "one_sfw").lower() == "one_sfw"
+            and cfg.solver.get("option") == "grad_diff"
+            and not (cfg.problem.get("kind", "").lower().startswith("multilinear_")
+                     and cfg.constraint.get("kind", "").lower() == "box")):
+        raise ConfigError("solver.option=grad_diff needs a multilinear problem "
+                          "on a box constraint")
     return cfg
 
 
@@ -185,17 +194,24 @@ def build_constraint(block: dict, dim: int) -> C.FeasibleSet:
     raise ConfigError(f"unknown constraint kind {kind!r}")
 
 
+def _dim(block: dict) -> int:
+    """``problem.dim``, for the kinds whose instance size it sets."""
+    dim = int(block.get("dim", 0))
+    if dim < 1:
+        raise ConfigError(f"problem kind {block.get('kind')!r} needs dim >= 1")
+    return dim
+
+
 def build_problem(block: dict):
     """Returns (StochasticProblem, SetFunction or None)."""
     kind = block.get("kind", "").lower()
-    dim = int(block.get("dim", 0))
     inst = RngStream(int(block.get("instance_seed", 0)), 0x1857)
     noise = float(block.get("noise", 0.0))
     try:
         if kind == "quadratic":
-            return P.Quadratic(np.zeros(dim), noise), None
+            return P.Quadratic(np.zeros(_dim(block)), noise), None
         if kind == "nqp":
-            return P.NQP(dim, inst, noise_sigma=noise), None
+            return P.NQP(_dim(block), inst, noise_sigma=noise), None
         if kind == "logistic_csv":
             return P.LogisticL1.from_csv(block["path"]), None
         if kind == "lrmr_csv":
@@ -205,16 +221,18 @@ def build_problem(block: dict):
         if kind.startswith("multilinear_"):
             sub = kind.removeprefix("multilinear_")
             if sub == "facility":
-                f = P.make_facility_location(dim, int(block.get("n_clients", 5)), inst)
+                f = P.make_facility_location(_dim(block),
+                                             int(block.get("n_clients", 5)), inst)
             elif sub == "coverage":
-                f = P.make_coverage(dim, int(block.get("n_topics", 6)), inst)
+                f = P.make_coverage(_dim(block), int(block.get("n_topics", 6)), inst)
             elif sub == "concave_modular":
-                f = P.make_concave_over_modular(dim, int(block.get("n_users", 4)), inst)
+                f = P.make_concave_over_modular(_dim(block),
+                                                int(block.get("n_users", 4)), inst)
             elif sub == "logdet":
-                f = P.make_logdet(dim, inst)
+                f = P.make_logdet(_dim(block), inst)
             elif sub == "modular":
                 w = (_floats(block["weights"]) if "weights" in block
-                     else inst.uniform(0.0, 1.0, size=dim))
+                     else inst.uniform(0.0, 1.0, size=_dim(block)))
                 f = P.Modular(w)
             else:
                 raise ConfigError(f"unknown multilinear instance {sub!r}")
@@ -299,13 +317,10 @@ def _run_one_seed(cfg: RunConfig, seed: int):
     if algo == "one_sfw":
         option = solver.get("option", "exact_hessian")
         consts = None
-        if option == "grad_diff":
-            if isinstance(problem, P.MultilinearProblem) and isinstance(set_, C.Box):
-                lo, hi = float(np.min(set_.lower)), float(np.max(set_.upper))
-                consts = problem.domain_constants(max(lo - 1e-2, 1e-3),
-                                                  min(hi + 1e-2, 1 - 1e-3))
-            else:
-                consts = dict(problem.constants)
+        if option == "grad_diff":  # load_config admits only multilinear on a box
+            lo, hi = float(np.min(set_.lower)), float(np.max(set_.upper))
+            consts = problem.domain_constants(max(lo - 1e-2, 1e-3),
+                                              min(hi + 1e-2, 1 - 1e-3))
         return one_sfw(problem, set_, sched, option, rng, constants=consts,
                        probe_clip=(0.0, 1.0) if problem.mode == "nonoblivious" else None)
     if algo == "oblivious_sfw":

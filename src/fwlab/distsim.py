@@ -82,7 +82,6 @@ class QfwConfig:
     s1_fn: object              # (i, k) -> up-link levels (UNQUANTIZED = raw)
     s2_fn: object              # (i, k) -> down-link levels
     mode: str = "quantized"
-    fl_local_steps: int = 1
 
     def __post_init__(self):
         if self.M < 1:
@@ -108,7 +107,6 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
     """
     if n_total % M != 0:
         raise ValueError(f"component count {n_total} not divisible by M={M}")
-    n_local = n_total // M
 
     if setting == "finite_convex":
         period = lambda i: 2 ** (i - 1)
@@ -172,7 +170,6 @@ def _send(vec: np.ndarray, s: int, rng: RngStream, ledger: BitLedger,
 
 @dataclass
 class _Worker:
-    worker_id: int
     components: np.ndarray  # global component indices owned
     x: np.ndarray
     gbar: np.ndarray
@@ -212,7 +209,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
 
     x0 = set_.lmo_min(np.zeros(d))
     workers = [
-        _Worker(m, np.arange(m * n_local, (m + 1) * n_local), x0.copy(),
+        _Worker(np.arange(m * n_local, (m + 1) * n_local), x0.copy(),
                 np.zeros(d), rng.child(_WORKER_STREAM + m))
         for m in range(M)
     ]
@@ -280,13 +277,13 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
 
 
 def _run_fl(problem, set_, cfg, T, rng, log_points):
-    """Local-update heuristic: each worker runs local FW steps on its own
-    components, then the master averages the models (no guarantee)."""
+    """Local-update heuristic: each worker takes one local FW step on its
+    own components, then the master averages the models (no guarantee)."""
     N, M, d = problem.n, cfg.M, problem.dim
     n_local = N // M
     x0 = set_.lmo_min(np.zeros(d))
     workers = [
-        _Worker(m, np.arange(m * n_local, (m + 1) * n_local), x0.copy(),
+        _Worker(np.arange(m * n_local, (m + 1) * n_local), x0.copy(),
                 np.zeros(d), rng.child(_WORKER_STREAM + m))
         for m in range(M)
     ]
@@ -295,11 +292,8 @@ def _run_fl(problem, set_, cfg, T, rng, log_points):
                              "mode": "fl", "guarantee": "none"})
     for t in range(1, T + 1):
         for w in workers:
-            for j in range(cfg.fl_local_steps):
-                g = problem.batch_grad(w.x, w.components)
-                v = set_.lmo_min(g)
-                eta = float(cfg.eta_fn(1, 1, t))
-                w.x = w.x + eta * (v - w.x)
+            v = set_.lmo_min(problem.batch_grad(w.x, w.components))
+            w.x = w.x + float(cfg.eta_fn(1, 1, t)) * (v - w.x)
             ledger.charge(t, "up", RAW_BITS_PER_COORD * d)
         avg = np.zeros(d)
         for w in workers:
@@ -339,7 +333,7 @@ def run_snc_qfw(p: StochasticProblem, set_: FeasibleSet, cfg: QfwConfig,
     surrogate = FiniteSumProblem(p.dim, n_surrogate, values, grads)
     trace, ledger = run_qfw(surrogate, set_, cfg, T, rng, log_points)
     trace.meta["surrogate_n"] = n_surrogate
-    if p.has("exact_reference") and trace.output is not None:
+    if trace.output is not None:
         trace.meta["true_gap"] = fw_gap(p.exact_grad(trace.output), set_,
                                         trace.output)
         trace.meta["surrogate_gap"] = fw_gap(surrogate.full_grad(trace.output),

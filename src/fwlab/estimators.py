@@ -22,7 +22,6 @@ from .problems import Sample, StochasticProblem
 from .rng import RngStream, check_finite, sample_unit_ball, sample_unit_sphere
 
 __all__ = [
-    "GradEstimatorState",
     "VariationEstimate",
     "momentum_update",
     "hessian_estimate_apply",
@@ -37,26 +36,19 @@ __all__ = [
 
 
 @dataclass
-class GradEstimatorState:
-    d: np.ndarray
-    t: int
-
-
-@dataclass
 class VariationEstimate:
     delta_tilde: np.ndarray
-    a: float
     sample: Sample | None
-    option: str  # "exact_hessian" | "grad_diff" | "oblivious"
-    clamped: bool = False
+    clamped: bool = False  # a grad-diff probe was clipped into the domain
 
 
-def momentum_update(state: GradEstimatorState, delta_tilde: np.ndarray,
-                    g_new: np.ndarray, rho: float) -> GradEstimatorState:
+def momentum_update(d: np.ndarray, delta_tilde: np.ndarray,
+                    g_new: np.ndarray, rho: float) -> np.ndarray:
+    """d_t = (1 - rho)(d_{t-1} + Delta_t) + rho g_t."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho={rho} outside [0,1]")
-    d = (1.0 - rho) * (state.d + delta_tilde) + rho * g_new
-    return GradEstimatorState(d=check_finite(d, "momentum estimate"), t=state.t + 1)
+    d = (1.0 - rho) * (d + delta_tilde) + rho * g_new
+    return check_finite(d, "momentum estimate")
 
 
 def hessian_estimate_apply(p: StochasticProblem, x: np.ndarray, s: Sample,
@@ -83,12 +75,12 @@ def hessian_estimate_apply(p: StochasticProblem, x: np.ndarray, s: Sample,
     return check_finite(out, "hessian estimate")
 
 
-def _interp_point(p, x_t, x_prev, rng_a, a):
+def _interp_point(x_t, x_prev, rng_a, a):
     if a is None:
         a = float(rng_a.uniform())
     if not 0.0 <= a <= 1.0:
         raise ValueError("interpolation weight outside [0,1]")
-    return a, a * np.asarray(x_t, float) + (1.0 - a) * np.asarray(x_prev, float)
+    return a * np.asarray(x_t, float) + (1.0 - a) * np.asarray(x_prev, float)
 
 
 def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
@@ -102,14 +94,13 @@ def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
     grad F(x_t) - grad F(x_prev) by the fundamental theorem of calculus.
     ``a``/``sample`` may be supplied to couple runs sample-for-sample.
     """
-    a, xa = _interp_point(p, x_t, x_prev, rng_a, a)
+    xa = _interp_point(x_t, x_prev, rng_a, a)
     if sample is None:
         sample = p.sample(xa, rng_z)
     u = np.asarray(x_t, float) - np.asarray(x_prev, float)
     if not np.any(u):
-        return VariationEstimate(np.zeros(p.dim), a, sample, "exact_hessian")
-    dt = hessian_estimate_apply(p, xa, sample, u)
-    return VariationEstimate(dt, a, sample, "exact_hessian")
+        return VariationEstimate(np.zeros(p.dim), sample)
+    return VariationEstimate(hessian_estimate_apply(p, xa, sample, u), sample)
 
 
 def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
@@ -127,12 +118,12 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    a, xa = _interp_point(p, x_t, x_prev, rng_a, a)
+    xa = _interp_point(x_t, x_prev, rng_a, a)
     if sample is None:
         sample = p.sample(xa, rng_z)
     u = np.asarray(x_t, float) - np.asarray(x_prev, float)
     if not np.any(u):
-        return VariationEstimate(np.zeros(p.dim), a, sample, "grad_diff")
+        return VariationEstimate(np.zeros(p.dim), sample)
 
     xp, xm = xa + delta * u, xa - delta * u
     clamped = False
@@ -149,8 +140,8 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
     phi_F = (p.grad(xp, sample) - p.grad(xm, sample)) / (2.0 * delta)
     phi_lp = (p.logp_grad(xp, sample) - p.logp_grad(xm, sample)) / (2.0 * delta)
     dt = val * lg_u * lg + phi_F + lg_u * gF + val * phi_lp + float(gF @ u) * lg
-    return VariationEstimate(check_finite(dt, "grad-diff estimate"), a, sample,
-                             "grad_diff", clamped)
+    return VariationEstimate(check_finite(dt, "grad-diff estimate"), sample,
+                             clamped)
 
 
 def variation_oblivious(p: StochasticProblem, x_t, x_prev,
@@ -163,8 +154,7 @@ def variation_oblivious(p: StochasticProblem, x_t, x_prev,
     if p.mode != "oblivious":
         raise ValueError("same-sample gradient difference requires an oblivious problem")
     dt = p.grad(np.asarray(x_t, float), sample) - p.grad(np.asarray(x_prev, float), sample)
-    return VariationEstimate(check_finite(dt, "oblivious difference"), 1.0,
-                             sample, "oblivious")
+    return VariationEstimate(check_finite(dt, "oblivious difference"), sample)
 
 
 def two_point_gradient(value_oracle, x: np.ndarray, delta: float,

@@ -12,11 +12,11 @@ Small-d exact oracles (full subset enumeration) back every estimator test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NumericsError, RngStream, check_finite
+from .rng import RngStream, check_finite
 
 __all__ = [
     "Sample",
@@ -42,7 +42,6 @@ __all__ = [
     "multilinear_exact",
     "multilinear_value",
     "multilinear_grad_hess",
-    "estimate_constants",
     "EnumerationBudgetError",
 ]
 
@@ -58,17 +57,14 @@ class EnumerationBudgetError(ValueError):
 class Sample:
     """One stochastic oracle draw.
 
-    ``z`` is instance-defined (row index, subset indicator, noise vector);
-    ``logp_grad`` is ∇_x log p(z;x) evaluated at the sampling point, zero
-    for oblivious problems.
+    ``z`` is instance-defined (row index, subset indicator, noise vector).
     """
 
     z: object
-    logp_grad: np.ndarray | None = None
 
 
 class StochasticProblem:
-    """Oracle bundle; subclasses fill in the capability methods.
+    """Oracle bundle; subclasses fill in the per-sample and exact oracles.
 
     ``samples_drawn`` counts calls to :meth:`sample`, giving the one-sample
     accounting used by solver tests.
@@ -76,7 +72,6 @@ class StochasticProblem:
 
     dim: int
     mode: str  # "oblivious" or "nonoblivious"
-    capabilities: frozenset
     constants: dict
 
     def __init__(self):
@@ -124,9 +119,6 @@ class StochasticProblem:
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def has(self, cap: str) -> bool:
-        return cap in self.capabilities
-
 
 class Quadratic(StochasticProblem):
     """F(x) = 0.5‖x − x*‖² with additive Gaussian gradient noise.
@@ -136,9 +128,6 @@ class Quadratic(StochasticProblem):
     """
 
     mode = "oblivious"
-    capabilities = frozenset(
-        {"value", "gradient", "hessian_vec", "exact_reference"}
-    )
 
     def __init__(self, target: np.ndarray, noise_sigma: float = 0.0):
         super().__init__()
@@ -177,9 +166,6 @@ class NQP(StochasticProblem):
     """
 
     mode = "oblivious"
-    capabilities = frozenset(
-        {"value", "gradient", "hessian_vec", "exact_reference"}
-    )
 
     def __init__(self, dim: int, rng: RngStream, noise_sigma: float = 0.0,
                  H: np.ndarray | None = None):
@@ -235,9 +221,6 @@ class LogisticL1(StochasticProblem):
     """
 
     mode = "oblivious"
-    capabilities = frozenset(
-        {"value", "gradient", "hessian_vec", "exact_reference"}
-    )
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         super().__init__()
@@ -301,9 +284,6 @@ class RobustLRMR(StochasticProblem):
     """
 
     mode = "oblivious"
-    capabilities = frozenset(
-        {"value", "gradient", "hessian_vec", "exact_reference"}
-    )
 
     def __init__(self, rows: int, cols: int, observed: np.ndarray, sigma: float = 1.0):
         super().__init__()
@@ -675,10 +655,6 @@ class MultilinearProblem(StochasticProblem):
     """
 
     mode = "nonoblivious"
-    capabilities = frozenset(
-        {"value", "gradient", "hessian_vec", "logp_grad", "logp_hess_vec",
-         "exact_reference"}
-    )
 
     def __init__(self, f: SetFunction):
         super().__init__()
@@ -693,9 +669,7 @@ class MultilinearProblem(StochasticProblem):
 
     def _sample(self, x, rng):
         q = self._probs(x)
-        z = rng.random(self.dim) < q
-        lg = np.where(z, 1.0 / q, -1.0 / (1.0 - q))
-        return Sample(z=z, logp_grad=lg)
+        return Sample(z=rng.random(self.dim) < q)
 
     def value(self, x, s):
         return float(self.f(s.z))
@@ -832,20 +806,3 @@ def make_logdet(d: int, rng: RngStream) -> LogDet:
 
 def make_random_bounded(d: int, rng: RngStream, scale: float = 1.0) -> TableSetFunction:
     return TableSetFunction(rng.uniform(-scale, scale, size=2**d))
-
-
-def estimate_constants(p: StochasticProblem, probe_points, rng: RngStream,
-                       n_samples: int = 100) -> dict:
-    """Probe-based (B, G) estimates with a 1.2 safety factor, flagged.
-
-    Used where no closed form exists; draws ``n_samples`` z per probe point
-    and tracks the largest |F̃| and ‖one-sample gradient‖ seen.
-    """
-    B = G = 0.0
-    for x in probe_points:
-        x = np.asarray(x, dtype=float)
-        for _ in range(n_samples):
-            s = p.sample(x, rng)
-            B = max(B, abs(p.value(x, s)))
-            G = max(G, float(np.linalg.norm(p.one_sample_grad(x, s))))
-    return {"B": 1.2 * B, "G": 1.2 * G, "estimated": True}

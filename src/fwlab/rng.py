@@ -16,7 +16,6 @@ __all__ = [
     "NumericsError",
     "sample_unit_sphere",
     "sample_unit_ball",
-    "norms",
     "check_finite",
 ]
 
@@ -72,15 +71,6 @@ class RngStream:
     def random(self, size=None):
         return self._gen.random(size=size)
 
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
-    def permutation(self, x):
-        return self._gen.permutation(x)
-
-    def binomial(self, n, p, size=None):
-        return self._gen.binomial(n, p, size=size)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
@@ -110,15 +100,3 @@ def sample_unit_ball(rng: RngStream, d: int) -> np.ndarray:
     u = sample_unit_sphere(rng, d)
     r = rng.uniform() ** (1.0 / d)
     return r * u
-
-
-def norms(x: np.ndarray) -> tuple[float, float, float]:
-    """Return (l1, l2, linf) norms of a finite vector."""
-    x = check_finite(x, "norms input")
-    if x.size == 0:
-        return 0.0, 0.0, 0.0
-    return (
-        float(np.sum(np.abs(x))),
-        float(np.linalg.norm(x)),
-        float(np.max(np.abs(x))),
-    )

@@ -15,7 +15,6 @@ import numpy as np
 
 from .constraints import FeasibleSet, shrink_translate
 from .estimators import (
-    GradEstimatorState,
     grad_diff_delta,
     momentum_update,
     two_point_gradient,
@@ -40,9 +39,7 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
-MC_OBJECTIVE_SAMPLES = 2048
 _OUTPUT_STREAM = 0xA11
-_MC_STREAM = 0x0B5
 
 
 @dataclass
@@ -57,7 +54,6 @@ class Schedule:
 
     T: int
     mode: str
-    alpha: float
     rho_fn: object
     eta_fn: object
 
@@ -67,12 +63,12 @@ class Schedule:
         if T < 1:
             raise ValueError("T must be >= 1")
         if mode == "convex_min":
-            return cls(T, mode, 1.0, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / t)
+            return cls(T, mode, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / t)
         if mode == "nonconvex_min":
-            return cls(T, mode, 2.0 / 3.0, lambda t: (t - 1.0) ** (-2.0 / 3.0),
+            return cls(T, mode, lambda t: (t - 1.0) ** (-2.0 / 3.0),
                        lambda t: T ** (-2.0 / 3.0))
         if mode == "dr_submodular_max":
-            return cls(T, mode, 1.0, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / T)
+            return cls(T, mode, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / T)
         raise ValueError(f"unknown schedule mode {mode!r}")
 
     def rho(self, t: int) -> float:
@@ -127,17 +123,6 @@ def _default_log_points(T: int, n: int = 64):
     return set(pts.tolist()) | {T}
 
 
-def _objective(p: StochasticProblem, x, mc_rng: RngStream):
-    if p.has("exact_reference"):
-        return p.exact_value(x)
-    tot = 0.0
-    for _ in range(MC_OBJECTIVE_SAMPLES):
-        s = p.sample(x, mc_rng)
-        tot += p.value(x, s)
-    p.samples_drawn -= MC_OBJECTIVE_SAMPLES  # logging must not count
-    return tot / MC_OBJECTIVE_SAMPLES
-
-
 def _assert_member(set_: FeasibleSet, x, what: str):
     if not set_.contains(x, tol=MEMBERSHIP_TOL * 10):
         raise ValueError(f"{what} left the feasible set")
@@ -155,24 +140,18 @@ def _start_point(set_: FeasibleSet, mode: str, x1):
     return set_.lmo_min(np.zeros(set_.dim))
 
 
-def _log(trace, t, p, set_, x, d, sched, log_points, mc_rng, t0,
-         keep_snapshots):
+def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
     if t not in log_points:
         return
-    obj = _objective(p, x, mc_rng)
-    gap = err = None
-    if p.has("exact_reference"):
-        g = p.exact_grad(x)
-        if sched.mode != "dr_submodular_max":
-            gap = fw_gap(g, set_, x)
-        if d is not None:
-            err = float(np.sum((g - d) ** 2))
+    g = p.exact_grad(x)
+    gap = None if sched.mode == "dr_submodular_max" else fw_gap(g, set_, x)
     trace.records.append(IterationRecord(
-        t=t, objective=obj, fw_gap=gap, est_error=err,
+        t=t, objective=p.exact_value(x), fw_gap=gap,
+        est_error=float(np.sum((g - d) ** 2)),
         oracle_calls=p.samples_drawn,
         wall_ms=1000.0 * (time.perf_counter() - t0)))
     if keep_snapshots:
-        trace.snapshots[t] = (x.copy(), None if d is None else d.copy())
+        trace.snapshots[t] = (x.copy(), d.copy())
 
 
 def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
@@ -182,7 +161,6 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     (delta_tilde, sample_for_g or None); plain momentum passes Delta = 0."""
     T = sched.T
     log_points = _default_log_points(T) if log_points is None else set(log_points)
-    mc_rng = rng.child(_MC_STREAM)
     t0 = time.perf_counter()
     trace = SolveTrace(meta={"mode": sched.mode, "T": T})
     base_samples = p.samples_drawn
@@ -195,7 +173,7 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
 
     it = rng.child(1)
     s1 = p.sample(x, it.child(1))
-    state = GradEstimatorState(d=p.one_sample_grad(x, s1), t=1)
+    d = p.one_sample_grad(x, s1)
     x_prev = None
     for t in range(1, T + 1):
         if t >= 2:
@@ -204,12 +182,11 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
             if sample is None:
                 sample = p.sample(x, it.child(1))
             g_new = p.one_sample_grad(x, sample)
-            state = momentum_update(state, dt, g_new, sched.rho(t))
+            d = momentum_update(d, dt, g_new, sched.rho(t))
         if p.samples_drawn != t:
             raise RuntimeError("one-sample accounting violated")
-        _log(trace, t, p, set_, x, state.d, sched, log_points, mc_rng, t0,
-             keep_snapshots)
-        v = set_.lmo_max(state.d) if dr else set_.lmo_min(state.d)
+        _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots)
+        v = set_.lmo_max(d) if dr else set_.lmo_min(d)
         eta = sched.eta(t)
         x_prev = x
         x = x + eta * v if dr else x + eta * (v - x)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fwlab.cli import main
 from fwlab.constraints import Box, L1Ball, PartitionMatroid, PartitionMatroidPolytope
 from fwlab.problems import Modular, MultilinearProblem, Quadratic
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUAD_INI = """\
 [experiment]
@@ -391,3 +394,58 @@ def test_cli_distsim_requires_section(tmp_path, capsys):
     path = _write(tmp_path, QUAD_INI)
     assert main(["distsim", "--config", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("ini, overrides", [
+    (QUAD_INI, ["solver.algorithm=one_sfw", "solver.option=grad_diff"]),
+    (SUBMAX_INI, ["problem.kind=multilinear_facility", "solver.option=grad_diff"]),
+], ids=["quadratic", "facility-matroid"])
+def test_cli_grad_diff_off_multilinear_box_rejected_at_load(tmp_path, capsys,
+                                                            ini, overrides):
+    args = ["solve", "--config", _write(tmp_path, ini), "--out", str(tmp_path / "r")]
+    for ov in overrides:
+        args += ["--override", ov]
+    assert main(args) == 2
+    assert "grad_diff" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+def test_cli_grad_diff_multilinear_box_runs(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["solve", "--config", _write(tmp_path, SUBMAX_INI),
+                 "--out", str(out), "--override", "constraint.kind=box",
+                 "--override", "solver.option=grad_diff"]) == 0
+    capsys.readouterr()
+    assert len(list(out.glob("sub-*-s0.csv"))) == 1
+
+
+@pytest.mark.parametrize("block", [
+    {"kind": "quadratic"},
+    {"kind": "quadratic", "dim": "0"},
+    {"kind": "nqp", "dim": "-1"},
+    {"kind": "multilinear_facility"},
+    {"kind": "multilinear_modular"},
+])
+def test_build_problem_needs_positive_dim(block):
+    with pytest.raises(ConfigError, match="dim"):
+        build_problem(block)
+
+
+def test_cli_missing_dim_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, QUAD_INI.replace("dim = 3\n", ""))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    assert "dim" in capsys.readouterr().err
+
+
+def test_modular_weights_need_no_dim():
+    p, f = build_problem({"kind": "multilinear_modular", "weights": "1 2 3"})
+    assert p.dim == 3 and isinstance(f, Modular)
+
+
+@pytest.mark.parametrize("ini", sorted((ROOT / "scripts" / "configs").glob("*.ini")),
+                         ids=lambda p: p.name)
+def test_shipped_config_loads_and_builds(ini, monkeypatch):
+    monkeypatch.chdir(ROOT)  # configs name their data files from the repo root
+    cfg = load_config(ini.relative_to(ROOT))
+    problem, _ = build_problem(cfg.problem)
+    build_constraint(cfg.constraint, problem.dim)

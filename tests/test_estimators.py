@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fwlab.estimators import (
-    GradEstimatorState,
     VariationEstimate,
     grad_diff_delta,
     hessian_estimate_apply,
@@ -42,28 +41,26 @@ def _enum_expectation(p, x, fn):
 # --- momentum --------------------------------------------------------------
 
 def test_momentum_full_reset():
-    st = GradEstimatorState(d=np.array([9.0, 9.0]), t=1)
-    out = momentum_update(st, np.array([1.0, 1.0]), np.array([4.0, 5.0]), 1.0)
-    assert np.array_equal(out.d, [4.0, 5.0])
-    assert out.t == 2
+    d = np.array([9.0, 9.0])
+    out = momentum_update(d, np.array([1.0, 1.0]), np.array([4.0, 5.0]), 1.0)
+    assert np.array_equal(out, [4.0, 5.0])
 
 
 def test_momentum_arithmetic():
-    st = GradEstimatorState(d=np.array([2.0, 0.0]), t=1)
-    out = momentum_update(st, np.array([0.0, 2.0]), np.array([4.0, 4.0]), 0.5)
-    assert np.allclose(out.d, [3.0, 3.0])
+    d = np.array([2.0, 0.0])
+    out = momentum_update(d, np.array([0.0, 2.0]), np.array([4.0, 4.0]), 0.5)
+    assert np.allclose(out, [3.0, 3.0])
 
 
 def test_momentum_identity():
-    st = GradEstimatorState(d=np.array([1.0, -1.0]), t=3)
-    out = momentum_update(st, np.zeros(2), np.array([7.0, 7.0]), 0.0)
-    assert np.array_equal(out.d, st.d)
+    d = np.array([1.0, -1.0])
+    out = momentum_update(d, np.zeros(2), np.array([7.0, 7.0]), 0.0)
+    assert np.array_equal(out, d)
 
 
 def test_momentum_rho_range():
-    st = GradEstimatorState(d=np.zeros(1), t=1)
     with pytest.raises(ValueError):
-        momentum_update(st, np.zeros(1), np.zeros(1), 1.5)
+        momentum_update(np.zeros(1), np.zeros(1), np.zeros(1), 1.5)
 
 
 # --- five-term Hessian estimator -------------------------------------------

@@ -17,7 +17,6 @@ from fwlab.problems import (
     RobustLRMR,
     Sample,
     TableSetFunction,
-    estimate_constants,
     make_coverage,
     make_concave_over_modular,
     make_facility_location,
@@ -362,5 +361,3 @@ def test_constants_spot_check():
         for _ in range(200):
             s = p.sample(x, rng)
             assert abs(p.value(x, s)) <= p.constants["B"] + 1e-12
-    est = estimate_constants(p, probes, rng, n_samples=50)
-    assert est["estimated"] and est["B"] <= 1.2 * p.constants["B"] + 1e-9
