@@ -23,6 +23,7 @@ from . import problems as P
 from .distsim import MODES, SETTINGS, run_qfw, schedule_from_theorem
 from .rng import RngStream
 from .solvers import (
+    ONE_SFW_OPTIONS,
     Schedule,
     SolveTrace,
     bcg,
@@ -67,6 +68,16 @@ _SCHEMA = {
 _DISTSIM_CHOICES = {
     "setting": tuple(s for s in SETTINGS if s != "stoch_convex"),
     "mode": MODES,
+}
+
+#: Values of ``solver.algorithm`` that :func:`_run_one_seed` dispatches on.
+ALGORITHMS = ("one_sfw", "oblivious_sfw", "scg", "deterministic_fw", "bcg", "dbg")
+
+# The values of [solver] keys, as the code that reads each key sees them.
+_SOLVER_CHOICES = {
+    "algorithm": (ALGORITHMS, str.lower),
+    "mode": (Schedule.MODES, str),
+    "option": (ONE_SFW_OPTIONS, str),
 }
 
 TRACE_HEADER = ["t", "objective", "fw_gap", "est_error", "oracle_calls",
@@ -146,6 +157,11 @@ def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
         if value is not None and value not in allowed:
             raise ConfigError(
                 f"distsim.{key}={value!r} is not one of {', '.join(allowed)}")
+    for key, (allowed, norm) in _SOLVER_CHOICES.items():
+        value = cfg.solver.get(key)
+        if value is not None and norm(value) not in allowed:
+            raise ConfigError(
+                f"solver.{key}={value!r} is not one of {', '.join(allowed)}")
     # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
     # problem on a box supplies them (MultilinearProblem.domain_constants).
     if (cfg.distsim is None
@@ -352,8 +368,11 @@ def _run_one_seed(cfg: RunConfig, seed: int):
 
 
 def run_experiment(cfg: RunConfig) -> dict:
-    """Run every seed (isolated failures), write traces, return the report."""
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    """Run every seed (isolated failures), write traces, return the report.
+
+    The output directory is created just before the first file is written,
+    so a configuration error raised by a seed leaves nothing behind.
+    """
     digest = cfg.digest()
     rows, failures = [], []
     for seed in cfg.seeds:
@@ -367,6 +386,7 @@ def run_experiment(cfg: RunConfig) -> dict:
             failures.append({"seed": seed, "error": f"{type(e).__name__}: {e}"})
             continue
         wall = time.perf_counter() - t0
+        cfg.out.mkdir(parents=True, exist_ok=True)
         write_trace(cfg.out / f"{tag}.csv", trace)
         final = trace.records[-1] if trace.records else None
         row = {
@@ -388,6 +408,7 @@ def run_experiment(cfg: RunConfig) -> dict:
                                 if isinstance(v, (int, float, str))}},
                       fh, indent=2, default=str)
     report = _aggregate(rows, failures)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / f"{cfg.name}-{digest}-report.json", "w") as fh:
         json.dump(report, fh, indent=2, default=str)
     emit_report(rows, cfg.out / f"{cfg.name}-{digest}-report.csv")

@@ -227,11 +227,31 @@ class PartitionMatroidPolytope(FeasibleSet):
     largest gradient values (ties broken by smallest index).  ``lmo_min``
     minimizes over the full down-closed set, selecting only coordinates
     with negative gradient.
+
+    The blocks are held as one permutation of the coordinates that lists
+    each block in increasing index order, block after block.  A
+    stable sort by (block, gradient) keeps that layout, so the same
+    positions of the sorted permutation, the first ``budget_j`` of block j,
+    are selected for every gradient.
     """
 
     def __init__(self, blocks, budgets, dim: int):
         self.matroid = PartitionMatroid(blocks, budgets, dim)
         self.dim = int(dim)
+        sizes = np.array([len(b) for b in self.blocks], dtype=np.intp)
+        budgets = np.array(self.budgets, dtype=np.intp)
+        self._perm = np.concatenate([np.zeros(0, dtype=int), *self.blocks])
+        self._block_id = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        rank = np.arange(self._perm.size) - np.repeat(starts, sizes)
+        self._take = rank < np.repeat(budgets, sizes)
+        # contains sums block j over the segment [0.0, x of block j]: reduceat
+        # adds a segment as first + (sum of the rest), so the leading zero
+        # makes it 0 + the sum np.sum forms, and an empty block sums to 0.
+        self._seg_starts = starts + np.arange(len(sizes))
+        self._slot = np.empty(self.dim, dtype=np.intp)
+        self._slot[self._perm] = np.arange(self._perm.size) + self._block_id + 1
+        self._caps = budgets.astype(float)
 
     @property
     def blocks(self):
@@ -243,33 +263,27 @@ class PartitionMatroidPolytope(FeasibleSet):
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
+        gp = g[self._perm]
+        order = np.lexsort((gp, self._block_id))
+        take = self._take & (gp[order] < 0)
         v = np.zeros(self.dim)
-        for blk, budget in zip(self.blocks, self.budgets):
-            if budget == 0:
-                continue
-            order = blk[np.argsort(g[blk], kind="stable")]
-            for i in order[:budget]:
-                if g[i] < 0:
-                    v[i] = 1.0
+        v[self._perm[order[take]]] = 1.0
         return v
 
     def lmo_max(self, g):
         g = _check_dim(self, g)
+        order = np.lexsort((-g[self._perm], self._block_id))
         v = np.zeros(self.dim)
-        for blk, budget in zip(self.blocks, self.budgets):
-            if budget == 0:
-                continue
-            order = blk[np.argsort(-g[blk], kind="stable")]
-            v[order[:budget]] = 1.0
+        v[self._perm[order[self._take]]] = 1.0
         return v
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        if np.any(x < -tol) or np.any(x > 1 + tol):
+        if (x < -tol).any() or (x > 1 + tol).any():
             return False
-        return all(
-            float(np.sum(x[blk])) <= b + tol
-            for blk, b in zip(self.blocks, self.budgets)
-        )
+        seg = np.zeros(self.dim + len(self._caps))
+        seg[self._slot] = x
+        sums = np.add.reduceat(seg, self._seg_starts)
+        return bool((sums <= self._caps + tol).all())
 
     def diameter(self):
         # bound via the containing unit box

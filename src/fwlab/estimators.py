@@ -55,24 +55,12 @@ def hessian_estimate_apply(p: StochasticProblem, x: np.ndarray, s: Sample,
                            u: np.ndarray) -> np.ndarray:
     """One-sample Hessian-vector estimate applied to u.
 
-    Five terms; with z drawn from p(.;x) the expectation is the true
-    Hessian-vector product grad^2 F(x) u, because the second derivative of
-    the density satisfies
-    grad^2 p = p (grad log p grad log p^T + grad^2 log p).
+    With z drawn from p(.;x) the expectation is the true Hessian-vector
+    product grad^2 F(x) u; the problem computes it
+    (:meth:`StochasticProblem.hessian_estimate`).
     """
     u = check_finite(u, "hessian direction")
-    val = p.value(x, s)
-    gF = p.grad(x, s)
-    lg = p.logp_grad(x, s)
-    lg_u = float(lg @ u)
-    out = (
-        val * lg_u * lg
-        + p.hess_vec(x, s, u)
-        + lg_u * gF
-        + val * p.logp_hess_vec(x, s, u)
-        + float(gF @ u) * lg
-    )
-    return check_finite(out, "hessian estimate")
+    return check_finite(p.hessian_estimate(x, s, u), "hessian estimate")
 
 
 def _interp_point(x_t, x_prev, rng_a, a):
@@ -98,7 +86,7 @@ def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
     if sample is None:
         sample = p.sample(xa, rng_z)
     u = np.asarray(x_t, float) - np.asarray(x_prev, float)
-    if not np.any(u):
+    if not u.any():
         return VariationEstimate(np.zeros(p.dim), sample)
     return VariationEstimate(hessian_estimate_apply(p, xa, sample, u), sample)
 
@@ -122,7 +110,7 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
     if sample is None:
         sample = p.sample(xa, rng_z)
     u = np.asarray(x_t, float) - np.asarray(x_prev, float)
-    if not np.any(u):
+    if not u.any():
         return VariationEstimate(np.zeros(p.dim), sample)
 
     xp, xm = xa + delta * u, xa - delta * u

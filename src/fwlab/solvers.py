@@ -41,6 +41,9 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-9
 _OUTPUT_STREAM = 0xA11
 
+#: Variation estimators of :func:`one_sfw`.
+ONE_SFW_OPTIONS = ("exact_hessian", "grad_diff")
+
 
 @dataclass
 class Schedule:
@@ -57,8 +60,12 @@ class Schedule:
     rho_fn: object
     eta_fn: object
 
+    MODES = ("convex_min", "nonconvex_min", "dr_submodular_max")
+
     @classmethod
     def preset(cls, mode: str, T: int) -> "Schedule":
+        if mode not in cls.MODES:
+            raise ValueError(f"unknown schedule mode {mode!r}")
         T = int(T)
         if T < 1:
             raise ValueError("T must be >= 1")
@@ -67,9 +74,7 @@ class Schedule:
         if mode == "nonconvex_min":
             return cls(T, mode, lambda t: (t - 1.0) ** (-2.0 / 3.0),
                        lambda t: T ** (-2.0 / 3.0))
-        if mode == "dr_submodular_max":
-            return cls(T, mode, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / T)
-        raise ValueError(f"unknown schedule mode {mode!r}")
+        return cls(T, mode, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / T)
 
     def rho(self, t: int) -> float:
         r = float(self.rho_fn(t))
@@ -221,7 +226,7 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     approximation with radius delta_t = sqrt(3) eta_{t-1} Lbar / (D L2 (1+B))
     (or ``delta_fn(t)`` if given; ``constants`` supplies B, G, L, L2).
     """
-    if option not in ("exact_hessian", "grad_diff"):
+    if option not in ONE_SFW_OPTIONS:
         raise ValueError(f"unknown option {option!r}")
     if option == "grad_diff" and delta_fn is None:
         if constants is None:

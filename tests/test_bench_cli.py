@@ -286,6 +286,26 @@ def test_cli_unread_solver_keys_exit_2(tmp_path, capsys, override):
     assert not (tmp_path / "r").exists()  # nothing ran
 
 
+@pytest.mark.parametrize("overrides", [
+    ["solver.mode=bogus"],
+    ["solver.algorithm=one_sfw", "solver.option=bogus"],
+    ["solver.algorithm=bogus"],
+])
+def test_cli_unknown_solver_values_exit_2(tmp_path, capsys, overrides):
+    args = ["solve", "--config", _write(tmp_path, QUAD_INI), "--out", str(tmp_path / "r")]
+    for ov in overrides:
+        args += ["--override", ov]
+    assert main(args) == 2
+    assert "is not one of" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+def test_solver_algorithm_is_case_insensitive(tmp_path):
+    cfg = load_config(_write(tmp_path, QUAD_INI),
+                      overrides=["solver.algorithm=Oblivious_SFW"])
+    assert cfg.solver["algorithm"] == "Oblivious_SFW"
+
+
 def test_cli_runtime_failure_exit_3(tmp_path, capsys):
     path = _write(tmp_path, QUAD_INI)
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "r"),
@@ -435,6 +455,7 @@ def test_cli_missing_dim_exit_2(tmp_path, capsys):
     path = _write(tmp_path, QUAD_INI.replace("dim = 3\n", ""))
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 2
     assert "dim" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # the seed raised before any write
 
 
 def test_modular_weights_need_no_dim():

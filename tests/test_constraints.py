@@ -121,6 +121,64 @@ def test_matroid_lmo_vs_enumeration():
         assert float(poly.lmo_min(g) @ g) == pytest.approx(best_min, abs=1e-9)
 
 
+def _loop_lmo_min(poly, g):
+    """Per-block reference: the budget smallest entries, kept if negative."""
+    v = np.zeros(poly.dim)
+    for blk, budget in zip(poly.blocks, poly.budgets):
+        order = blk[np.argsort(g[blk], kind="stable")]
+        for i in order[:budget]:
+            if g[i] < 0:
+                v[i] = 1.0
+    return v
+
+
+def _loop_lmo_max(poly, g):
+    v = np.zeros(poly.dim)
+    for blk, budget in zip(poly.blocks, poly.budgets):
+        v[blk[np.argsort(-g[blk], kind="stable")][:budget]] = 1.0
+    return v
+
+
+def _loop_contains(poly, x, tol):
+    if np.any(x < -tol) or np.any(x > 1 + tol):
+        return False
+    return all(float(np.sum(x[blk])) <= b + tol
+               for blk, b in zip(poly.blocks, poly.budgets))
+
+
+@pytest.mark.parametrize("blocks, budgets", [
+    ([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], [2, 2]),
+    ([[4, 0, 2], [], [5, 1, 3, 6]], [1, 0, 3]),          # unsorted, empty block
+    ([[3], [1, 0], [2, 5, 4]], [0, 2, 0]),               # budget 0
+    ([[6, 2, 4, 0, 1, 5, 3]], [7]),
+    ([[9, 1, 7, 3, 11, 5], [0, 2, 4, 6, 8, 10, 12, 13, 14, 15]], [4, 6]),
+])
+def test_matroid_polytope_equals_per_block_loop(blocks, budgets):
+    rng = RngStream(5)
+    d = sum(len(b) for b in blocks)
+    poly = PartitionMatroidPolytope(blocks, budgets, d)
+    tol = 1e-9
+    for _ in range(200):
+        g = rng.integers(-2, 3, size=d).astype(float)    # many ties and zeros
+        if rng.random() < 0.5:
+            g = g * rng.uniform(0.5, 1.5, size=d) * (rng.random(d) < 0.7)
+        assert np.array_equal(poly.lmo_min(g), _loop_lmo_min(poly, g))
+        assert np.array_equal(poly.lmo_max(g), _loop_lmo_max(poly, g))
+    for _ in range(200):
+        x = rng.uniform(0.0, 1.0, size=d)
+        # scale one block's sum to its budget plus an offset near tol
+        j = int(rng.integers(len(blocks)))
+        blk = poly.blocks[j]
+        if blk.size and x[blk].sum() > 0:
+            # off = tol puts the block sum within a few ulps of cap + tol
+            off = tol * float(rng.uniform(-2.0, 2.0)) if rng.random() < 0.5 else tol
+            x[blk] *= (budgets[j] + off) / x[blk].sum()
+            x = np.minimum(x, 1.0 + 2 * tol)
+        if rng.random() < 0.1:
+            x[int(rng.integers(d))] = -tol * float(rng.uniform(0.0, 2.0))
+        assert poly.contains(x, tol) == _loop_contains(poly, x, tol)
+
+
 def test_feasibility_closure_under_fw_steps():
     rng = RngStream(4)
     for s in (L1Ball(1.0, 4), Box.unit(4), Simplex(1.0, 4),

@@ -16,6 +16,7 @@ from fwlab.problems import (
     Quadratic,
     RobustLRMR,
     Sample,
+    StochasticProblem,
     TableSetFunction,
     make_coverage,
     make_concave_over_modular,
@@ -320,6 +321,34 @@ def test_logp_hess_scalar_example():
     p = MultilinearProblem(Modular(np.ones(1)))
     s = Sample(z=np.array([True]))
     assert p.logp_hess_vec(np.array([0.5]), s, np.array([1.0]))[0] == pytest.approx(-4.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_multilinear_hessian_estimate_equals_five_terms():
+    # The fused method against the generic five-term formula it overrides,
+    # bit for bit (signed zeros included).
+    rng = RngStream(13)
+    f = make_facility_location(10, 6, rng.child(0))
+    p = MultilinearProblem(f)
+    generic = StochasticProblem.hessian_estimate
+    xs = [rng.uniform(0.0, 1.0, size=10) for _ in range(20)]
+    clipped = rng.uniform(0.0, 1.0, size=10)
+    clipped[[0, 3, 7]] = [0.0, 1.0, 1.0 + 5e-7]  # clamped into [eps, 1 - eps]
+    cases = []
+    for x in xs + [clipped]:
+        u = rng.normal(size=10)
+        cases.append((x, p.sample(x, rng), u))
+    x = xs[0]
+    empty = Sample(z=np.zeros(10, dtype=bool))           # f(empty) = 0
+    u_signs = np.array([1.0, -1.0, 0.0, -0.0, 2.0, -3.0, 0.5, -0.5, 0.0, 1.0])
+    cases += [(x, empty, u_signs), (x, empty, -u_signs),
+              (x, cases[0][1], np.zeros(10)), (x, empty, np.zeros(10)),
+              (clipped, Sample(z=np.ones(10, dtype=bool)), u_signs)]
+    for x, s, u in cases:
+        assert _bits(p.hessian_estimate(x, s, u)) == _bits(generic(p, x, s, u))
 
 
 def test_one_sample_grad_unbiased():

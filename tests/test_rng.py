@@ -81,3 +81,57 @@ def test_check_finite_rejects_nan():
         check_finite(np.array([1.0, np.nan]))
     with pytest.raises(NumericsError):
         check_finite(np.array([np.inf]))
+
+
+# --- pooled streams against private generators ------------------------------
+
+def _private(stream):
+    """An unpooled generator with the stream's Philox key."""
+    key = np.array([stream.seed, stream.stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+_DRAWS = [
+    lambda r: r.random(3),
+    lambda r: r.random(),
+    lambda r: r.normal(size=4),
+    lambda r: r.normal(1.5, 2.0),
+    lambda r: r.integers(0, 3, size=5),      # small range: buffered uint32
+    lambda r: r.integers(7),
+    lambda r: r.integers(-2**40, 2**40, size=2),
+    lambda r: r.uniform(-1.0, 2.0, size=2),
+    lambda r: r.uniform(),
+    lambda r: sample_unit_sphere(r, 5),
+    lambda r: sample_unit_ball(r, 3),
+]
+
+
+def test_pooled_streams_match_private_generators():
+    # As in the variation estimators: it.child(0) and it.child(1) are both
+    # live and draw in turn, beside a long-lived stream drawn every step.
+    root = RngStream(2**64 - 3, 0xBEEF)
+    long_lived = root.child(99)
+    refs = {long_lived: _private(long_lived)}
+    k = 0
+    for t in range(1, 40):
+        it = root.child(t)                # never draws
+        a, b = it.child(0), it.child(1)
+        refs[a], refs[b] = _private(a), _private(b)
+        order = [a, b, a, long_lived, b, b, a] if t % 2 else [b, long_lived, a, b]
+        for stream in order:
+            draw = _DRAWS[k % len(_DRAWS)]
+            k += 1
+            assert np.array_equal(draw(stream), draw(refs[stream]))
+
+
+def test_stream_repeats_after_eviction():
+    r = RngStream(9, 4)
+    first = r.integers(0, 3, size=3)      # leaves half a uint32 buffered
+    taker = RngStream(9, 5)               # takes the pooled generator
+    assert np.array_equal(taker.integers(0, 3, size=3),
+                          _private(taker).integers(0, 3, size=3))
+    rest = [r.integers(0, 3, size=3), r.normal(size=2)]
+    ref = _private(r)
+    assert np.array_equal(first, ref.integers(0, 3, size=3))
+    assert np.array_equal(rest[0], ref.integers(0, 3, size=3))
+    assert np.array_equal(rest[1], ref.normal(size=2))
