@@ -12,6 +12,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,6 +79,22 @@ _SOLVER_CHOICES = {
     "algorithm": (ALGORITHMS, str.lower),
     "mode": (Schedule.MODES, str),
     "option": (ONE_SFW_OPTIONS, str),
+}
+
+# Numeric keys: the parser a run reads each with, and the values it can use.
+_NUMBERS = {
+    "solver": {
+        "t": (int, lambda v: v >= 1, ">= 1"),
+        "batch": (int, lambda v: v >= 1, ">= 1"),
+        "l": (int, lambda v: v >= 1, ">= 1"),
+        "delta": (float, lambda v: 0 < v < math.inf, "> 0 and finite"),
+        "eta_c": (float, lambda v: 0 < v < math.inf, "> 0 and finite"),
+        "eta_a": (float, lambda v: 0 <= v < math.inf, ">= 0 and finite"),
+    },
+    "distsim": {
+        "t": (int, lambda v: v >= 1, ">= 1"),
+        "m": (int, lambda v: v >= 1, ">= 1"),
+    },
 }
 
 TRACE_HEADER = ["t", "objective", "fw_gap", "est_error", "oracle_calls",
@@ -152,6 +169,18 @@ def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
     )
     if not cfg.seeds:
         raise ConfigError("seeds list is empty")
+    for section, keys in _NUMBERS.items():
+        block = getattr(cfg, section) or {}
+        for key, (parse, check, allowed) in keys.items():
+            if key not in block:
+                continue
+            try:
+                ok = check(parse(block[key]))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"{section}.{key}={block[key]!r} is not "
+                                  f"{parse.__name__} {allowed}")
     for key, allowed in _DISTSIM_CHOICES.items():
         value = (cfg.distsim or {}).get(key)
         if value is not None and value not in allowed:

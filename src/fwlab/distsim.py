@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import FeasibleSet
-from .problems import FiniteSumProblem, StochasticProblem
+from .problems import FiniteSumProblem, StochasticProblem, ordered_means
 from .quantize import UNQUANTIZED, decode, encode_partition, message_bits
 from .rng import RngStream, check_finite
 from .solvers import IterationRecord, SolveTrace, fw_gap
@@ -168,14 +168,6 @@ def _send(vec: np.ndarray, s: int, rng: RngStream, ledger: BitLedger,
     return decode(msg)
 
 
-@dataclass
-class _Worker:
-    components: np.ndarray  # global component indices owned
-    x: np.ndarray
-    gbar: np.ndarray
-    rng: RngStream
-
-
 def _round_schedule(cfg: QfwConfig, T: int):
     """Yield (t, i, k) for rounds 1..T under the period structure."""
     t, i = 1, 1
@@ -191,6 +183,12 @@ def _round_schedule(cfg: QfwConfig, T: int):
         i += 1
 
 
+def _replicas_agree(S: np.ndarray) -> bool:
+    """Whether every row of the stack has the same bytes as row 0."""
+    bits = S.view(np.uint64)
+    return bool((bits == bits[0]).all())
+
+
 def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
             T: int, rng: RngStream, log_points=None):
     """Quantized distributed Frank-Wolfe on a finite sum.
@@ -199,6 +197,11 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     evenly across the M workers; anchors with ``anchor_batch_fn -> None``
     use every local component (exact local gradient), inner rounds draw
     mini-batches with replacement from the local partition.
+
+    The M replicas are the rows of one ``(M, d)`` array, advanced together:
+    each round makes one stacked ``batch_grad`` call (two on inner rounds),
+    while each worker draws its batch and its quantizer bits from its own
+    stream and sends its own message.
     """
     N, M, d = problem.n, cfg.M, problem.dim
     if N % M != 0:
@@ -208,11 +211,11 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         return _run_fl(problem, set_, cfg, T, rng, log_points)
 
     x0 = set_.lmo_min(np.zeros(d))
-    workers = [
-        _Worker(np.arange(m * n_local, (m + 1) * n_local), x0.copy(),
-                np.zeros(d), rng.child(_WORKER_STREAM + m))
-        for m in range(M)
-    ]
+    X = np.tile(x0, (M, 1))
+    X_prev = X
+    Gbar = np.zeros((M, d))
+    worker_rngs = [rng.child(_WORKER_STREAM + m) for m in range(M)]
+    offsets = np.arange(M)[:, None] * n_local   # first component of each worker
     master_rng = rng.child(_MASTER_STREAM)
     ledger = BitLedger()
     trace = SolveTrace(meta={"setting": cfg.setting, "M": M, "T": T,
@@ -222,44 +225,31 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     if log_points is None:
         log_points = set(range(1, T + 1)) if T <= 256 else None
     for t, i, k in _round_schedule(cfg, T):
-        x = workers[0].x
-        x_prev = iterates[-2] if len(iterates) >= 2 else x
         s1, s2 = int(cfg.s1_fn(i, k)), int(cfg.s2_fn(i, k))
-
-        decoded = []
-        for w in workers:
-            if k == 1:
-                ab = cfg.anchor_batch_fn(i)
-                if ab is None:
-                    idx = w.components
-                else:
-                    idx = w.components[w.rng.integers(n_local, size=int(ab))]
-                g = problem.batch_grad(w.x, idx)
-            else:
-                sz = int(cfg.inner_batch_fn(i, k))
-                idx = w.components[w.rng.integers(n_local, size=sz)]
-                g = problem.batch_grad(w.x, idx) - problem.batch_grad(x_prev, idx)
-            decoded.append(_send(g, s1, w.rng, ledger, t, "up"))
-
-        gtilde = np.zeros(d)
-        for gm in decoded:  # fixed worker order: bitwise determinism
-            gtilde += gm
-        gtilde /= M
+        size = cfg.anchor_batch_fn(i) if k == 1 else cfg.inner_batch_fn(i, k)
+        if size is None:
+            idx = np.arange(N)              # every worker's whole partition
+        else:
+            idx = (np.stack([r.integers(n_local, size=int(size))
+                             for r in worker_rngs]) + offsets).ravel()
+        G = problem.batch_grad(X, idx)
+        if k > 1:
+            G = G - problem.batch_grad(X_prev, idx)
+        decoded = np.stack([_send(G[m], s1, worker_rngs[m], ledger, t, "up")
+                            for m in range(M)])
+        gtilde = ordered_means(decoded)[0]    # summed in worker order
         broadcast = _send(gtilde, s2, master_rng, ledger, t, "down")
 
-        hashes = set()
-        for w in workers:
-            w.gbar = broadcast.copy() if k == 1 else w.gbar + broadcast
-            eta = float(cfg.eta_fn(i, k, t))
-            v = set_.lmo_min(w.gbar)
-            w.x = w.x + eta * (v - w.x)
-            hashes.add((w.x.tobytes(), w.gbar.tobytes()))
-        if len(hashes) != 1:
+        Gbar = np.tile(broadcast, (M, 1)) if k == 1 else Gbar + broadcast
+        eta = float(cfg.eta_fn(i, k, t))
+        V = np.stack([set_.lmo_min(g) for g in Gbar])
+        X_prev, X = X, X + eta * (V - X)
+        if not (_replicas_agree(X) and _replicas_agree(Gbar)):
             raise AssertionError("replica divergence across workers")
-        iterates.append(workers[0].x.copy())
+        iterates.append(X[0].copy())
 
         if log_points is None or t in log_points:
-            xo = workers[0].x
+            xo = X[0]
             gap = fw_gap(problem.full_grad(xo), set_, xo) if nonconvex else None
             trace.records.append(IterationRecord(
                 t=t, objective=problem.value(xo), fw_gap=gap,
@@ -269,7 +259,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         trace.output = iterates[idx]
         trace.output_rule = "uniform_random_iterate"
     else:
-        trace.output = workers[0].x
+        trace.output = X[0]
         trace.output_rule = "last"
     trace.meta["cum_bits_up"] = ledger.cum_up
     trace.meta["cum_bits_down"] = ledger.cum_down
@@ -280,32 +270,23 @@ def _run_fl(problem, set_, cfg, T, rng, log_points):
     """Local-update heuristic: each worker takes one local FW step on its
     own components, then the master averages the models (no guarantee)."""
     N, M, d = problem.n, cfg.M, problem.dim
-    n_local = N // M
-    x0 = set_.lmo_min(np.zeros(d))
-    workers = [
-        _Worker(np.arange(m * n_local, (m + 1) * n_local), x0.copy(),
-                np.zeros(d), rng.child(_WORKER_STREAM + m))
-        for m in range(M)
-    ]
+    X = np.tile(set_.lmo_min(np.zeros(d)), (M, 1))
+    idx = np.arange(N)                      # every worker's whole partition
     ledger = BitLedger()
     trace = SolveTrace(meta={"setting": cfg.setting, "M": M, "T": T,
                              "mode": "fl", "guarantee": "none"})
     for t in range(1, T + 1):
-        for w in workers:
-            v = set_.lmo_min(problem.batch_grad(w.x, w.components))
-            w.x = w.x + float(cfg.eta_fn(1, 1, t)) * (v - w.x)
+        V = np.stack([set_.lmo_min(g) for g in problem.batch_grad(X, idx)])
+        X = X + float(cfg.eta_fn(1, 1, t)) * (V - X)
+        for _ in range(M):
             ledger.charge(t, "up", RAW_BITS_PER_COORD * d)
-        avg = np.zeros(d)
-        for w in workers:
-            avg += w.x
-        avg /= M
+        avg = ordered_means(X)[0]
         ledger.charge(t, "down", RAW_BITS_PER_COORD * d)
-        for w in workers:
-            w.x = avg.copy()
+        X = np.tile(avg, (M, 1))
         if log_points is None or t in log_points:
             trace.records.append(IterationRecord(
                 t=t, objective=problem.value(avg), cum_bits=ledger.total))
-    trace.output = workers[0].x
+    trace.output = X[0]
     return trace, ledger
 
 
@@ -315,20 +296,24 @@ def run_snc_qfw(p: StochasticProblem, set_: FeasibleSet, cfg: QfwConfig,
     build the finite-sum surrogate (1/n) sum f(x; z_i), and run the
     finite-sum simulator on it with the nonconvex schedules.
 
-    The surrogate's index-array oracles evaluate ``p`` on the stacked
-    samples one at a time, since a ``StochasticProblem`` has per-sample
-    oracles only."""
+    The surrogate's oracles evaluate ``p`` on the samples ``idx`` names one
+    at a time, since a ``StochasticProblem`` has per-sample oracles only."""
     if n_surrogate % cfg.M != 0:
         raise ValueError("surrogate size must be divisible by worker count")
     x0 = set_.lmo_min(np.zeros(p.dim))
     srng = rng.child(0x5A)
-    samples = [p.sample(x0, srng) for _ in range(n_surrogate)]
+    samples = np.empty(n_surrogate, dtype=object)  # indexable like the arrays
+    for j in range(n_surrogate):
+        samples[j] = p.sample(x0, srng)
 
     def values(x, idx):
-        return np.array([p.value(x, samples[i]) for i in idx])
+        return np.array([p.value(x, s) for s in samples[idx]])
 
     def grads(x, idx):
-        return np.array([p.grad(x, samples[i]) for i in idx]).reshape(-1, p.dim)
+        picked = samples[idx]
+        points = np.broadcast_to(x, (len(picked), p.dim))
+        return np.array([p.grad(xi, s)
+                         for xi, s in zip(points, picked)]).reshape(-1, p.dim)
 
     surrogate = FiniteSumProblem(p.dim, n_surrogate, values, grads)
     trace, ledger = run_qfw(surrogate, set_, cfg, T, rng, log_points)

@@ -80,7 +80,8 @@ def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
     Draws a ~ U[0,1], sets x(a) = a x_t + (1-a) x_prev, samples z ~ p(.;x(a))
     and applies the estimator to u = x_t - x_prev.  Unbiased for
     grad F(x_t) - grad F(x_prev) by the fundamental theorem of calculus.
-    ``a``/``sample`` may be supplied to couple runs sample-for-sample.
+    ``a``/``sample`` may be supplied to couple runs sample-for-sample;
+    ``rng_a`` is read only when ``a`` is not (it may then be None).
     """
     xa = _interp_point(x_t, x_prev, rng_a, a)
     if sample is None:

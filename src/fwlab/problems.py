@@ -42,6 +42,7 @@ __all__ = [
     "multilinear_exact",
     "multilinear_value",
     "multilinear_grad_hess",
+    "ordered_means",
     "EnumerationBudgetError",
 ]
 
@@ -226,12 +227,9 @@ class NQP(StochasticProblem):
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1/(1 + e^-t) for t >= 0 and e^t/(1 + e^t) below, with e = e^-|t| shared
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 class LogisticL1(StochasticProblem):
@@ -757,13 +755,36 @@ class MultilinearProblem(StochasticProblem):
         }
 
 
+#: The ``idx`` that names every component 0..N-1 in order.  Oracles read it
+#: through a basic slice, which is a view: no gather copies the data.
+FULL_RANGE = slice(None)
+
+
+def ordered_means(rows, M=1):
+    """Row m is the mean of block m of ``rows`` (M equal consecutive blocks).
+
+    add.accumulate adds the rows strictly in order for every shape (add.reduce
+    sums a lone column pairwise); + 0.0 turns a column of −0.0 into +0.0, as a
+    loop starting from zeros does.
+    """
+    rows = rows.reshape(M, -1, rows.shape[-1])
+    return (np.add.accumulate(rows, axis=1)[:, -1] + 0.0) / rows.shape[1]
+
+
 class FiniteSumProblem:
     """Deterministic finite sum f(x) = (1/N) Σ f_i(x) for the simulator.
 
-    The components are given by two vectorized oracles over an index array
-    ``idx`` of component numbers (repeats allowed): ``values(x, idx)``
-    returns the shape ``(len(idx),)`` array of f_i(x) and ``grads(x, idx)``
-    the ``(len(idx), dim)`` array of ∇f_i(x), one row per entry of ``idx``.
+    The components are given by two vectorized oracles over ``idx``, an
+    array of component numbers (repeats allowed) or :data:`FULL_RANGE`:
+    ``values(x, idx)`` returns the array of f_i(x), one entry per component
+    named, and ``grads(x, idx)`` the array of ∇f_i(x), one row of length
+    ``dim`` per component named.  ``x`` is one point ``(dim,)``; ``grads``
+    also takes a stack ``(len(idx), dim)`` holding the point for each entry
+    of ``idx``.  An oracle reads :data:`FULL_RANGE` without a gather, which
+    is how :meth:`value` and :meth:`full_grad` make their full passes.
+
+    :meth:`batch_grad` averages over index blocks, for one point or for a
+    stack of M points at once (the simulator's M replicas).
     """
 
     def __init__(self, dim: int, n: int, values, grads):
@@ -773,7 +794,6 @@ class FiniteSumProblem:
         self.n = int(n)
         self.values = values
         self.grads = grads
-        self._all = np.arange(self.n)
 
     @classmethod
     def from_logistic(cls, p: LogisticL1) -> "FiniteSumProblem":
@@ -784,14 +804,12 @@ class FiniteSumProblem:
         """
         A, y = p.A, p.y
 
-        def margins(x, idx):
-            return -y[idx] * np.vecdot(A[idx], x)
-
         def values(x, idx):
-            return np.logaddexp(0.0, margins(x, idx))
+            return np.logaddexp(0.0, -y[idx] * np.vecdot(A[idx], x))
 
         def grads(x, idx):
-            return (-y[idx] * _sigmoid(margins(x, idx)))[:, None] * A[idx]
+            a, yi = A[idx], y[idx]
+            return (-yi * _sigmoid(-yi * np.vecdot(a, x)))[:, None] * a
 
         return cls(p.dim, p.n, values, grads)
 
@@ -809,21 +827,28 @@ class FiniteSumProblem:
         return cls(targets.shape[1], targets.shape[0], values, grads)
 
     def batch_grad(self, x, idx):
-        """Mean of ∇f_i(x) over ``idx``, summed in index order."""
+        """Mean of ∇f_i over ``idx``, summed in index order.
+
+        ``x`` is one point ``(dim,)``, giving the ``(dim,)`` mean over all of
+        ``idx``, or a stack ``(M, dim)``: then ``idx`` is M equal consecutive
+        blocks and row m of the ``(M, dim)`` result is the mean over block m
+        at ``x[m]``, bit for bit what a call on ``x[m]`` and block m gives.
+        """
         idx = np.asarray(idx)
-        if idx.size == 0:
-            return np.zeros(self.dim)
-        # add.accumulate adds the rows strictly in order for every shape
-        # (add.reduce sums a lone column pairwise); + 0.0 turns a column of
-        # −0.0 into +0.0, as a loop starting from zeros does.
-        total = np.add.accumulate(self.grads(x, idx), axis=0)[-1] + 0.0
-        return total / idx.size
+        X = np.reshape(x, (-1, self.dim))   # one point is a stack of one
+        M = len(X)
+        if idx.size == 0 or idx.size % M:
+            raise ValueError(f"{idx.size} indices do not split into {M} "
+                             "nonempty equal blocks")
+        points = np.repeat(X, idx.size // M, axis=0)  # X[m] for each of block m
+        G = ordered_means(self.grads(points, idx), M)
+        return G if np.ndim(x) == 2 else G[0]
 
     def full_grad(self, x):
-        return self.batch_grad(x, self._all)
+        return ordered_means(self.grads(x, FULL_RANGE))[0]
 
     def value(self, x):
-        return float(np.mean(self.values(x, self._all)))
+        return float(np.mean(self.values(x, FULL_RANGE)))
 
 
 def make_facility_location(d: int, n_clients: int, rng: RngStream) -> FacilityLocation:

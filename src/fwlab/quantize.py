@@ -51,9 +51,9 @@ class QuantizedMessage:
             raise ValueError("signs and levels length mismatch")
         if self.inf_norm < 0:
             raise ValueError("negative inf_norm")
-        if self.inf_norm == 0 and np.any(self.levels != 0):
+        if self.inf_norm == 0 and self.levels.any():
             raise ValueError("zero vector must have all-zero levels")
-        if np.any(self.levels < 0) or np.any(self.levels > self.s):
+        if d and (self.levels.min() < 0 or self.levels.max() > self.s):
             raise ValueError("level outside [0, s]")
         if self.bits != 32 + d * (_levels_z(self.s) + 1):
             raise ValueError("bit count does not match 32 + d(z+1)")
@@ -72,13 +72,14 @@ def encode_partition(g: np.ndarray, s: int, rng: RngStream) -> QuantizedMessage:
         raise ValueError("partition count s must be >= 1")
     g = check_finite(g, "quantizer input")
     d = g.size
-    inf, r = _ratios(g)
+    a = np.abs(g)
+    inf = float(a.max()) if d else 0.0
     if inf == 0.0:
         levels = np.zeros(d, dtype=np.int64)
     else:
-        lo = np.minimum(np.floor(r * s), s - 1).astype(np.int64)
-        q = r * s - lo
-        levels = lo + (rng.random(d) < q).astype(np.int64)
+        rs = a / inf * s                     # the ratio |g_i| / inf, times s
+        lo = np.minimum(np.floor(rs), s - 1).astype(np.int64)
+        levels = lo + (rng.random(d) < rs - lo)
     signs = np.sign(g).astype(np.int64)
     bits = 32 + d * (_levels_z(s) + 1)
     return QuantizedMessage(signs=signs, levels=levels, inf_norm=inf, s=s, bits=bits)
@@ -119,8 +120,8 @@ def message_bits(msg: QuantizedMessage) -> int:
 
 def serialize_message(msg: QuantizedMessage) -> bytes:
     """Canonical byte layout: u32 s, f32 inf_norm, then per-coordinate
-    (sign byte, level as u16).  Used by the simulator ledger for audits;
-    the logical bit count remains ``msg.bits``.
+    (sign byte, level as u16).  Only a round-trip test calls it; the
+    simulator's ledger charges the logical bit count ``msg.bits``.
     """
     out = [struct.pack("<If", msg.s, np.float32(msg.inf_norm))]
     for sg, lv in zip(msg.signs.tolist(), msg.levels.tolist()):

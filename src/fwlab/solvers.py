@@ -235,11 +235,14 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         delta_fn = lambda t: grad_diff_delta(sched.eta(t - 1), constants, D)
 
     def variation(t, x, x_prev, it):
+        # a ~ U[0,1] is drawn here, so its stream is gone before the sample
+        # stream draws and the pooled generator has no state to save.
+        a = float(it.child(0).uniform())
         if option == "exact_hessian":
-            est = variation_exact_hessian(p, x, x_prev, it.child(0), it.child(1))
+            est = variation_exact_hessian(p, x, x_prev, None, it.child(1), a=a)
         else:
-            est = variation_grad_diff(p, x, x_prev, delta_fn(t), it.child(0),
-                                      it.child(1), probe_clip=probe_clip)
+            est = variation_grad_diff(p, x, x_prev, delta_fn(t), None,
+                                      it.child(1), a=a, probe_clip=probe_clip)
         return est.delta_tilde, est.sample
 
     return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,

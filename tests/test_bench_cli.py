@@ -306,12 +306,25 @@ def test_solver_algorithm_is_case_insensitive(tmp_path):
     assert cfg.solver["algorithm"] == "Oblivious_SFW"
 
 
-def test_cli_runtime_failure_exit_3(tmp_path, capsys):
-    path = _write(tmp_path, QUAD_INI)
-    rc = main(["solve", "--config", path, "--out", str(tmp_path / "r"),
-               "--override", "solver.t=oops"])
+def test_cli_runtime_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # Only a seed can find this: the row count lives in the data file.
+    monkeypatch.chdir(ROOT)
+    rc = main(["distsim", "--config", "scripts/configs/distsim_logistic.ini",
+               "--out", str(tmp_path / "r"), "--override", "distsim.m=3"])
     assert rc == 3
-    capsys.readouterr()
+    assert "component count 40 not divisible by M=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "solver.t=oops", "solver.t=0", "solver.t=2.5", "solver.batch=0",
+    "solver.l=x", "solver.delta=0", "solver.delta=nan", "solver.eta_c=-1",
+    "solver.eta_a=inf",
+])
+def test_cli_numeric_solver_values_rejected_at_load(tmp_path, capsys, override):
+    assert main(["solve", "--config", _write(tmp_path, QUAD_INI),
+                 "--out", str(tmp_path / "r"), "--override", override]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
 
 
 def test_cli_submax_forces_mode(tmp_path, capsys):
@@ -389,6 +402,10 @@ def test_cli_distsim_unquantized_charges_raw_floats(tmp_path, capsys):
     "distsim.setting=stoch_convex",
     "distsim.setting=bogus",
     "distsim.mode=bogus",
+    "distsim.t=0",
+    "distsim.t=oops",
+    "distsim.m=0",
+    "distsim.m=1.5",
 ])
 def test_cli_distsim_rejects_at_load(tmp_path, capsys, override):
     path = _distsim_ini(tmp_path)

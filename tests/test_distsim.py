@@ -88,6 +88,84 @@ def test_finite_sum_keeps_sign_of_zero_like_the_loop():
     assert np.array_equal(g, ref)
 
 
+def _logistic_parts(n, d, rng, zero_col):
+    A = rng.normal(size=(n, d))
+    y = np.where(rng.normal(size=n) < 0, -1.0, 1.0)
+    if zero_col:  # every gradient row is −0.0 in the first coordinate
+        A[:, 0] = 0.0
+        y[:] = 1.0
+    p = LogisticL1(A, y)
+    return (FiniteSumProblem.from_logistic(p),
+            [lambda x, i=i: p.grad(x, Sample(z=i)) for i in range(n)])
+
+
+def _quadratic_parts(n, d, rng, zero_col):
+    targets = rng.normal(size=(n, d))
+    if zero_col:  # with x[0] = −0.0, every gradient row is −0.0 there
+        targets[:, 0] = 0.0
+    return (FiniteSumProblem.from_quadratics(targets),
+            [Quadratic(t).exact_grad for t in targets])
+
+
+@pytest.mark.parametrize("zero_col", [False, True], ids=["plain", "neg-zero-col"])
+@pytest.mark.parametrize("d", [1, 6])
+@pytest.mark.parametrize("parts", [_logistic_parts, _quadratic_parts],
+                         ids=["logistic", "quadratic"])
+def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
+    # Row m of one stacked call is, bit for bit, worker m's own loop over
+    # its block at its own replica.
+    rng = RngStream(13)
+    n, M = 24, 4
+    n_local = n // M
+    fs, grad_fns = parts(n, d, rng, zero_col)
+    X = rng.normal(size=(M, d))
+    if zero_col:
+        X[:, 0] = -0.0
+    offsets = np.arange(M)[:, None] * n_local
+    blocks = {
+        "anchor": np.arange(n).reshape(M, n_local),
+        "random": rng.integers(n_local, size=(M, 5)) + offsets,
+        "duplicates": np.array([[2, 0, 2]] * M) + offsets,
+    }
+    for name, B in blocks.items():
+        G = fs.batch_grad(X, B.ravel())
+        assert G.shape == (M, d)
+        for m in range(M):
+            ref = _loop_mean_grad(grad_fns, X[m], B[m])
+            assert G[m].tobytes() == ref.tobytes(), (name, m)
+            assert G[m].tobytes() == fs.batch_grad(X[m], B[m]).tobytes()
+    with pytest.raises(ValueError, match="equal blocks"):
+        fs.batch_grad(X, np.arange(n_local + 1))
+
+
+class _OneBadVertex(L1Ball):
+    """An l1 ball whose ``lmo_min`` moves the vertex of its ``bad_call``-th
+    call (counting from 1, the start point included)."""
+
+    def __init__(self, radius, dim, bad_call):
+        super().__init__(radius, dim)
+        self.calls, self.bad_call = 0, bad_call
+
+    def lmo_min(self, g):
+        v = super().lmo_min(g)
+        self.calls += 1
+        if self.calls == self.bad_call:
+            v = v.copy()
+            v[0] += 1e-3
+        return v
+
+
+@pytest.mark.parametrize("replica", [0, 3])
+def test_one_divergent_replica_is_caught(replica):
+    fs = _tiny_logistic()
+    cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=5)
+    run_qfw(fs, _OneBadVertex(2.0, 6, bad_call=0), cfg, 5, RngStream(6))
+    # call 1 is the start point, calls 2-5 are round 1; this is round 2
+    bad = _OneBadVertex(2.0, 6, bad_call=6 + replica)
+    with pytest.raises(AssertionError, match="replica divergence"):
+        run_qfw(fs, bad, cfg, 5, RngStream(6))
+
+
 def _unquantize(cfg):
     cfg.s1_fn = lambda i, k: UNQUANTIZED
     cfg.s2_fn = lambda i, k: UNQUANTIZED

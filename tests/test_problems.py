@@ -6,6 +6,7 @@ import pytest
 from fwlab.problems import (
     _all_masks,
     _all_values,
+    _sigmoid,
     Coverage,
     EnumerationBudgetError,
     FacilityLocation,
@@ -73,6 +74,26 @@ def test_logistic_grad_matches_fd():
     s = Sample(z=3)
     assert np.allclose(_fd_grad(lambda w: p.value(w, s), x), p.grad(x, s), atol=1e-6)
     assert np.allclose(_fd_grad(p.exact_value, x), p.exact_grad(x), atol=1e-6)
+
+
+def _sigmoid_mask_form(t):
+    """The two-mask logistic function that ``_sigmoid`` replaced."""
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_equals_mask_form():
+    sub, tiny = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
+    edges = np.array([0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e308, -1e308,
+                      np.inf, -np.inf, sub, -sub, 7 * sub, -7 * sub, tiny, -tiny,
+                      1e-300, -1e-300, 36.7, -36.7])
+    t = np.concatenate([edges, RngStream(3).normal(scale=40.0, size=20_000)])
+    assert _sigmoid(t).tobytes() == _sigmoid_mask_form(t).tobytes()
+    assert _sigmoid(edges[:2]).tobytes() == np.array([0.5, 0.5]).tobytes()
 
 
 def test_logistic_sample_law_uniform_and_x_free():

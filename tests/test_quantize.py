@@ -48,6 +48,42 @@ def test_zero_vector():
     assert np.array_equal(decode(msg), np.zeros(5))
 
 
+def _encode_reference(g, s, rng):
+    """The encoder before it shared its |g| and ratio passes: returns the
+    signs, levels and norm it sent."""
+    g = np.asarray(g, dtype=float)
+    inf = float(np.max(np.abs(g))) if g.size else 0.0
+    if inf == 0.0:
+        return np.sign(g).astype(np.int64), np.zeros(g.size, dtype=np.int64), inf
+    r = np.abs(g) / inf
+    lo = np.minimum(np.floor(r * s), s - 1).astype(np.int64)
+    q = r * s - lo
+    levels = lo + (rng.random(g.size) < q).astype(np.int64)
+    return np.sign(g).astype(np.int64), levels, inf
+
+
+@pytest.mark.parametrize("s", [1, 2, 7, 2**16])
+def test_encode_equals_reference_encoder(s):
+    gen = RngStream(21)
+    cases = [np.zeros(6), np.zeros(0), np.array([-0.0, 0.0, -0.0]),
+             np.array([3.0]), np.array([0.8, -0.4, 0.0]), gen.normal(size=6),
+             gen.normal(size=50) * 1e-300, gen.uniform(-1.0, 1.0, size=200)]
+    for j, g in enumerate(cases):
+        rng, ref_rng = RngStream(5, j), RngStream(5, j)
+        msg = encode_partition(g, s, rng)
+        signs, levels, inf = _encode_reference(g, s, ref_rng)
+        assert msg.signs.tobytes() == signs.tobytes()
+        assert msg.levels.tobytes() == levels.tobytes()
+        assert msg.inf_norm == inf
+        ref = signs * (levels / s) * inf
+        assert decode(msg).tobytes() == ref.tobytes(), j
+        # both used the same draws, so the streams continue alike
+        after = rng.random()
+        assert after == ref_rng.random()
+        if inf == 0.0:  # a zero vector draws nothing
+            assert after == RngStream(5, j).random()
+
+
 def test_bernoulli_frequency():
     g = np.array([1.0, 0.3])
     rng = RngStream(7)
@@ -142,3 +178,21 @@ def test_message_invariant_validation():
     with pytest.raises(ValueError):
         QuantizedMessage(signs=np.array([1]), levels=np.array([2]),
                          inf_norm=0.0, s=2, bits=32 + 1 * 3)
+
+
+_GOOD_MESSAGE = dict(signs=np.array([1, -1]), levels=np.array([2, 1]),
+                     inf_norm=1.5, s=2, bits=32 + 2 * 3)
+
+
+@pytest.mark.parametrize("broken, match", [
+    (dict(levels=np.array([2])), "length mismatch"),
+    (dict(inf_norm=-1.5), "negative inf_norm"),
+    (dict(levels=np.array([-1, 1])), "outside"),
+    (dict(levels=np.array([2, 3])), "outside"),
+    (dict(bits=32 + 2 * 2), "bit count"),
+], ids=["length", "negative-norm", "level-below-0", "level-above-s", "bits"])
+def test_message_rejects_each_broken_invariant(broken, match):
+    # the zero-vector invariant is test_message_invariant_validation's case
+    QuantizedMessage(**_GOOD_MESSAGE)
+    with pytest.raises(ValueError, match=match):
+        QuantizedMessage(**{**_GOOD_MESSAGE, **broken})
