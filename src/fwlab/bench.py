@@ -2,8 +2,9 @@
 report emission, and the brute-force oracle used by the acceptance checks.
 
 Configs are INI files with sections [experiment], [problem], [constraint],
-[solver], and optionally [distsim].  The schema is strict: unknown
-sections or keys are rejected before any compute.
+and [solver] or [distsim].  ``_TABLE`` holds each key a run reads, with its
+parser, default and allowed values, per problem or constraint kind and per
+algorithm; :func:`load_config` checks a config by it and runs read by it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .solvers import (
     bcg,
     dbg,
     deterministic_fw,
-    fw_gap,
     oblivious_sfw,
     one_sfw,
     scg_baseline,
@@ -47,56 +48,6 @@ __all__ = [
 
 MAX_BASES = 10**6
 
-_SCHEMA = {
-    "experiment": {"name", "seeds", "out"},
-    "problem": {
-        "kind", "dim", "noise", "path", "rows", "cols", "sigma",
-        "n_clients", "n_topics", "n_users", "instance_seed", "weights",
-    },
-    "constraint": {
-        "kind", "radius", "lower", "upper", "scale", "blocks", "budgets",
-        "rows", "cols",
-    },
-    "solver": {
-        "algorithm", "mode", "option", "t", "delta", "batch", "l",
-        "eta_c", "eta_a",
-    },
-    "distsim": {"setting", "m", "t", "mode"},
-}
-
-# The values of [distsim] keys a CLI run can execute.  stoch_convex is left
-# out: its schedule needs constants (sigma, L, D) that no key supplies.
-_DISTSIM_CHOICES = {
-    "setting": tuple(s for s in SETTINGS if s != "stoch_convex"),
-    "mode": MODES,
-}
-
-#: Values of ``solver.algorithm`` that :func:`_run_one_seed` dispatches on.
-ALGORITHMS = ("one_sfw", "oblivious_sfw", "scg", "deterministic_fw", "bcg", "dbg")
-
-# The values of [solver] keys, as the code that reads each key sees them.
-_SOLVER_CHOICES = {
-    "algorithm": (ALGORITHMS, str.lower),
-    "mode": (Schedule.MODES, str),
-    "option": (ONE_SFW_OPTIONS, str),
-}
-
-# Numeric keys: the parser a run reads each with, and the values it can use.
-_NUMBERS = {
-    "solver": {
-        "t": (int, lambda v: v >= 1, ">= 1"),
-        "batch": (int, lambda v: v >= 1, ">= 1"),
-        "l": (int, lambda v: v >= 1, ">= 1"),
-        "delta": (float, lambda v: 0 < v < math.inf, "> 0 and finite"),
-        "eta_c": (float, lambda v: 0 < v < math.inf, "> 0 and finite"),
-        "eta_a": (float, lambda v: 0 <= v < math.inf, ">= 0 and finite"),
-    },
-    "distsim": {
-        "t": (int, lambda v: v >= 1, ">= 1"),
-        "m": (int, lambda v: v >= 1, ">= 1"),
-    },
-}
-
 TRACE_HEADER = ["t", "objective", "fw_gap", "est_error", "oracle_calls",
                 "cum_bits", "wall_ms"]
 
@@ -105,8 +56,183 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content (CLI exit code 2)."""
 
 
+class Interval:
+    """Numbers from ``lo`` to ``hi``, each end closed ("[", "]") or open
+    ("(", ")") as ``ends`` says; a list or array lies in it if it has
+    entries and all of them do."""
+
+    def __init__(self, lo: float, hi: float = math.inf, ends: str = "[)"):
+        self.lo, self.hi, self.ends = lo, hi, ends
+
+    def __contains__(self, value):
+        v = np.asarray(value, dtype=float)
+        above = v >= self.lo if self.ends[0] == "[" else v > self.lo
+        below = v <= self.hi if self.ends[1] == "]" else v < self.hi
+        return v.size > 0 and bool(np.all(above & below))
+
+    def __str__(self):
+        return f"in {self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+
+_REQUIRED, _DIM = object(), object()  # defaults: must be given; the problem's dim
+
+
+class Key(NamedTuple):
+    """How a run reads one config key: ``parse`` turns its text into a value
+    that must lie in ``allowed`` (a tuple of choices, an Interval, or None);
+    an absent key reads as ``default``, or as None while ``unless`` is given."""
+    parse: object
+    default: object = _REQUIRED
+    allowed: object = None
+    unless: str | None = None
+
+
+def _ints(text):
+    return [int(v) for v in text.replace(",", " ").split()]
+
+
+def _floats(text):
+    return np.array([float(v) for v in text.replace(",", " ").split()])
+
+
+def _seeds(text):
+    a, dots, b = text.partition("..")
+    return list(range(int(a), int(b) + 1)) if dots else _ints(text)
+
+
+def _blocks(text):
+    return [_ints(part) for part in text.split("|")]
+
+
+_COUNT, _NONNEGATIVE = Interval(1), Interval(0)  # ints >= 1; finite and >= 0
+_POSITIVE, _FINITE = Interval(0, ends="()"), Interval(-math.inf, ends="()")
+_HALF = Interval(0, 0.5, "()")  # radii that keep probes inside [0, 1]^d
+_SIZE = Key(int, allowed=_COUNT)
+_NOISE = Key(float, 0.0, _NONNEGATIVE)
+_SEEDED = {"dim": _SIZE, "instance_seed": Key(int, 0)}  # instances drawn from a seed
+
+_PROBLEM_KINDS = {
+    "quadratic": {"dim": _SIZE, "noise": _NOISE},
+    "nqp": {**_SEEDED, "noise": _NOISE},
+    "logistic_csv": {"path": Key(str)},
+    "lrmr_csv": {"path": Key(str), "rows": _SIZE, "cols": _SIZE,
+                 "sigma": Key(float, 1.0, _POSITIVE)},
+    "multilinear_facility": {**_SEEDED, "n_clients": Key(int, 5, _COUNT)},
+    "multilinear_coverage": {**_SEEDED, "n_topics": Key(int, 6, _COUNT)},
+    "multilinear_concave_modular": {**_SEEDED, "n_users": Key(int, 4, _COUNT)},
+    "multilinear_logdet": _SEEDED,
+    "multilinear_modular": {**_SEEDED, "dim": Key(int, allowed=_COUNT, unless="weights"),
+                            "weights": Key(_floats, None, _FINITE)},
+}
+_CONSTRAINT_KINDS = {
+    "l1ball": {"radius": Key(float, 1.0, _POSITIVE)},
+    "box": {"lower": Key(_floats, np.zeros(1), _FINITE),
+            "upper": Key(_floats, np.ones(1), _FINITE)},
+    "simplex": {"scale": Key(float, 1.0, _POSITIVE)},
+    "matroid": {"blocks": Key(_blocks), "budgets": Key(_ints, allowed=_NONNEGATIVE)},
+    "nuclear": {"radius": Key(float, 1.0, _POSITIVE), "rows": _SIZE, "cols": _SIZE},
+}
+_ALGORITHMS = {
+    "one_sfw": {"option": Key(str, "exact_hessian", ONE_SFW_OPTIONS)},
+    "oblivious_sfw": {}, "scg": {}, "deterministic_fw": {},
+    "bcg": {"delta": Key(float, 0.02, _HALF), "batch": Key(int, _DIM, _COUNT)},
+    "dbg": {"delta": Key(float, 0.05, _HALF), "batch": Key(int, 1, _COUNT),
+            "l": Key(int, 20, _COUNT)},
+}
+# Per section, the keys a run reads by group: group None under every config,
+# the others under the value of the section's selector key.
+_SELECTORS = {"problem": "kind", "constraint": "kind", "solver": "algorithm"}
+_TABLE = {
+    "experiment": {None: {"name": Key(str, None),  # None: the config file's stem
+                          "seeds": Key(_seeds, [0], _FINITE),
+                          "out": Key(Path, Path("runs"))}},
+    "problem": {None: {"kind": Key(str.lower, allowed=tuple(_PROBLEM_KINDS))},
+                **_PROBLEM_KINDS},
+    "constraint": {None: {"kind": Key(str.lower, allowed=tuple(_CONSTRAINT_KINDS))},
+                   **_CONSTRAINT_KINDS},
+    "solver": {None: {"algorithm": Key(str.lower, "one_sfw", tuple(_ALGORITHMS)),
+                      "mode": Key(str, "convex_min", Schedule.MODES),
+                      "t": Key(int, 100, _COUNT),
+                      "eta_c": Key(float, None, _POSITIVE),
+                      "eta_a": Key(float, 1.0, _NONNEGATIVE)},
+               **_ALGORITHMS},
+    # Neither stochastic setting: stoch_convex's schedule needs constants
+    # (sigma, L, D) and stoch_nonconvex a surrogate size, which no key gives.
+    "distsim": {None: {"setting": Key(str, "finite_convex", tuple(
+                           s for s in SETTINGS if not s.startswith("stoch_"))),
+                       "m": Key(int, 1, _COUNT), "t": Key(int, 64, _COUNT),
+                       "mode": Key(str, "quantized", MODES)}},
+}
+
+
+def _read(section: str, block: dict, key: str, dim=None):
+    """``section.key`` of the text ``block``, parsed and checked by its entry
+    in the group ``block`` selects (a key only other groups read, by the
+    first of their entries); ``dim`` stands for a default of _DIM.  Raises
+    ValueError on a value the entry refuses or an absent required key."""
+    groups = _TABLE[section]
+    entry = groups[None].get(key) or (
+        groups[_read(section, block, _SELECTORS[section])].get(key)
+        or next(g[key] for g in groups.values() if key in g))
+    if key not in block:
+        if entry.unless in block:
+            return None
+        if entry.default is _REQUIRED:
+            raise ValueError(f"{section}.{key} is required")
+        return dim if entry.default is _DIM else entry.default
+    text, allowed = block[key], entry.allowed
+    try:
+        value = entry.parse(text)
+        ok = allowed is None or value in allowed
+    except ValueError:
+        ok = False
+    if not ok:
+        what = ("one of " + ", ".join(allowed) if isinstance(allowed, tuple)
+                else f"{entry.parse.__name__.lstrip('_')} {allowed or ''}")
+        raise ValueError(f"{section}.{key}={text!r} is not {what}".rstrip())
+    return value
+
+
+def _values(section: str, block: dict, dim=None) -> dict:
+    """Every key a run of ``block`` reads, by name, as :func:`_read` reads it."""
+    groups, selector = _TABLE[section], _SELECTORS.get(section)
+    selected = groups[_read(section, block, selector)] if selector else {}
+    return {key: _read(section, block, key, dim) for key in [*groups[None], *selected]}
+
+
+def _check_pairings(cfg: RunConfig):
+    """The rules that join keys of different sections (ValueError)."""
+    kind = _read("problem", cfg.problem, "kind")
+    constraint = _read("constraint", cfg.constraint, "kind")
+    # A [distsim] config has an empty [solver], whose defaults break no rule.
+    algo = _read("solver", cfg.solver, "algorithm")
+    multilinear = kind.startswith("multilinear_")
+    for broken, why in [
+        (cfg.distsim is not None and kind != "logistic_csv",
+         "distsim drives logistic_csv problems only"),
+        (algo == "oblivious_sfw" and multilinear,
+         "oblivious_sfw needs an oblivious problem, not a multilinear one"),
+        (algo in ("bcg", "dbg") and not multilinear,
+         f"{algo} needs a multilinear problem"),
+        # bcg shrinks the constraint inside the unit box (shrink_translate).
+        (algo == "bcg" and constraint not in ("box", "matroid"),
+         "bcg needs a box or matroid constraint"),
+        (algo == "dbg" and constraint != "matroid", "dbg needs a matroid constraint"),
+        # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
+        # problem on a box supplies them (MultilinearProblem.domain_constants).
+        (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"
+         and not (multilinear and constraint == "box"),
+         "solver.option=grad_diff needs a multilinear problem on a box constraint"),
+    ]:
+        if broken:
+            raise ValueError(why)
+
+
 @dataclass
 class RunConfig:
+    """A loaded config.  Its sections keep the config's text, the record of
+    what ran (hashed by :meth:`digest`, copied into sidecars); runs read
+    values from them through the table."""
     name: str
     seeds: list
     out: Path
@@ -123,170 +249,98 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_seeds(text: str) -> list:
-    text = text.strip()
-    if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in text.replace(",", " ").split()]
-
-
 def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
+    """Read a config, apply overrides, and check each key a run of it reads
+    and each rule across sections: a config that loads fails only on data."""
     cp = configparser.ConfigParser()
-    read = cp.read(str(path))
-    if not read:
+    if not cp.read(str(path)):
         raise ConfigError(f"config file not found: {path}")
     for ov in overrides:
-        if "=" not in ov or "." not in ov.split("=", 1)[0]:
+        key, eq, value = ov.partition("=")
+        section, dot, k = key.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override must look like section.key=value: {ov!r}")
-        key, value = ov.split("=", 1)
-        section, k = key.split(".", 1)
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section.strip(), k.strip(), value.strip())
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _TABLE:
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]")
-    if not cp.has_section("problem"):
-        raise ConfigError("missing section [problem]")
-    if not cp.has_section("solver") and not cp.has_section("distsim"):
-        raise ConfigError("missing section [solver] (or [distsim])")
-
-    exp = dict(cp["experiment"]) if cp.has_section("experiment") else {}
-    cfg = RunConfig(
-        name=exp.get("name", Path(str(path)).stem),
-        seeds=seeds if seeds is not None else _parse_seeds(exp.get("seeds", "0")),
-        out=Path(out_dir if out_dir is not None else exp.get("out", "runs")),
-        problem=dict(cp["problem"]) if cp.has_section("problem") else {},
-        constraint=dict(cp["constraint"]) if cp.has_section("constraint") else {},
-        solver=dict(cp["solver"]) if cp.has_section("solver") else {},
-        distsim=dict(cp["distsim"]) if cp.has_section("distsim") else None,
-    )
-    if not cfg.seeds:
-        raise ConfigError("seeds list is empty")
-    for section, keys in _NUMBERS.items():
-        block = getattr(cfg, section) or {}
-        for key, (parse, check, allowed) in keys.items():
-            if key not in block:
-                continue
-            try:
-                ok = check(parse(block[key]))
-            except ValueError:
-                ok = False
-            if not ok:
-                raise ConfigError(f"{section}.{key}={block[key]!r} is not "
-                                  f"{parse.__name__} {allowed}")
-    for key, allowed in _DISTSIM_CHOICES.items():
-        value = (cfg.distsim or {}).get(key)
-        if value is not None and value not in allowed:
-            raise ConfigError(
-                f"distsim.{key}={value!r} is not one of {', '.join(allowed)}")
-    for key, (allowed, norm) in _SOLVER_CHOICES.items():
-        value = cfg.solver.get(key)
-        if value is not None and norm(value) not in allowed:
-            raise ConfigError(
-                f"solver.{key}={value!r} is not one of {', '.join(allowed)}")
-    # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
-    # problem on a box supplies them (MultilinearProblem.domain_constants).
-    if (cfg.distsim is None
-            and cfg.solver.get("algorithm", "one_sfw").lower() == "one_sfw"
-            and cfg.solver.get("option") == "grad_diff"
-            and not (cfg.problem.get("kind", "").lower().startswith("multilinear_")
-                     and cfg.constraint.get("kind", "").lower() == "box")):
-        raise ConfigError("solver.option=grad_diff needs a multilinear problem "
-                          "on a box constraint")
+            if not any(key in group for group in _TABLE[section].values()):
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    if cp.has_section("solver") == cp.has_section("distsim"):
+        raise ConfigError("a config needs exactly one of [solver] and [distsim]: "
+                          "a [distsim] config runs the simulator, which reads "
+                          "no [solver]")
+    text = {s: dict(cp[s]) if cp.has_section(s) else {} for s in _TABLE}
+    distsim = cp.has_section("distsim")
+    try:
+        for section in ("problem", "constraint", "distsim" if distsim else "solver"):
+            _values(section, text[section])  # the keys a run reads, required ones too
+            for key in text[section]:        # and the keys of other kinds or algorithms
+                _read(section, text[section], key)
+        exp = _values("experiment", text["experiment"])
+        cfg = RunConfig(
+            name=exp["name"] or Path(str(path)).stem,
+            seeds=exp["seeds"] if seeds is None else seeds,
+            out=exp["out"] if out_dir is None else Path(out_dir),
+            problem=text["problem"], constraint=text["constraint"],
+            solver=text["solver"], distsim=text["distsim"] if distsim else None)
+        _check_pairings(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return cfg
 
 
-def _floats(text):
-    return np.array([float(v) for v in text.replace(",", " ").split()])
-
-
-def _parse_blocks(text):
-    return [[int(i) for i in part.split()] for part in text.split("|")]
-
-
 def build_constraint(block: dict, dim: int) -> C.FeasibleSet:
-    kind = block.get("kind", "").lower()
     try:
+        v = _values("constraint", block)
+        kind = v["kind"]
         if kind == "l1ball":
-            return C.L1Ball(float(block.get("radius", 1.0)), dim)
+            return C.L1Ball(v["radius"], dim)
         if kind == "box":
-            lo = _floats(block["lower"]) if "lower" in block else np.zeros(dim)
-            hi = _floats(block["upper"]) if "upper" in block else np.ones(dim)
-            if lo.size == 1:
-                lo = np.full(dim, lo[0])
-            if hi.size == 1:
-                hi = np.full(dim, hi[0])
-            return C.Box(lo, hi)
+            return C.Box(*(np.full(dim, b[0]) if b.size == 1 else b
+                           for b in (v["lower"], v["upper"])))
         if kind == "simplex":
-            return C.Simplex(float(block.get("scale", 1.0)), dim)
+            return C.Simplex(v["scale"], dim)
         if kind == "matroid":
-            return C.PartitionMatroidPolytope(
-                _parse_blocks(block["blocks"]),
-                [int(b) for b in block["budgets"].replace(",", " ").split()],
-                dim)
-        if kind == "nuclear":
-            return C.NuclearNormBall(float(block.get("radius", 1.0)),
-                                     int(block["rows"]), int(block["cols"]))
-    except (KeyError, ValueError) as e:
+            return C.PartitionMatroidPolytope(v["blocks"], v["budgets"], dim)
+        return C.NuclearNormBall(v["radius"], v["rows"], v["cols"])  # nuclear
+    except ValueError as e:
         raise ConfigError(f"bad constraint block: {e}") from e
-    raise ConfigError(f"unknown constraint kind {kind!r}")
-
-
-def _dim(block: dict) -> int:
-    """``problem.dim``, for the kinds whose instance size it sets."""
-    dim = int(block.get("dim", 0))
-    if dim < 1:
-        raise ConfigError(f"problem kind {block.get('kind')!r} needs dim >= 1")
-    return dim
 
 
 def build_problem(block: dict):
     """Returns (StochasticProblem, SetFunction or None)."""
-    kind = block.get("kind", "").lower()
-    inst = RngStream(int(block.get("instance_seed", 0)), 0x1857)
-    noise = float(block.get("noise", 0.0))
     try:
+        v = _values("problem", block)
+        kind = v["kind"]
         if kind == "quadratic":
-            return P.Quadratic(np.zeros(_dim(block)), noise), None
-        if kind == "nqp":
-            return P.NQP(_dim(block), inst, noise_sigma=noise), None
+            return P.Quadratic(np.zeros(v["dim"]), v["noise"]), None
         if kind == "logistic_csv":
-            return P.LogisticL1.from_csv(block["path"]), None
+            return P.LogisticL1.from_csv(v["path"]), None
         if kind == "lrmr_csv":
-            return P.RobustLRMR.from_csv(
-                block["path"], int(block["rows"]), int(block["cols"]),
-                float(block.get("sigma", 1.0))), None
-        if kind.startswith("multilinear_"):
-            sub = kind.removeprefix("multilinear_")
-            if sub == "facility":
-                f = P.make_facility_location(_dim(block),
-                                             int(block.get("n_clients", 5)), inst)
-            elif sub == "coverage":
-                f = P.make_coverage(_dim(block), int(block.get("n_topics", 6)), inst)
-            elif sub == "concave_modular":
-                f = P.make_concave_over_modular(_dim(block),
-                                                int(block.get("n_users", 4)), inst)
-            elif sub == "logdet":
-                f = P.make_logdet(_dim(block), inst)
-            elif sub == "modular":
-                w = (_floats(block["weights"]) if "weights" in block
-                     else inst.uniform(0.0, 1.0, size=_dim(block)))
-                f = P.Modular(w)
-            else:
-                raise ConfigError(f"unknown multilinear instance {sub!r}")
-            return P.MultilinearProblem(f), f
-    except (KeyError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
+            return P.RobustLRMR.from_csv(v["path"], v["rows"], v["cols"],
+                                         v["sigma"]), None
+        inst = RngStream(v["instance_seed"], 0x1857)
+        if kind == "nqp":
+            return P.NQP(v["dim"], inst, noise_sigma=v["noise"]), None
+        if kind == "multilinear_facility":
+            f = P.make_facility_location(v["dim"], v["n_clients"], inst)
+        elif kind == "multilinear_coverage":
+            f = P.make_coverage(v["dim"], v["n_topics"], inst)
+        elif kind == "multilinear_concave_modular":
+            f = P.make_concave_over_modular(v["dim"], v["n_users"], inst)
+        elif kind == "multilinear_logdet":
+            f = P.make_logdet(v["dim"], inst)
+        else:  # multilinear_modular
+            f = P.Modular(v["weights"] if v["weights"] is not None
+                          else inst.uniform(0.0, 1.0, size=v["dim"]))
+        return P.MultilinearProblem(f), f
+    except ValueError as e:
         raise ConfigError(f"bad problem block: {e}") from e
-    raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def brute_force_opt(f: P.SetFunction, m: C.PartitionMatroid):
@@ -304,69 +358,46 @@ def brute_force_opt(f: P.SetFunction, m: C.PartitionMatroid):
     return float(best), best_mask
 
 
-def _custom_schedule(mode, T, c, a):
-    sched = Schedule.preset(mode, T)
-    sched.eta_fn = lambda t: min(1.0, c / (t + 1.0) ** a)
-    return sched
-
-
-def write_trace(path: Path, trace: SolveTrace, extra_header=()):
+def write_trace(path: Path, trace: SolveTrace):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(TRACE_HEADER + list(extra_header))
+        w.writerow(TRACE_HEADER)
         for r in trace.records:
-            row = [r.t,
-                   "" if r.objective is None else repr(r.objective),
-                   "" if r.fw_gap is None else repr(r.fw_gap),
-                   "" if r.est_error is None else repr(r.est_error),
-                   r.oracle_calls,
-                   "" if r.cum_bits is None else r.cum_bits,
-                   ""]  # wall_ms omitted: trace files are byte-reproducible
-            for key in extra_header:
-                row.append(trace.meta.get(key, ""))
-            w.writerow(row)
+            w.writerow([r.t,
+                        "" if r.objective is None else repr(r.objective),
+                        "" if r.fw_gap is None else repr(r.fw_gap),
+                        "" if r.est_error is None else repr(r.est_error),
+                        r.oracle_calls,
+                        "" if r.cum_bits is None else r.cum_bits,
+                        ""])  # wall_ms omitted: trace files are byte-reproducible
 
 
 def _run_one_seed(cfg: RunConfig, seed: int):
-    solver = cfg.solver
-    algo = solver.get("algorithm", "one_sfw").lower()
     rng = RngStream(seed, 0)
-    problem, setf = (None, None)
-    if cfg.problem:
-        problem, setf = build_problem(cfg.problem)
-
-    if cfg.distsim is not None:
-        ds = cfg.distsim
-        if problem is None or not isinstance(problem, P.LogisticL1):
-            raise ConfigError("distsim currently drives logistic_csv problems")
+    problem, setf = build_problem(cfg.problem)
+    set_ = build_constraint(cfg.constraint, problem.dim)
+    if cfg.distsim is not None:  # load_config admits only logistic_csv here
+        ds = _values("distsim", cfg.distsim)
         fs = P.FiniteSumProblem.from_logistic(problem)
-        set_ = build_constraint(cfg.constraint, problem.dim)
-        T = int(ds.get("t", 64))
-        qcfg = schedule_from_theorem(
-            ds.get("setting", "finite_convex"), fs.n, int(ds.get("m", 1)),
-            problem.dim, T=T, mode=ds.get("mode", "quantized"))
-        trace, ledger = run_qfw(fs, set_, qcfg, T, rng)
+        qcfg = schedule_from_theorem(ds["setting"], fs.n, ds["m"], problem.dim,
+                                     T=ds["t"], mode=ds["mode"])
+        trace, ledger = run_qfw(fs, set_, qcfg, ds["t"], rng)
         trace.meta["cum_bits"] = ledger.total
         return trace
 
-    set_ = build_constraint(cfg.constraint, problem.dim)
-    T = int(solver.get("t", 100))
-    mode = solver.get("mode", "convex_min")
-    if "eta_c" in solver:
-        sched = _custom_schedule(mode, T,
-                                 float(solver["eta_c"]),
-                                 float(solver.get("eta_a", 1.0)))
-    else:
-        sched = Schedule.preset(mode, T)
-
+    s = _values("solver", cfg.solver, dim=problem.dim)
+    algo, T = s["algorithm"], s["t"]
+    sched = Schedule.preset(s["mode"], T)
+    if s["eta_c"] is not None:
+        c, a = s["eta_c"], s["eta_a"]
+        sched.eta_fn = lambda t: min(1.0, c / (t + 1.0) ** a)
     if algo == "one_sfw":
-        option = solver.get("option", "exact_hessian")
         consts = None
-        if option == "grad_diff":  # load_config admits only multilinear on a box
+        if s["option"] == "grad_diff":  # load_config admits only multilinear on a box
             lo, hi = float(np.min(set_.lower)), float(np.max(set_.upper))
             consts = problem.domain_constants(max(lo - 1e-2, 1e-3),
                                               min(hi + 1e-2, 1 - 1e-3))
-        return one_sfw(problem, set_, sched, option, rng, constants=consts,
+        return one_sfw(problem, set_, sched, s["option"], rng, constants=consts,
                        probe_clip=(0.0, 1.0) if problem.mode == "nonoblivious" else None)
     if algo == "oblivious_sfw":
         return oblivious_sfw(problem, set_, sched, rng)
@@ -375,25 +406,14 @@ def _run_one_seed(cfg: RunConfig, seed: int):
     if algo == "deterministic_fw":
         return deterministic_fw(problem.exact_grad, set_, T,
                                 value_oracle=problem.exact_value)
+    # bcg and dbg: load_config admits them only on a multilinear problem.
     if algo == "bcg":
-        if setf is None:
-            raise ConfigError("bcg needs a multilinear problem block")
-        delta = float(solver.get("delta", 0.02))
-        box = C.Box.unit(problem.dim)
-        out = bcg(lambda Y: P.multilinear_exact(setf, np.clip(Y, 0, 1)),
-                  set_, box, T, delta, int(solver.get("batch", problem.dim)),
-                  rng)
-        trace = SolveTrace(output=out, meta={"objective": problem.exact_value(out)})
-        return trace
-    if algo == "dbg":
-        if setf is None or not isinstance(set_, C.PartitionMatroidPolytope):
-            raise ConfigError("dbg needs a multilinear problem and matroid constraint")
-        members = dbg(setf, set_.matroid, T, float(solver.get("delta", 0.05)),
-                      int(solver.get("l", 20)), int(solver.get("batch", 1)), rng)
-        trace = SolveTrace(output=members.astype(float),
-                           meta={"objective": float(setf(members))})
-        return trace
-    raise ConfigError(f"unknown algorithm {algo!r}")
+        out = bcg(lambda Y: P.multilinear_exact(setf, np.clip(Y, 0, 1)), set_,
+                  C.Box.unit(problem.dim), T, s["delta"], s["batch"], rng)
+        return SolveTrace(output=out, meta={"objective": problem.exact_value(out)})
+    members = dbg(setf, set_.matroid, T, s["delta"], s["l"], s["batch"], rng)
+    return SolveTrace(output=members.astype(float),
+                      meta={"objective": float(setf(members))})
 
 
 def run_experiment(cfg: RunConfig) -> dict:

@@ -52,20 +52,12 @@ def build_parser():
     return ap
 
 
-def _seeds_arg(args):
-    if args.seeds is not None:
-        from .bench import _parse_seeds
-
-        return _parse_seeds(args.seeds)
-    if args.seed is not None:
-        return [args.seed]
-    return None
-
-
 def _load(args, forced=()):
     overrides = list(args.override) + list(forced)
-    return load_config(args.config, overrides, out_dir=args.out,
-                       seeds=_seeds_arg(args))
+    seeds = args.seeds if args.seeds is not None else args.seed
+    if seeds is not None:
+        overrides.append(f"experiment.seeds={seeds}")
+    return load_config(args.config, overrides, out_dir=args.out)
 
 
 def _run(cfg) -> int:
@@ -98,8 +90,7 @@ def cmd_report(args) -> int:
     return 0 if rows else 3
 
 
-def cmd_oracle(args) -> int:
-    cfg = _load(args)
+def cmd_oracle(cfg) -> int:
     problem, setf = build_problem(cfg.problem)
     if setf is None:
         raise ConfigError("oracle needs a multilinear problem block")
@@ -113,11 +104,9 @@ def cmd_oracle(args) -> int:
 
 
 _FORCED = {
-    "solve": (),
     "submax": ("solver.mode=dr_submodular_max",),
     "bcg": ("solver.algorithm=bcg",),
     "dbg": ("solver.algorithm=dbg",),
-    "distsim": (),
 }
 
 
@@ -126,11 +115,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
+        cfg = _load(args, _FORCED.get(args.command, ()))
+        if (cfg.distsim is None) == (args.command == "distsim"):
+            raise ConfigError("a config with a [distsim] section runs under "
+                              "the distsim command, and only such a config does")
         if args.command == "oracle":
-            return cmd_oracle(args)
-        cfg = _load(args, _FORCED[args.command])
-        if args.command == "distsim" and cfg.distsim is None:
-            raise ConfigError("distsim command needs a [distsim] section")
+            return cmd_oracle(cfg)
         return _run(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -217,20 +217,19 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
 
 def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
             option: str, rng: RngStream, x1=None, log_points=None,
-            keep_snapshots=False, constants=None, probe_clip=None,
-            delta_fn=None) -> SolveTrace:
+            keep_snapshots=False, constants=None, probe_clip=None) -> SolveTrace:
     """Momentum Frank-Wolfe with one stochastic sample per iteration.
 
     ``option`` picks the variation estimator: "exact_hessian" uses the
     one-sample Hessian estimate, "grad_diff" its finite-difference
-    approximation with radius delta_t = sqrt(3) eta_{t-1} Lbar / (D L2 (1+B))
-    (or ``delta_fn(t)`` if given; ``constants`` supplies B, G, L, L2).
+    approximation with radius delta_t = sqrt(3) eta_{t-1} Lbar / (D L2 (1+B)),
+    whose constants B, G, L, L2 ``constants`` must supply.
     """
     if option not in ONE_SFW_OPTIONS:
         raise ValueError(f"unknown option {option!r}")
-    if option == "grad_diff" and delta_fn is None:
+    if option == "grad_diff":
         if constants is None:
-            raise ValueError("grad_diff needs problem constants or delta_fn")
+            raise ValueError("grad_diff needs problem constants")
         D = set_.diameter()
         delta_fn = lambda t: grad_diff_delta(sched.eta(t - 1), constants, D)
 

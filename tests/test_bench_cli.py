@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fwlab import bench
 from fwlab.bench import (
     ConfigError,
+    Interval,
     brute_force_opt,
     build_constraint,
     build_problem,
@@ -327,6 +329,17 @@ def test_cli_numeric_solver_values_rejected_at_load(tmp_path, capsys, override):
     assert not (tmp_path / "r").exists()  # nothing ran
 
 
+def test_cli_dbg_delta_range_rejected_at_load(tmp_path, capsys, monkeypatch):
+    # dbg's probe radius must lie in (0, 1/2); 0.7 once failed every seed.
+    monkeypatch.chdir(ROOT)
+    assert main(["dbg", "--config", "scripts/configs/submax_facility.ini",
+                 "--out", str(tmp_path / "r"),
+                 "--override", "solver.algorithm=dbg",
+                 "--override", "solver.delta=0.7"]) == 2
+    assert "solver.delta='0.7'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
 def test_cli_submax_forces_mode(tmp_path, capsys):
     path = _write(tmp_path, SUBMAX_INI.replace(
         "mode = dr_submodular_max", "mode = convex_min"))
@@ -400,6 +413,7 @@ def test_cli_distsim_unquantized_charges_raw_floats(tmp_path, capsys):
     "distsim.s2=999",
     "distsim.n=8",
     "distsim.setting=stoch_convex",
+    "distsim.setting=stoch_nonconvex",
     "distsim.setting=bogus",
     "distsim.mode=bogus",
     "distsim.t=0",
@@ -417,7 +431,6 @@ def test_cli_distsim_rejects_at_load(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [
     "distsim.setting=finite_nonconvex",
-    "distsim.setting=stoch_nonconvex",
     "distsim.mode=fl",
 ])
 def test_cli_distsim_accepted_values_run(tmp_path, capsys, override):
@@ -431,6 +444,56 @@ def test_cli_distsim_requires_section(tmp_path, capsys):
     path = _write(tmp_path, QUAD_INI)
     assert main(["distsim", "--config", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "bcg", "submax", "oracle"])
+def test_cli_distsim_config_runs_only_as_distsim(tmp_path, capsys, command):
+    # solve and oracle load the config as it stands; bcg and submax add a
+    # [solver] key, which a [distsim] config does not read.
+    args = [command, "--config", _distsim_ini(tmp_path), "--out", str(tmp_path / "r")]
+    assert main(args) == 2
+    assert "distsim" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+def test_cli_solver_and_distsim_sections_rejected_at_load(tmp_path, capsys):
+    path = _distsim_ini(tmp_path)
+    with open(path, "a") as fh:
+        fh.write("[solver]\nt = 5\n")
+    assert main(["distsim", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    assert "[solver] and [distsim]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
+    path = _write(tmp_path, QUAD_INI.replace("[solver]", "[distsim]").replace(
+        "algorithm = oblivious_sfw\nmode = convex_min\n", ""))
+    assert main(["distsim", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    assert "logistic_csv" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("ini, overrides, message", [
+    (SUBMAX_INI, ["problem.kind=multilinear_zebra"], "problem.kind"),
+    (SUBMAX_INI, ["constraint.kind=moebius"], "constraint.kind"),
+    (QUAD_INI, ["solver.algorithm=bcg"], "bcg needs a multilinear problem"),
+    (QUAD_INI, ["solver.algorithm=dbg"], "dbg needs a multilinear problem"),
+    (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.kind=box"], "dbg needs a matroid"),
+    (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.kind=l1ball"],
+     "bcg needs a box or matroid"),
+    (SUBMAX_INI, ["solver.algorithm=oblivious_sfw"], "oblivious"),
+], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
+        "dbg-box", "bcg-l1ball", "oblivious-multilinear"])
+def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
+    path = _write(tmp_path, ini)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path, overrides)
+    args = ["solve", "--config", path, "--out", str(tmp_path / "r")]
+    for ov in overrides:
+        args += ["--override", ov]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
 
 
 @pytest.mark.parametrize("ini, overrides", [
@@ -482,8 +545,131 @@ def test_modular_weights_need_no_dim():
 
 @pytest.mark.parametrize("ini", sorted((ROOT / "scripts" / "configs").glob("*.ini")),
                          ids=lambda p: p.name)
-def test_shipped_config_loads_and_builds(ini, monkeypatch):
+def test_shipped_config_loads_and_builds(ini, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(ROOT)  # configs name their data files from the repo root
     cfg = load_config(ini.relative_to(ROOT))
     problem, _ = build_problem(cfg.problem)
     build_constraint(cfg.constraint, problem.dim)
+    section = "solver" if cfg.distsim is None else "distsim"
+    assert main(["solve" if cfg.distsim is None else "distsim",
+                 "--config", str(ini.relative_to(ROOT)), "--seed", "0",
+                 "--out", str(tmp_path / "r"), "--override", f"{section}.t=3"]) == 0
+    capsys.readouterr()
+    assert len(list((tmp_path / "r").glob("*-s0.csv"))) == 1
+
+
+# --- the config table -------------------------------------------------------
+
+# Every key of the table with a value its entries admit.  A run reads only
+# the keys of the kinds and the algorithm it selects; load_config checks the
+# others as well.
+EVERY_KEY = {
+    "experiment": {"name": "every", "seeds": "0", "out": "unused"},
+    "problem": {"kind": "multilinear_modular", "dim": "4", "weights": "1 5 2 4",
+                "noise": "0.5", "instance_seed": "3", "path": "data.csv",
+                "rows": "2", "cols": "2", "sigma": "1.0", "n_clients": "3",
+                "n_topics": "3", "n_users": "3"},
+    "constraint": {"kind": "matroid", "blocks": "0 1 | 2 3", "budgets": "1 1",
+                   "radius": "1.0", "lower": "0", "upper": "1", "scale": "1.0",
+                   "rows": "2", "cols": "2"},
+    "solver": {"algorithm": "one_sfw", "mode": "dr_submodular_max",
+               "option": "exact_hessian", "t": "5", "delta": "0.1",
+               "batch": "2", "l": "2", "eta_c": "1.0", "eta_a": "0.5"},
+    "distsim": {"setting": "finite_convex", "m": "2", "t": "6",
+                "mode": "quantized"},
+}
+
+
+def _table_entries():
+    """(section, group, key, entry) for every entry of the table; group is
+    the kind or algorithm the entry belongs to, None for a common key."""
+    for section, groups in bench._TABLE.items():
+        for group, keys in groups.items():
+            for key, entry in keys.items():
+                yield section, group, key, entry
+
+
+def _refused_values(entry):
+    """Texts the entry refuses: one that does not parse, one past each end
+    of its range and an empty one, or one outside its choices."""
+    values = [] if entry.parse in (str, str.lower, Path) else ["x"]
+    allowed = entry.allowed
+    if isinstance(allowed, tuple):
+        values.append("bogus")
+    elif isinstance(allowed, Interval):
+        values.append("")
+        values.append(repr(allowed.lo if allowed.ends[0] == "(" else allowed.lo - 1))
+        values.append(repr(allowed.hi if allowed.ends[1] == ")" else allowed.hi + 1))
+    return values
+
+
+def _table_config(section, group):
+    """EVERY_KEY with ``group`` selected in ``section``, as a [distsim]
+    config when ``section`` is distsim and a [solver] one otherwise."""
+    cfg = {s: dict(keys) for s, keys in EVERY_KEY.items()}
+    if section == "distsim":
+        del cfg["solver"]
+        cfg["problem"]["kind"] = "logistic_csv"
+    else:
+        del cfg["distsim"]
+    if group is not None:
+        cfg[section][bench._SELECTORS[section]] = group
+    return cfg
+
+
+def _write_table_config(tmp_path, cfg):
+    path = tmp_path / "cfg.ini"
+    path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for s, keys in cfg.items()))
+    return str(path)
+
+
+def _refused_at_load(tmp_path, cfg):
+    """The config is refused by load_config itself, and the CLI exits 2."""
+    path = _write_table_config(tmp_path, cfg)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    return main(["distsim" if "distsim" in cfg else "solve",
+                 "--config", path, "--out", str(tmp_path / "r")]) == 2
+
+
+def test_table_every_key_has_an_entry_and_a_value():
+    keys = {(s, k) for s, _, k, _ in _table_entries()}
+    assert keys == {(s, k) for s, block in EVERY_KEY.items() for k in block}
+    # Free text: nothing to refuse.  A new key lands here unless it has a
+    # parser that can fail or a set of allowed values.
+    assert {f"{s}.{k}" for s, _, k, e in _table_entries()
+            if not _refused_values(e)} == {"experiment.name", "experiment.out",
+                                          "problem.path"}
+
+
+@pytest.mark.parametrize("section, group", sorted(
+    {(s, g) for s, g, _, _ in _table_entries()}, key=str))
+def test_table_config_loads(tmp_path, section, group):
+    # the base of the refusals below is itself admitted
+    load_config(_write_table_config(tmp_path, _table_config(section, group)))
+
+
+@pytest.mark.parametrize("section, group, key, value", [
+    (s, g, k, v) for s, g, k, e in _table_entries() for v in _refused_values(e)
+], ids=str)
+def test_table_refuses_value_at_load(tmp_path, capsys, section, group, key, value):
+    cfg = _table_config(section, group)
+    cfg[section][key] = value
+    assert _refused_at_load(tmp_path, cfg)
+    assert f"{section}.{key}={value!r} is not" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("section, group, key, unless", [
+    (s, g, k, e.unless) for s, g, k, e in _table_entries()
+    if e.default is bench._REQUIRED
+], ids=str)
+def test_table_refuses_missing_required_key_at_load(tmp_path, capsys, section,
+                                                    group, key, unless):
+    cfg = _table_config(section, group)
+    del cfg[section][key]
+    cfg[section].pop(unless, None)  # the key that would stand in for it
+    assert _refused_at_load(tmp_path, cfg)
+    assert f"{section}.{key} is required" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
