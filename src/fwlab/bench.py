@@ -207,6 +207,12 @@ def _check_pairings(cfg: RunConfig):
     # A [distsim] config has an empty [solver], whose defaults break no rule.
     algo = _read("solver", cfg.solver, "algorithm")
     multilinear = kind.startswith("multilinear_")
+    budgets = sizes = ()
+    if constraint == "matroid":
+        budgets = _read("constraint", cfg.constraint, "budgets")
+        sizes = [len(b) for b in _read("constraint", cfg.constraint, "blocks")]
+    zero = any(b == 0 < n for b, n in zip(budgets, sizes))
+    full = any(b == n > 0 for b, n in zip(budgets, sizes))
     for broken, why in [
         (cfg.distsim is not None and kind != "logistic_csv",
          "distsim drives logistic_csv problems only"),
@@ -218,6 +224,13 @@ def _check_pairings(cfg: RunConfig):
         (algo == "bcg" and constraint not in ("box", "matroid"),
          "bcg needs a box or matroid constraint"),
         (algo == "dbg" and constraint != "matroid", "dbg needs a matroid constraint"),
+        # The shrunk set K' leaves no room in a block with a zero budget, and
+        # pipage rounding needs block sums equal to the budgets, which a full
+        # budget's shrunk cap (its box mass, 1 - 2 delta per coordinate) misses.
+        (algo == "bcg" and zero, "bcg needs every matroid budget >= 1"),
+        (algo == "dbg" and zero and any(budgets),
+         "dbg needs every matroid budget >= 1, or all of them 0"),
+        (algo == "dbg" and full, "dbg needs every matroid budget below its block size"),
         # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
         # problem on a box supplies them (MultilinearProblem.domain_constants).
         (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"

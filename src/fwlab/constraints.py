@@ -1,8 +1,10 @@
 """Compact convex feasible sets with linear optimization oracles.
 
-Supported sets: l1 ball, box, scaled simplex, partition-matroid polytope,
-nuclear-norm ball (matrix variables flattened to vectors), and the
-box-capped budget polytope produced by :func:`shrink_translate` for the
+Supported sets: l1 ball, box, scaled simplex, nuclear-norm ball (matrix
+variables flattened to vectors), and one block-capped polytope,
+:class:`BudgetBoxPolytope` = {0 <= x <= upper, sum over block_j <= cap_j}.
+The partition-matroid polytope is its unit case (upper 1, integer caps);
+:func:`shrink_translate` maps it to another instance, the shrunk set of the
 smoothed continuous-greedy setting.
 
 Tie-breaking in every LMO: the smallest coordinate index wins, so traces
@@ -219,85 +221,20 @@ class PartitionMatroid:
         )
 
 
-class PartitionMatroidPolytope(FeasibleSet):
-    """Down-closed polytope {0 <= x <= 1, sum over block_j <= budget_j}.
+class BudgetBoxPolytope(FeasibleSet):
+    """{0 <= x <= upper, sum over block_j <= cap_j}, upper uniform per block.
 
-    ``lmo_max`` follows the continuous-greedy convention and returns the
-    indicator of a *base*: per block, the ``budget_j`` coordinates with
-    largest gradient values (ties broken by smallest index).  ``lmo_min``
-    minimizes over the full down-closed set, selecting only coordinates
-    with negative gradient.
+    Caps need not be integers.  ``lmo_max`` fills each block greedily by
+    descending gradient (including non-positive entries), ``min(upper,
+    room)`` per coordinate, so outputs sum exactly to the caps, which the
+    rounding step relies on; ``lmo_min`` fills by ascending gradient over
+    negative entries only.
 
     The blocks are held as one permutation of the coordinates that lists
-    each block in increasing index order, block after block.  A
-    stable sort by (block, gradient) keeps that layout, so the same
-    positions of the sorted permutation, the first ``budget_j`` of block j,
-    are selected for every gradient.
-    """
-
-    def __init__(self, blocks, budgets, dim: int):
-        self.matroid = PartitionMatroid(blocks, budgets, dim)
-        self.dim = int(dim)
-        sizes = np.array([len(b) for b in self.blocks], dtype=np.intp)
-        budgets = np.array(self.budgets, dtype=np.intp)
-        self._perm = np.concatenate([np.zeros(0, dtype=int), *self.blocks])
-        self._block_id = np.repeat(np.arange(len(sizes)), sizes)
-        starts = np.cumsum(sizes) - sizes
-        rank = np.arange(self._perm.size) - np.repeat(starts, sizes)
-        self._take = rank < np.repeat(budgets, sizes)
-        # contains sums block j over the segment [0.0, x of block j]: reduceat
-        # adds a segment as first + (sum of the rest), so the leading zero
-        # makes it 0 + the sum np.sum forms, and an empty block sums to 0.
-        self._seg_starts = starts + np.arange(len(sizes))
-        self._slot = np.empty(self.dim, dtype=np.intp)
-        self._slot[self._perm] = np.arange(self._perm.size) + self._block_id + 1
-        self._caps = budgets.astype(float)
-
-    @property
-    def blocks(self):
-        return self.matroid.blocks
-
-    @property
-    def budgets(self):
-        return self.matroid.budgets
-
-    def lmo_min(self, g):
-        g = _check_dim(self, g)
-        gp = g[self._perm]
-        order = np.lexsort((gp, self._block_id))
-        take = self._take & (gp[order] < 0)
-        v = np.zeros(self.dim)
-        v[self._perm[order[take]]] = 1.0
-        return v
-
-    def lmo_max(self, g):
-        g = _check_dim(self, g)
-        order = np.lexsort((-g[self._perm], self._block_id))
-        v = np.zeros(self.dim)
-        v[self._perm[order[self._take]]] = 1.0
-        return v
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        if (x < -tol).any() or (x > 1 + tol).any():
-            return False
-        seg = np.zeros(self.dim + len(self._caps))
-        seg[self._slot] = x
-        sums = np.add.reduceat(seg, self._seg_starts)
-        return bool((sums <= self._caps + tol).all())
-
-    def diameter(self):
-        # bound via the containing unit box
-        return float(np.sqrt(self.dim))
-
-
-class BudgetBoxPolytope(FeasibleSet):
-    """{0 <= x <= upper, sum over block_j <= cap_j} with real caps.
-
-    This is the shrunk-and-translated image of a partition-matroid
-    polytope (or box) under the smoothing transform; caps need not be
-    integers.  ``lmo_max`` fills each block to its cap greedily by
-    descending gradient (including non-positive entries) so that outputs
-    sum exactly to the caps, which the rounding step relies on.
+    each block in increasing index order, block after block.  A stable sort
+    by (block, gradient) keeps that layout, so the k-th position of block j
+    receives the same amount ``_fill[k]`` for every gradient: the greedy
+    fill, computed once, which a uniform upper makes order-free.
     """
 
     def __init__(self, upper, blocks, caps):
@@ -307,53 +244,74 @@ class BudgetBoxPolytope(FeasibleSet):
         self.upper = upper
         self.dim = upper.size
         self.blocks = _parse_blocks(blocks, self.dim)
-        self.caps = [float(c) for c in caps]
-        if len(self.caps) != len(self.blocks):
+        self.caps = np.array(caps, dtype=float)
+        if self.caps.size != len(self.blocks):
             raise ValueError("one cap per block required")
+        self._fill = np.zeros(self.dim)
+        start = 0
         for blk, c in zip(self.blocks, self.caps):
             if c < 0:
                 raise InfeasibleShrinkError("negative block cap after shrink")
             if c > float(np.sum(upper[blk])) + MEMBERSHIP_TOL:
-                # cap unreachable: lmo_max cannot sum to it; clamp
                 raise ValueError("cap exceeds total box mass of its block")
+            if np.any(upper[blk] != upper[blk[:1]]):
+                raise ValueError("upper must be the same within each block")
+            room = c
+            for k in range(start, start + blk.size):
+                if room <= 0:
+                    break
+                self._fill[k] = take = min(upper[blk[0]], room)
+                room -= take
+            start += blk.size
+        sizes = np.array([blk.size for blk in self.blocks], dtype=np.intp)
+        self._perm = np.concatenate([np.zeros(0, dtype=np.intp), *self.blocks])
+        self._block_id = np.repeat(np.arange(sizes.size), sizes)
+        # contains sums block j over the segment [0.0, x of block j]: reduceat
+        # adds a segment as first + (sum of the rest), so the leading zero
+        # makes it 0 + the sum np.sum forms, and an empty block sums to 0.
+        self._seg_starts = np.cumsum(sizes) - sizes + np.arange(sizes.size)
+        self._slot = np.empty(self.dim, dtype=np.intp)
+        self._slot[self._perm] = np.arange(self.dim) + self._block_id + 1
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
+        gp = g[self._perm]
+        order = np.lexsort((gp, self._block_id))
         v = np.zeros(self.dim)
-        for blk, cap in zip(self.blocks, self.caps):
-            room = cap
-            order = blk[np.argsort(g[blk], kind="stable")]
-            for i in order:
-                if g[i] >= 0 or room <= 0:
-                    break
-                take = min(self.upper[i], room)
-                v[i] = take
-                room -= take
+        v[self._perm[order]] = np.where(gp[order] < 0, self._fill, 0.0)
         return v
 
     def lmo_max(self, g):
         g = _check_dim(self, g)
+        order = np.lexsort((-g[self._perm], self._block_id))
         v = np.zeros(self.dim)
-        for blk, cap in zip(self.blocks, self.caps):
-            room = cap
-            order = blk[np.argsort(-g[blk], kind="stable")]
-            for i in order:
-                if room <= 0:
-                    break
-                take = min(self.upper[i], room)
-                v[i] = take
-                room -= take
+        v[self._perm[order]] = self._fill
         return v
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        if np.any(x < -tol) or np.any(x > self.upper + tol):
+        if (x < -tol).any() or (x > self.upper + tol).any():
             return False
-        return all(
-            float(np.sum(x[blk])) <= c + tol for blk, c in zip(self.blocks, self.caps)
-        )
+        seg = np.zeros(self.dim + self.caps.size)
+        seg[self._slot] = x
+        sums = np.add.reduceat(seg, self._seg_starts)
+        return bool((sums <= self.caps + tol).all())
 
     def diameter(self):
         return float(np.linalg.norm(self.upper))
+
+
+class PartitionMatroidPolytope(BudgetBoxPolytope):
+    """{0 <= x <= 1, sum over block_j <= budget_j}, the unit case of
+    :class:`BudgetBoxPolytope`: ``lmo_max`` returns the indicator of a base."""
+
+    def __init__(self, blocks, budgets, dim: int):
+        self.matroid = PartitionMatroid(blocks, budgets, dim)
+        super().__init__(np.ones(self.matroid.ground_size), self.matroid.blocks,
+                         self.matroid.budgets)
+
+    @property
+    def budgets(self):
+        return self.matroid.budgets
 
 
 class NuclearNormBall(FeasibleSet):
@@ -455,9 +413,9 @@ def shrink_translate(set_: FeasibleSet, box: Box, delta: float) -> FeasibleSet:
         upper = np.minimum(1.0, a - delta) - delta
         if np.any(upper < 0):
             raise InfeasibleShrinkError("empty set after shrink")
-        caps = [
-            b - delta * len(blk) for blk, b in zip(set_.blocks, set_.budgets)
-        ]
+        # a full budget does not bind inside [delta, 1 - delta]: cap at box mass
+        caps = [min(b - delta * len(blk), float(np.sum(upper[blk])))
+                for blk, b in zip(set_.blocks, set_.budgets)]
         if any(c < 0 for c in caps):
             raise InfeasibleShrinkError("block budget exhausted by shrink")
         return BudgetBoxPolytope(upper, [b.tolist() for b in set_.blocks], caps)

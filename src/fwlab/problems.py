@@ -383,10 +383,11 @@ class SetFunction:
     monotone = False
 
     def __call__(self, members: np.ndarray) -> float:
-        raise NotImplementedError
+        return float(self.batch(np.asarray(members)[None])[0])
 
     def batch(self, masks: np.ndarray) -> np.ndarray:
-        """Evaluate f on each row of a (k, d) boolean mask array."""
+        """Evaluate f on each row of a (k, d) boolean mask array.  A subclass
+        defines this or ``__call__``, which each default computes by the other."""
         return np.array([self(m) for m in masks])
 
     @property
@@ -422,12 +423,6 @@ class FacilityLocation(SetFunction):
             raise ValueError("facility weights must be non-negative")
         self.ground_size = self.W.shape[1]
 
-    def __call__(self, members):
-        members = np.asarray(members, dtype=bool)
-        if not members.any():
-            return 0.0
-        return float(np.sum(np.max(self.W[:, members], axis=1)))
-
     def batch(self, masks):
         masks = np.asarray(masks, dtype=bool)
         scores = np.where(masks[:, None, :], self.W[None, :, :], 0.0)
@@ -450,11 +445,6 @@ class Coverage(SetFunction):
             raise ValueError("coverage probabilities must lie in [0,1]")
         self.ground_size = self.P.shape[0]
 
-    def __call__(self, members):
-        members = np.asarray(members, dtype=bool)
-        miss = np.prod(1.0 - self.P[members], axis=0)
-        return float(np.sum(1.0 - miss))
-
     def batch(self, masks):
         masks = np.asarray(masks, dtype=bool)
         factors = np.where(masks[:, :, None], 1.0 - self.P[None, :, :], 1.0)
@@ -475,10 +465,6 @@ class ConcaveOverModular(SetFunction):
         if np.any(self.R < 0):
             raise ValueError("ratings must be non-negative")
         self.ground_size = self.R.shape[1]
-
-    def __call__(self, members):
-        members = np.asarray(members, dtype=float)
-        return float(np.sum(np.sqrt(self.R @ members)))
 
     def batch(self, masks):
         return np.sqrt(self.R @ np.asarray(masks, dtype=float).T).sum(axis=0)
@@ -503,10 +489,6 @@ class TableSetFunction(SetFunction):
         self.ground_size = d
         self.monotone = monotone
         self._pows = (2 ** np.arange(d)).astype(np.int64)
-
-    def __call__(self, members):
-        idx = int(np.asarray(members, dtype=bool) @ self._pows)
-        return float(self.values[idx])
 
     def batch(self, masks):
         idx = np.asarray(masks, dtype=np.int64) @ self._pows

@@ -10,7 +10,6 @@ shared infinity norm.  s = 1 is the sign scheme.  A message costs
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "exact_variance",
     "variance_upper_bound",
     "message_bits",
-    "serialize_message",
     "encode_decode_batch",
     "UNQUANTIZED",
 ]
@@ -116,17 +114,6 @@ def variance_upper_bound(g: np.ndarray, s: int) -> float:
 
 def message_bits(msg: QuantizedMessage) -> int:
     return msg.bits
-
-
-def serialize_message(msg: QuantizedMessage) -> bytes:
-    """Canonical byte layout: u32 s, f32 inf_norm, then per-coordinate
-    (sign byte, level as u16).  Only a round-trip test calls it; the
-    simulator's ledger charges the logical bit count ``msg.bits``.
-    """
-    out = [struct.pack("<If", msg.s, np.float32(msg.inf_norm))]
-    for sg, lv in zip(msg.signs.tolist(), msg.levels.tolist()):
-        out.append(struct.pack("<bH", int(sg), int(lv)))
-    return b"".join(out)
 
 
 def encode_decode_batch(g: np.ndarray, s: int, n_rounds: int, rng: RngStream) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import FeasibleSet, shrink_translate
+from .constraints import MEMBERSHIP_TOL, FeasibleSet, shrink_translate
 from .estimators import (
     grad_diff_delta,
     momentum_update,
@@ -38,7 +38,6 @@ __all__ = [
     "dbg",
 ]
 
-MEMBERSHIP_TOL = 1e-9
 _OUTPUT_STREAM = 0xA11
 
 #: Variation estimators of :func:`one_sfw`.

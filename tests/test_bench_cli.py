@@ -482,8 +482,16 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.kind=l1ball"],
      "bcg needs a box or matroid"),
     (SUBMAX_INI, ["solver.algorithm=oblivious_sfw"], "oblivious"),
+    # a zero budget empties bcg's shrunk set; once every seed exited 3
+    (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.budgets=0 1"],
+     "bcg needs every matroid budget >= 1"),
+    (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.budgets=0 1"],
+     "dbg needs every matroid budget >= 1"),
+    (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.budgets=2 1"],
+     "below its block size"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
-        "dbg-box", "bcg-l1ball", "oblivious-multilinear"])
+        "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
+        "dbg-zero-budget", "dbg-full-budget"])
 def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
@@ -494,6 +502,21 @@ def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("command, budgets", [("bcg", "2 1"), ("dbg", "0 0")])
+def test_cli_bcg_dbg_run_on_full_and_empty_budgets(tmp_path, capsys, command, budgets):
+    # bcg on a full budget (block 0 1) once failed every seed with
+    # "cap exceeds total box mass of its block"; dbg answers all-zero
+    # budgets with the empty set.
+    out = tmp_path / "r"
+    assert main([command, "--config", _write(tmp_path, SUBMAX_INI),
+                 "--out", str(out), "--seed", "0",
+                 "--override", "problem.kind=multilinear_coverage",
+                 "--override", f"constraint.budgets={budgets}",
+                 "--override", "solver.t=20"]) == 0
+    capsys.readouterr()
+    assert len(list(out.glob("sub-*-s0.json"))) == 1
 
 
 @pytest.mark.parametrize("ini, overrides", [

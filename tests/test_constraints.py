@@ -139,11 +139,37 @@ def _loop_lmo_max(poly, g):
     return v
 
 
-def _loop_contains(poly, x, tol):
-    if np.any(x < -tol) or np.any(x > 1 + tol):
+def _greedy_lmo(poly, g, descending):
+    """Per-block greedy reference (a block-capped set's loop before it was
+    array-backed): take min(upper, room) by descending gradient, or by
+    ascending gradient over negative entries only."""
+    v = np.zeros(poly.dim)
+    for blk, cap in zip(poly.blocks, poly.caps):
+        room = float(cap)
+        order = blk[np.argsort(-g[blk] if descending else g[blk], kind="stable")]
+        for i in order:
+            if (not descending and g[i] >= 0) or room <= 0:
+                break
+            take = min(poly.upper[i], room)
+            v[i] = take
+            room -= take
+    return v
+
+
+def _greedy_contains(poly, x, tol):
+    if np.any(x < -tol) or np.any(x > poly.upper + tol):
         return False
-    return all(float(np.sum(x[blk])) <= b + tol
-               for blk, b in zip(poly.blocks, poly.budgets))
+    return all(float(np.sum(x[blk])) <= c + tol for blk, c in zip(poly.blocks, poly.caps))
+
+
+def _budget_box(poly):
+    """A block-capped set on the matroid's blocks: uppers 1 - 2 delta
+    (delta = 0.05) and 0.8 by turns, fractional caps, 0 where the budget is."""
+    upper, caps = np.zeros(poly.dim), []
+    for j, (blk, b) in enumerate(zip(poly.blocks, poly.budgets)):
+        upper[blk] = (1 - 2 * 0.05, 0.8)[j % 2]
+        caps.append(min(0.7 * b + 0.35, float(np.sum(upper[blk]))) if b else 0.0)
+    return BudgetBoxPolytope(upper, poly.blocks, caps)
 
 
 @pytest.mark.parametrize("blocks, budgets", [
@@ -158,25 +184,45 @@ def test_matroid_polytope_equals_per_block_loop(blocks, budgets):
     d = sum(len(b) for b in blocks)
     poly = PartitionMatroidPolytope(blocks, budgets, d)
     tol = 1e-9
-    for _ in range(200):
-        g = rng.integers(-2, 3, size=d).astype(float)    # many ties and zeros
-        if rng.random() < 0.5:
-            g = g * rng.uniform(0.5, 1.5, size=d) * (rng.random(d) < 0.7)
-        assert np.array_equal(poly.lmo_min(g), _loop_lmo_min(poly, g))
-        assert np.array_equal(poly.lmo_max(g), _loop_lmo_max(poly, g))
-    for _ in range(200):
-        x = rng.uniform(0.0, 1.0, size=d)
-        # scale one block's sum to its budget plus an offset near tol
-        j = int(rng.integers(len(blocks)))
-        blk = poly.blocks[j]
-        if blk.size and x[blk].sum() > 0:
-            # off = tol puts the block sum within a few ulps of cap + tol
-            off = tol * float(rng.uniform(-2.0, 2.0)) if rng.random() < 0.5 else tol
-            x[blk] *= (budgets[j] + off) / x[blk].sum()
-            x = np.minimum(x, 1.0 + 2 * tol)
-        if rng.random() < 0.1:
-            x[int(rng.integers(d))] = -tol * float(rng.uniform(0.0, 2.0))
-        assert poly.contains(x, tol) == _loop_contains(poly, x, tol)
+    for s in (poly, _budget_box(poly)):
+        for _ in range(200):
+            g = rng.integers(-2, 3, size=d).astype(float)    # many ties and zeros
+            if rng.random() < 0.5:
+                g = g * rng.uniform(0.5, 1.5, size=d) * (rng.random(d) < 0.7)
+            if rng.random() < 0.3:
+                g = np.where(g == 0, -0.0, g)
+            assert s.lmo_min(g).tobytes() == _greedy_lmo(s, g, False).tobytes()
+            assert s.lmo_max(g).tobytes() == _greedy_lmo(s, g, True).tobytes()
+            if s is poly:
+                assert np.array_equal(s.lmo_min(g), _loop_lmo_min(s, g))
+                assert np.array_equal(s.lmo_max(g), _loop_lmo_max(s, g))
+        for _ in range(200):
+            x = rng.uniform(0.0, 1.0, size=d) * s.upper
+            # scale one block's sum to its cap plus an offset near tol
+            j = int(rng.integers(len(blocks)))
+            blk = s.blocks[j]
+            if blk.size and x[blk].sum() > 0:
+                # off = tol puts the block sum within a few ulps of cap + tol
+                off = tol * float(rng.uniform(-2.0, 2.0)) if rng.random() < 0.5 else tol
+                x[blk] *= (s.caps[j] + off) / x[blk].sum()
+                x = np.minimum(x, s.upper + 2 * tol)
+            if rng.random() < 0.1:
+                x[int(rng.integers(d))] = -tol * float(rng.uniform(0.0, 2.0))
+            assert s.contains(x, tol) == _greedy_contains(s, x, tol)
+
+
+def test_budget_box_refuses_nonuniform_upper_in_a_block():
+    with pytest.raises(ValueError, match="same within each block"):
+        BudgetBoxPolytope([0.9, 0.9, 0.8], [[0], [1, 2]], [0.5, 0.5])
+
+
+def test_shrink_caps_full_budget_at_box_mass():
+    # a full budget (block 0 1) does not bind inside [delta, 1 - delta]
+    s = PartitionMatroidPolytope([[0, 1], [2, 3]], [2, 1], 4)
+    kp = shrink_translate(s, Box.unit(4), 0.1)
+    assert kp.caps[0] == float(np.sum(kp.upper[:2]))
+    assert kp.caps[1] == 1 - 0.1 * 2
+    assert kp.lmo_max(np.ones(4)).tobytes() == _greedy_lmo(kp, np.ones(4), True).tobytes()
 
 
 def test_feasibility_closure_under_fw_steps():

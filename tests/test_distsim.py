@@ -138,16 +138,21 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
         fs.batch_grad(X, np.arange(n_local + 1))
 
 
-class _OneBadVertex(L1Ball):
+class _OneBadVertex:
     """An l1 ball whose ``lmo_min`` moves the vertex of its ``bad_call``-th
-    call (counting from 1, the start point included)."""
+    call (counting from 1, the start point included).  It wraps the ball
+    rather than subclassing it: perfbench's tracer binds every FeasibleSet
+    subclass alive in the process, and its test runs in the same session."""
 
     def __init__(self, radius, dim, bad_call):
-        super().__init__(radius, dim)
+        self.ball = L1Ball(radius, dim)
         self.calls, self.bad_call = 0, bad_call
 
+    def __getattr__(self, name):
+        return getattr(self.ball, name)
+
     def lmo_min(self, g):
-        v = super().lmo_min(g)
+        v = self.ball.lmo_min(g)
         self.calls += 1
         if self.calls == self.bad_call:
             v = v.copy()

@@ -13,7 +13,6 @@ from fwlab.quantize import (
     encode_partition,
     exact_variance,
     message_bits,
-    serialize_message,
     variance_upper_bound,
 )
 from fwlab.rng import RngStream
@@ -161,12 +160,6 @@ def test_message_bits_examples():
     assert message_bits(encode_partition(np.ones(100), 1, RngStream(0))) == 232
     assert message_bits(encode_partition(np.ones(10), 3, RngStream(0))) == 62
     assert message_bits(encode_partition(np.zeros(0), 5, RngStream(0))) == 32
-
-
-def test_serialization_roundtrip_layout():
-    msg = encode_partition(np.array([0.5, -1.0, 0.0]), 2, RngStream(4))
-    raw = serialize_message(msg)
-    assert len(raw) == 8 + 3 * 3  # u32+f32 header, (sign byte + u16 level) each
 
 
 def test_invalid_s():
