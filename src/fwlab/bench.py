@@ -212,7 +212,14 @@ def _check_pairings(cfg: RunConfig):
         budgets = _read("constraint", cfg.constraint, "budgets")
         sizes = [len(b) for b in _read("constraint", cfg.constraint, "blocks")]
     zero = any(b == 0 < n for b, n in zip(budgets, sizes))
-    full = any(b == n > 0 for b, n in zip(budgets, sizes))
+    capped = False
+    if algo == "dbg":
+        # shrink_translate's arithmetic inside [0, 1]^d, where every upper
+        # bound of the shrunk set is min(1, 1 - delta) - delta
+        delta = _read("solver", cfg.solver, "delta")
+        upper = np.minimum(1.0, 1.0 - delta) - delta
+        capped = any(C.shrunk_cap(b, np.full(n, upper), delta)[1]
+                     for b, n in zip(budgets, sizes))
     for broken, why in [
         (cfg.distsim is not None and kind != "logistic_csv",
          "distsim drives logistic_csv problems only"),
@@ -225,12 +232,14 @@ def _check_pairings(cfg: RunConfig):
          "bcg needs a box or matroid constraint"),
         (algo == "dbg" and constraint != "matroid", "dbg needs a matroid constraint"),
         # The shrunk set K' leaves no room in a block with a zero budget, and
-        # pipage rounding needs block sums equal to the budgets, which a full
-        # budget's shrunk cap (its box mass, 1 - 2 delta per coordinate) misses.
+        # pipage rounding needs block sums equal to the budgets, which a
+        # budget above |block|(1 - delta) misses: its shrunk cap is the
+        # block's box mass, 1 - 2 delta per coordinate.
         (algo == "bcg" and zero, "bcg needs every matroid budget >= 1"),
         (algo == "dbg" and zero and any(budgets),
          "dbg needs every matroid budget >= 1, or all of them 0"),
-        (algo == "dbg" and full, "dbg needs every matroid budget below its block size"),
+        (capped, "dbg needs every matroid budget below its block size by at least "
+                 "|block|·solver.delta"),
         # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
         # problem on a box supplies them (MultilinearProblem.domain_constants).
         (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"

@@ -272,6 +272,7 @@ class BudgetBoxPolytope(FeasibleSet):
         self._seg_starts = np.cumsum(sizes) - sizes + np.arange(sizes.size)
         self._slot = np.empty(self.dim, dtype=np.intp)
         self._slot[self._perm] = np.arange(self.dim) + self._block_id + 1
+        self._shifted = {}  # tol -> (upper + tol, caps + tol), for contains
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
@@ -289,12 +290,17 @@ class BudgetBoxPolytope(FeasibleSet):
         return v
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        if (x < -tol).any() or (x > self.upper + tol).any():
+        bounds = self._shifted.get(tol)
+        if bounds is None:
+            bounds = self._shifted[tol] = (self.upper + tol, self.caps + tol)
+        upper, caps = bounds
+        # the least coordinate answers as the per-coordinate test does
+        if np.minimum.reduce(x, initial=np.inf) < -tol or (x > upper).any():
             return False
         seg = np.zeros(self.dim + self.caps.size)
         seg[self._slot] = x
         sums = np.add.reduceat(seg, self._seg_starts)
-        return bool((sums <= self.caps + tol).all())
+        return bool((sums <= caps).all())
 
     def diameter(self):
         return float(np.linalg.norm(self.upper))
@@ -387,6 +393,18 @@ def nuclear_lmo(G: np.ndarray, radius: float, tol: float = 1e-8,
     return M, {"degenerate": False, "converged": ok}
 
 
+def shrunk_cap(budget: float, upper: np.ndarray, delta: float) -> tuple[float, bool]:
+    """A partition-matroid block's cap in the shrunk set, given the block's
+    shrunk upper bounds, and whether the box capped it.
+
+    The budget loses delta per coordinate; a budget that still exceeds the
+    block's box mass does not bind inside [delta, 1 - delta], so the cap is
+    that mass instead (a full budget always is).
+    """
+    want, mass = budget - delta * upper.size, float(np.sum(upper))
+    return min(want, mass), want > mass
+
+
 def shrink_translate(set_: FeasibleSet, box: Box, delta: float) -> FeasibleSet:
     """Shrink the ambient box by delta on every face and translate by -delta.
 
@@ -413,8 +431,7 @@ def shrink_translate(set_: FeasibleSet, box: Box, delta: float) -> FeasibleSet:
         upper = np.minimum(1.0, a - delta) - delta
         if np.any(upper < 0):
             raise InfeasibleShrinkError("empty set after shrink")
-        # a full budget does not bind inside [delta, 1 - delta]: cap at box mass
-        caps = [min(b - delta * len(blk), float(np.sum(upper[blk])))
+        caps = [shrunk_cap(b, upper[blk], delta)[0]
                 for blk, b in zip(set_.blocks, set_.budgets)]
         if any(c < 0 for c in caps):
             raise InfeasibleShrinkError("block budget exhausted by shrink")

@@ -40,6 +40,7 @@ class VariationEstimate:
     delta_tilde: np.ndarray
     sample: Sample | None
     clamped: bool = False  # a grad-diff probe was clipped into the domain
+    grad: np.ndarray | None = None  # ∇F̃(x_t; z) at the sample, if computed
 
 
 def momentum_update(d: np.ndarray, delta_tilde: np.ndarray,
@@ -138,12 +139,15 @@ def variation_oblivious(p: StochasticProblem, x_t, x_prev,
     """Delta_t = grad F(x_t; z) - grad F(x_prev; z) at a shared sample.
 
     Only valid for oblivious problems: when the sample law depends on x the
-    shared-z difference is biased.
+    shared-z difference is biased.  The result carries grad F(x_t; z), which
+    is the one-sample gradient at x_t.
     """
     if p.mode != "oblivious":
         raise ValueError("same-sample gradient difference requires an oblivious problem")
-    dt = p.grad(np.asarray(x_t, float), sample) - p.grad(np.asarray(x_prev, float), sample)
-    return VariationEstimate(check_finite(dt, "oblivious difference"), sample)
+    g_t = p.grad(np.asarray(x_t, float), sample)
+    dt = g_t - p.grad(np.asarray(x_prev, float), sample)
+    return VariationEstimate(check_finite(dt, "oblivious difference"), sample,
+                             grad=g_t)
 
 
 def two_point_gradient(value_oracle, x: np.ndarray, delta: float,
@@ -164,14 +168,14 @@ def two_point_gradient(value_oracle, x: np.ndarray, delta: float,
         raise ValueError("batch must be >= 1")
     x = check_finite(x, "two-point center")
     d = x.size
-    U = np.array([sample_unit_sphere(rng, d) for _ in range(batch)])
+    U = sample_unit_sphere(rng, d, size=batch)
     probes = np.empty((2 * batch, d))
     probes[0::2] = x + delta * U
     probes[1::2] = x - delta * U
     vals = np.asarray(value_oracle(probes), dtype=float)
-    g = np.zeros(d)
-    for v_plus, v_minus, u in zip(vals[0::2], vals[1::2], U):
-        g += (v_plus - v_minus) * u
+    # the terms are added in row order, as a loop from zeros adds them; + 0.0
+    # turns a −0.0 sum into the +0.0 that such a loop gives
+    g = np.add.accumulate((vals[0::2] - vals[1::2])[:, None] * U, axis=0)[-1] + 0.0
     return (d / (2.0 * delta)) * g / batch
 
 

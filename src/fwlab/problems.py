@@ -56,12 +56,19 @@ class EnumerationBudgetError(ValueError):
 
 @dataclass
 class Sample:
-    """One stochastic oracle draw.
+    """One stochastic oracle draw and what has been evaluated from it.
 
     ``z`` is instance-defined (row index, subset indicator, noise vector).
+    A multilinear draw also keeps the point ``x`` it was drawn at and the
+    clamped inclusion probabilities ``q`` it was drawn with, and ``fz``
+    holds f(z) once it has been evaluated: f(z) does not depend on x, so
+    one draw needs it once.
     """
 
     z: object
+    x: np.ndarray | None = None
+    q: np.ndarray | None = None
+    fz: float | None = None
 
 
 class StochasticProblem:
@@ -140,6 +147,10 @@ class StochasticProblem:
 
     def exact_grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def exact_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(F(x), ∇F(x)) from one call, for logging."""
+        return self.exact_value(x), self.exact_grad(x)
 
 
 class Quadratic(StochasticProblem):
@@ -664,16 +675,26 @@ class MultilinearProblem(StochasticProblem):
         self.constants = {"B": f.bound}
 
     def _probs(self, x):
-        if (x < -1e-6).any() or (x > 1 + 1e-6).any():
+        # the least and greatest coordinate answer as the per-coordinate
+        # tests do, a NaN included (it passes both)
+        if (np.minimum.reduce(x, initial=np.inf) < -1e-6
+                or np.maximum.reduce(x, initial=-np.inf) > 1 + 1e-6):
             raise ValueError("multilinear sampling point outside [0,1]^d")
         return np.minimum(np.maximum(x, BERNOULLI_EPS), 1.0 - BERNOULLI_EPS)
 
     def _sample(self, x, rng):
         q = self._probs(x)
-        return Sample(z=rng.random(self.dim) < q)
+        return Sample(z=rng.random(self.dim) < q, x=x, q=q)
+
+    def _probs_for(self, x, s):
+        """q(x), taken from the draw when x is the point s was drawn at (the
+        same array: a point is never changed in place once sampled)."""
+        return s.q if x is s.x else self._probs(x)
 
     def value(self, x, s):
-        return float(self.f(s.z))
+        if s.fz is None:
+            s.fz = float(self.f(s.z))
+        return s.fz
 
     def grad(self, x, s):
         return np.zeros(self.dim)
@@ -692,10 +713,10 @@ class MultilinearProblem(StochasticProblem):
         return np.where(z, -1.0 / q**2, -1.0 / (1.0 - q) ** 2)
 
     def logp_grad(self, x, s):
-        return self._score(self._probs(x), np.asarray(s.z, dtype=bool))
+        return self._score(self._probs_for(x, s), np.asarray(s.z, dtype=bool))
 
     def logp_hess_vec(self, x, s, u):
-        diag = self._score_hess_diag(self._probs(x), np.asarray(s.z, dtype=bool))
+        diag = self._score_hess_diag(self._probs_for(x, s), np.asarray(s.z, dtype=bool))
         return diag * np.asarray(u, dtype=float)
 
     def hessian_estimate(self, x, s, u):
@@ -703,19 +724,31 @@ class MultilinearProblem(StochasticProblem):
         from ∇F̃ and ∇²F̃): f(z) (⟨∇log p, u⟩ ∇log p + ∇²log p u).  The
         trailing + 0.0 gives the +0.0 that adding the zero terms gives where
         both remaining terms are zero, so results are bit-identical."""
-        q = self._probs(x)
+        q = self._probs_for(x, s)
         z = np.asarray(s.z, dtype=bool)
-        val = float(self.f(z))
+        val = self.value(x, s)
         lg = self._score(q, z)
         lg_u = float(lg @ u)
         return val * lg_u * lg + val * (self._score_hess_diag(q, z) * u) + 0.0
+
+    def one_sample_grad(self, x, s):
+        """f(z) ∇log p(z; x): the generic ∇F̃ + F̃ ∇log p with ∇F̃ = 0.  The
+        trailing + 0.0 gives the +0.0 that adding the zero gradient gives
+        where f(z) ∇log p is −0.0, so results are bit-identical."""
+        z = np.asarray(s.z, dtype=bool)
+        return self.value(x, s) * self._score(self._probs_for(x, s), z) + 0.0
 
     def exact_value(self, x):
         return multilinear_exact(self.f, x)
 
     def exact_grad(self, x):
-        _, g, _ = multilinear_grad_hess(self.f, x, want_hess=False)
-        return g
+        return self.exact_value_grad(x)[1]
+
+    def exact_value_grad(self, x):
+        """F is row 0 of the stack the pinned gradient evaluates, and rounds
+        as :func:`multilinear_exact` does."""
+        F, g, _ = multilinear_grad_hess(self.f, x, want_hess=False)
+        return F, g
 
     def domain_constants(self, lo: float, hi: float) -> dict:
         """Analytic (B, G, L, L2) valid when iterates stay in [lo, hi]^d.

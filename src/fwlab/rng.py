@@ -138,21 +138,35 @@ class RngStream:
 
 
 def check_finite(x: np.ndarray, what: str = "vector") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise NumericsError(f"non-finite values in {what}")
     return x
 
 
-def sample_unit_sphere(rng: RngStream, d: int) -> np.ndarray:
-    """Uniform draw from the unit sphere S^{d-1} (Gaussian, normalized)."""
+def sample_unit_sphere(rng: RngStream, d: int, size: int | None = None) -> np.ndarray:
+    """Uniform draw from the unit sphere S^{d-1} (Gaussian, normalized), or
+    ``size`` draws as the rows of a ``(size, d)`` array.
+
+    A Gaussian vector of norm <= 1e-12 is rejected and replaced by the next.
+    The rows are drawn ``size`` at a time, rejected rows are dropped and
+    their replacements drawn after the kept rows, so the rows and the stream
+    position are those of ``size`` draws made one by one.  Norms are
+    ``np.vecdot`` square roots, which round as ``np.linalg.norm`` does.
+    """
     if d < 1:
         raise ValueError(f"invalid dimension d={d}; need d >= 1")
-    while True:
-        g = rng.normal(size=d)
-        n = np.linalg.norm(g)
-        if n > 1e-12:
-            return g / n
+    G = rng.normal(size=(1 if size is None else size, d))
+    n = np.sqrt(np.vecdot(G, G))
+    keep = n > 1e-12
+    kept = np.count_nonzero(keep)
+    if kept == len(G):
+        U = G / n[:, None]
+    else:
+        U = np.concatenate([G[keep] / n[keep, None],
+                            sample_unit_sphere(rng, d, len(G) - kept)])
+    return U[0] if size is None else U
 
 
 def sample_unit_ball(rng: RngStream, d: int) -> np.ndarray:

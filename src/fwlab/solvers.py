@@ -15,6 +15,7 @@ import numpy as np
 
 from .constraints import MEMBERSHIP_TOL, FeasibleSet, shrink_translate
 from .estimators import (
+    VariationEstimate,
     grad_diff_delta,
     momentum_update,
     two_point_gradient,
@@ -147,10 +148,10 @@ def _start_point(set_: FeasibleSet, mode: str, x1):
 def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
     if t not in log_points:
         return
-    g = p.exact_grad(x)
+    value, g = p.exact_value_grad(x)
     gap = None if sched.mode == "dr_submodular_max" else fw_gap(g, set_, x)
     trace.records.append(IterationRecord(
-        t=t, objective=p.exact_value(x), fw_gap=gap,
+        t=t, objective=value, fw_gap=gap,
         est_error=float(np.sum((g - d) ** 2)),
         oracle_calls=p.samples_drawn,
         wall_ms=1000.0 * (time.perf_counter() - t0)))
@@ -161,8 +162,10 @@ def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
 def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
                  rng: RngStream, variation, x1=None, log_points=None,
                  keep_snapshots=False) -> SolveTrace:
-    """Shared driver: ``variation(t, x_t, x_prev, it_rng)`` returns
-    (delta_tilde, sample_for_g or None); plain momentum passes Delta = 0."""
+    """Shared driver: ``variation(t, x_t, x_prev, it_rng)`` returns a
+    :class:`VariationEstimate`.  Its sample, if any, is the one the
+    iteration's gradient uses; its ``grad``, if any, is that gradient at x_t.
+    Plain momentum passes Delta = 0 and no sample."""
     T = sched.T
     log_points = _default_log_points(T) if log_points is None else set(log_points)
     t0 = time.perf_counter()
@@ -182,11 +185,14 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     for t in range(1, T + 1):
         if t >= 2:
             it = rng.child(t)
-            dt, sample = variation(t, x, x_prev, it)
-            if sample is None:
-                sample = p.sample(x, it.child(1))
-            g_new = p.one_sample_grad(x, sample)
-            d = momentum_update(d, dt, g_new, sched.rho(t))
+            est = variation(t, x, x_prev, it)
+            g_new = est.grad
+            if g_new is None:
+                sample = est.sample
+                if sample is None:
+                    sample = p.sample(x, it.child(1))
+                g_new = p.one_sample_grad(x, sample)
+            d = momentum_update(d, est.delta_tilde, g_new, sched.rho(t))
         if p.samples_drawn != t:
             raise RuntimeError("one-sample accounting violated")
         _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots)
@@ -237,11 +243,9 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         # stream draws and the pooled generator has no state to save.
         a = float(it.child(0).uniform())
         if option == "exact_hessian":
-            est = variation_exact_hessian(p, x, x_prev, None, it.child(1), a=a)
-        else:
-            est = variation_grad_diff(p, x, x_prev, delta_fn(t), None,
-                                      it.child(1), a=a, probe_clip=probe_clip)
-        return est.delta_tilde, est.sample
+            return variation_exact_hessian(p, x, x_prev, None, it.child(1), a=a)
+        return variation_grad_diff(p, x, x_prev, delta_fn(t), None,
+                                   it.child(1), a=a, probe_clip=probe_clip)
 
     return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
                         keep_snapshots)
@@ -256,9 +260,7 @@ def oblivious_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         raise ValueError("oblivious_sfw requires an oblivious problem")
 
     def variation(t, x, x_prev, it):
-        s = p.sample(x, it.child(1))
-        est = variation_oblivious(p, x, x_prev, s)
-        return est.delta_tilde, s
+        return variation_oblivious(p, x, x_prev, p.sample(x, it.child(1)))
 
     return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
                         keep_snapshots)
@@ -270,7 +272,7 @@ def scg_baseline(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     """Momentum-only baseline: d_t = (1-rho_t) d_{t-1} + rho_t g_t."""
 
     def variation(t, x, x_prev, it):
-        return np.zeros(p.dim), None
+        return VariationEstimate(np.zeros(p.dim), None)
 
     return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
                         keep_snapshots)

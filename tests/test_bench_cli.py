@@ -519,6 +519,47 @@ def test_cli_bcg_dbg_run_on_full_and_empty_budgets(tmp_path, capsys, command, bu
     assert len(list(out.glob("sub-*-s0.json"))) == 1
 
 
+DBG_INI = """\
+[experiment]
+name = dbg25
+seeds = 0
+[problem]
+kind = multilinear_modular
+dim = {dim}
+[constraint]
+kind = matroid
+blocks = {blocks}
+budgets = {budgets}
+[solver]
+algorithm = dbg
+mode = dr_submodular_max
+t = 10
+delta = 0.05
+"""
+
+
+@pytest.mark.parametrize("blocks, budgets, code", [
+    ([25], "24", 2), ([25], "23", 0), ([2, 25], "1 24", 2),
+])
+def test_cli_dbg_budget_above_shrunk_box_mass_rejected_at_load(tmp_path, capsys,
+                                                               blocks, budgets, code):
+    # A block of 25 at delta 0.05 holds at most 25·(1 − 0.05) = 23.75 in the
+    # shrunk set: budget 24 once failed pipage rounding in every seed
+    # (exit 3); now it is refused at load.  Budget 23 runs.
+    out = tmp_path / "r"
+    ends = np.cumsum([0] + blocks)
+    path = _write(tmp_path, DBG_INI.format(
+        dim=ends[-1], budgets=budgets,
+        blocks=" | ".join(" ".join(map(str, range(a, b))) for a, b in zip(ends, ends[1:]))))
+    assert main(["dbg", "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "below its block size by at least |block|·solver.delta" in err
+        assert not out.exists()  # nothing ran
+    else:
+        assert len(list(out.glob("dbg25-*-s0.json"))) == 1
+
+
 @pytest.mark.parametrize("ini, overrides", [
     (QUAD_INI, ["solver.algorithm=one_sfw", "solver.option=grad_diff"]),
     (SUBMAX_INI, ["problem.kind=multilinear_facility", "solver.option=grad_diff"]),

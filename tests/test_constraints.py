@@ -10,6 +10,7 @@ from fwlab.constraints import (
     InfeasiblePointError,
     InfeasibleShrinkError,
     L1Ball,
+    MEMBERSHIP_TOL,
     NuclearNormBall,
     PartitionMatroid,
     PartitionMatroidPolytope,
@@ -17,6 +18,7 @@ from fwlab.constraints import (
     nuclear_lmo,
     pipage_round,
     shrink_translate,
+    shrunk_cap,
 )
 from fwlab.problems import FacilityLocation, Modular, multilinear_exact
 from fwlab.rng import RngStream
@@ -377,3 +379,29 @@ def test_matroid_validation():
         PartitionMatroid([[0, 1]], [1], 3)  # not covering
     with pytest.raises(ValueError):
         PartitionMatroid([[0, 1]], [3], 2)  # budget too large
+
+
+def test_budget_box_contains_same_answer_across_tolerances():
+    # contains keeps its shifted bounds per tol; interleaving tolerances and
+    # reusing them answers as the bounds computed afresh do.
+    rng = RngStream(6)
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5, 6]], [1, 2], 7)
+    for s in (poly, _budget_box(poly), shrink_translate(poly, Box.unit(7), 0.05)):
+        answers = set()
+        for _ in range(600):
+            tol = (0.0, 1e-12, 1e-9, 1e-8, MEMBERSHIP_TOL)[int(rng.integers(5))]
+            # a vertex moved off the boundary by about a tolerance
+            x = s.lmo_max(rng.normal(size=7)) * (1.0 + float(rng.uniform(-2e-8, 2e-8)))
+            x[int(rng.integers(7))] += float(rng.uniform(-2e-8, 2e-8))
+            answers.add((tol, s.contains(x, tol)))
+            assert s.contains(x, tol) == _greedy_contains(s, x, tol)
+        assert len(answers) >= 8   # most tolerances answer both ways
+        x = s.lmo_max(np.ones(7))
+        assert s.contains(x) == _greedy_contains(s, x, MEMBERSHIP_TOL)
+
+
+def test_shrunk_cap_clamps_above_box_mass():
+    upper = np.full(25, (1.0 - 0.05) - 0.05)
+    assert shrunk_cap(23, upper, 0.05) == (23 - 0.05 * 25, False)
+    assert shrunk_cap(24, upper, 0.05) == (float(np.sum(upper)), True)
+    assert shrunk_cap(25, upper, 0.05)[1]

@@ -266,6 +266,63 @@ def test_two_point_stochastic_oracle_equals_per_probe_loop(batch):
         assert np.all(est == ref)
 
 
+class _ListStream:
+    """Serves ``normal`` draws from a fixed list, in order, in any shape."""
+
+    def __init__(self, values):
+        self.values, self.pos = np.asarray(values, dtype=float), 0
+
+    def normal(self, size=None):
+        n = int(np.prod(size))
+        out = self.values[self.pos:self.pos + n]
+        self.pos += n
+        return out.reshape(size)
+
+
+def _sphere_one_by_one(rng, d):
+    """The rejection loop, one Gaussian vector at a time."""
+    while True:
+        g = rng.normal(size=d)
+        n = np.linalg.norm(g)
+        if n > 1e-12:
+            return g / n
+
+
+@pytest.mark.parametrize("rejected", [[1], [0, 2], [3]])
+def test_two_point_sphere_rejection_as_one_by_one(rejected):
+    # Rows of norm <= 1e-12 are dropped and replaced by the next rows of
+    # the stream: the batch draw keeps the same rows, in the same order,
+    # and leaves the stream where the one-by-one loop does.
+    d, batch = 4, 4
+    G = RngStream(35).normal(size=(batch + len(rejected) + 2, d))
+    G[rejected] = [[0.0, -0.0, 1e-13, 0.0]] + [[0.0] * d] * (len(rejected) - 1)
+    x = RngStream(36).uniform(size=d)
+    c = np.array([0.5, -1.0, 2.0, 0.25])
+    fast, slow = _ListStream(G.ravel()), _ListStream(G.ravel())
+    est = two_point_gradient(lambda Y: np.vecdot(np.sin(Y), c), x, 0.05, batch, fast)
+    g = np.zeros(d)
+    for _ in range(batch):
+        u = _sphere_one_by_one(slow, d)
+        g += (float(np.sin(x + 0.05 * u) @ c) - float(np.sin(x - 0.05 * u) @ c)) * u
+    ref = (d / (2.0 * 0.05)) * g / batch
+    assert est.tobytes() == ref.tobytes()
+    assert fast.pos == slow.pos == (batch + len(rejected)) * d
+    U = sample_unit_sphere(_ListStream(G.ravel()), d, size=batch)
+    one = _ListStream(G.ravel())
+    assert U.tobytes() == np.array([_sphere_one_by_one(one, d)
+                                    for _ in range(batch)]).tobytes()
+
+
+def test_two_point_signed_zero_sum():
+    # equal probe values give 0.0 * u, −0.0 where u < 0; the sum is +0.0
+    # there, as a loop adding to zeros gives
+    for batch in (1, 2):
+        stream = _ListStream([-1.0, 2.0, -0.5] * batch)
+        est = two_point_gradient(lambda Y: np.zeros(len(Y)), np.ones(3), 0.1,
+                                 batch, stream)
+        assert est.tobytes() == np.zeros(3).tobytes()
+
+
 def test_smoothed_value_linear_and_lipschitz():
     rng = RngStream(11)
     c = np.array([2.0, 1.0])

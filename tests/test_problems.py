@@ -372,6 +372,79 @@ def test_multilinear_hessian_estimate_equals_five_terms():
         assert _bits(p.hessian_estimate(x, s, u)) == _bits(generic(p, x, s, u))
 
 
+def _signed_zero_cases(p, rng):
+    """(x, sample) pairs whose f(z) ∇log p has −0.0 entries: f(∅) = 0,
+    f(z) = −0.0, and values of both signs."""
+    d = p.dim
+    xs = [rng.uniform(0.0, 1.0, size=d) for _ in range(10)]
+    cases = [(x, p.sample(x, rng)) for x in xs]
+    cases += [(xs[0], Sample(z=np.zeros(d, dtype=bool))),
+              (xs[1], Sample(z=np.array([True] + [False] * (d - 1)))),
+              (xs[2], Sample(z=np.array([False, True] + [False] * (d - 2))))]
+    return cases
+
+
+def test_multilinear_one_sample_grad_equals_generic():
+    # The fused f(z) ∇log p(z; x) + 0.0 against the generic
+    # ∇F̃ + F̃ ∇log p it overrides, bit for bit, at the sampling point and
+    # away from it.
+    rng = RngStream(14)
+    d = 5
+    values = rng.uniform(-1.0, 1.0, size=2**d)
+    values[[0, 1, 2]] = [0.0, -0.0, 0.0]   # f(∅) = 0, f({0}) = −0.0, f({1}) = 0
+    for f in (TableSetFunction(values), make_facility_location(d, 4, rng.child(1))):
+        p = MultilinearProblem(f)
+        generic = StochasticProblem.one_sample_grad
+        for x, s in _signed_zero_cases(p, rng):
+            other = rng.uniform(0.0, 1.0, size=d)
+            for y in (x, x.copy(), other):
+                assert _bits(p.one_sample_grad(y, s)) == _bits(generic(p, y, s))
+
+
+def test_multilinear_hessian_estimate_away_from_sampling_point():
+    # q is taken from the draw only at the point it was drawn at; at any
+    # other point (an equal copy included) it is computed again.
+    rng = RngStream(15)
+    f = make_facility_location(6, 4, rng.child(0))
+    p = MultilinearProblem(f)
+    generic = StochasticProblem.hessian_estimate
+    for x, s in _signed_zero_cases(p, rng):
+        u = rng.normal(size=6)
+        u[[1, 4]] = [0.0, -0.0]
+        for y in (x, x.copy(), rng.uniform(0.0, 1.0, size=6), np.full(6, 1.0 + 5e-7)):
+            assert _bits(p.hessian_estimate(y, s, u)) == _bits(generic(p, y, s, u))
+    with pytest.raises(ValueError, match="outside"):
+        p.hessian_estimate(np.full(6, 1.1), p.sample(np.full(6, 0.5), rng), np.ones(6))
+
+
+def test_multilinear_sample_evaluates_f_once():
+    calls = []
+
+    class Counted(Modular):
+        def __call__(self, members):
+            calls.append(1)
+            return super().__call__(members)
+
+    p = MultilinearProblem(Counted(np.array([1.0, 2.0, 3.0])))
+    x = np.full(3, 0.5)
+    s = p.sample(x, RngStream(16))
+    assert s.x is x and np.array_equal(s.q, x)
+    p.value(x, s), p.one_sample_grad(x, s), p.hessian_estimate(x * 0.5, s, np.ones(3))
+    assert len(calls) == 1 and s.fz == p.f(s.z)
+
+
+def test_multilinear_exact_value_grad_matches_separate_calls():
+    rng = RngStream(17)
+    for d in (1, 4, 10):
+        f = make_facility_location(d, 5, rng.child(d))
+        p = MultilinearProblem(f)
+        for x in [rng.uniform(0.0, 1.0, size=d) for _ in range(10)] + [np.zeros(d)]:
+            F, g = p.exact_value_grad(x)
+            assert F.hex() == multilinear_exact(f, x).hex()
+            assert _bits(g) == _bits(p.exact_grad(x))
+            assert F.hex() == p.exact_value(x).hex()
+
+
 def test_one_sample_grad_unbiased():
     rng = RngStream(12)
     f = make_facility_location(4, 3, rng)

@@ -9,6 +9,7 @@ from fwlab.constraints import (
     Simplex,
 )
 from fwlab.problems import (
+    FacilityLocation,
     Modular,
     MultilinearProblem,
     Quadratic,
@@ -117,6 +118,117 @@ def test_one_sample_accounting():
     tr2 = one_sfw(pm, poly, Schedule.preset("dr_submodular_max", T),
                   "exact_hessian", RngStream(4))
     assert tr2.meta["oracle_calls"] == T
+
+
+def test_one_sfw_evaluates_each_oracle_once_per_iteration(monkeypatch):
+    # Outside log points an exact_hessian iteration evaluates f once (the
+    # sample's f(z)) and the clamped probabilities twice: at the
+    # interpolation point it samples from (reused by the Hessian estimate)
+    # and at x_t for the one-sample gradient.
+    rows, probs = [], []
+
+    class Counted(FacilityLocation):
+        def batch(self, masks):
+            rows.append(len(masks))
+            return super().batch(masks)
+
+    probs_of = MultilinearProblem._probs
+
+    def counted_probs(self, x):
+        probs.append(1)
+        return probs_of(self, x)
+
+    monkeypatch.setattr(MultilinearProblem, "_probs", counted_probs)
+    f = Counted(make_facility_location(6, 4, RngStream(40)).W)
+    p = MultilinearProblem(f)
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [1, 2], 6)
+    T = 50
+    one_sfw(p, poly, Schedule.preset("dr_submodular_max", T), "exact_hessian",
+            RngStream(41), log_points=[])
+    assert rows == [1] * T     # one f(z) per iteration
+    assert len(probs) == 2 * T - 1   # t = 1 samples and differentiates at x_1
+
+
+def test_oblivious_sfw_two_gradients_per_iteration(monkeypatch):
+    calls = []
+    grad = Quadratic.grad
+
+    def counted_grad(self, x, s):
+        calls.append(1)
+        return grad(self, x, s)
+
+    monkeypatch.setattr(Quadratic, "grad", counted_grad)
+    T = 40
+    oblivious_sfw(Quadratic(np.full(3, 0.2), noise_sigma=1.0), L1Ball(1.0, 3),
+                  Schedule.preset("convex_min", T), RngStream(42), log_points=[])
+    assert len(calls) == 1 + 2 * (T - 1)
+
+
+def _pinned_record_values(tr):
+    out = []
+    for r in tr.records:
+        out += [r.t, r.oracle_calls, r.objective.hex(), r.est_error.hex(),
+                None if r.fw_gap is None else r.fw_gap.hex()]
+    return out, [v.hex() for v in tr.output]
+
+
+def test_one_sfw_exact_hessian_pinned_at_seed():
+    # Record values and output of short runs, pinned bit for bit; taken
+    # when f(z) and the clamped probabilities were still evaluated once per
+    # use rather than once per iteration.
+    f = make_facility_location(8, 5, RngStream(31, 1))
+    poly = PartitionMatroidPolytope([[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1], 8)
+    tr = one_sfw(MultilinearProblem(f), poly, Schedule.preset("dr_submodular_max", 40),
+                 "exact_hessian", RngStream(9), log_points=[1, 2, 17, 40])
+    records, output = _pinned_record_values(tr)
+    assert records == [
+        1, 1, "0x0.0p+0", "0x1.90dc0a524278ep+5", None,
+        2, 2, "0x1.8498564f7ae22p-3", "0x1.737c591819220p+5", None,
+        17, 17, "0x1.39c8e2da28f72p+1", "0x1.2af11bce2500bp+7", None,
+        40, 40, "0x1.10fc8e637bcf7p+2", "0x1.7e4015e0ecb60p+7", None,
+    ]
+    assert output == [
+        "0x1.999999999999ap-5", "0x1.0000000000002p+0", "0x1.e66666666666bp-1",
+        "0x0.0p+0", "0x1.999999999999ap-5", "0x1.8000000000001p-2",
+        "0x1.cccccccccccccp-3", "0x1.6666666666667p-2",
+    ]
+
+
+def test_one_sfw_grad_diff_on_box_pinned_at_seed():
+    p = MultilinearProblem(make_coverage(6, 5, RngStream(32, 1)))
+    box = Box(np.full(6, 0.3), np.full(6, 0.7))
+    tr = one_sfw(p, box, Schedule.preset("nonconvex_min", 30), "grad_diff",
+                 RngStream(10), log_points=[1, 2, 13, 30],
+                 constants=p.domain_constants(0.29, 0.71), probe_clip=(0.0, 1.0))
+    records, output = _pinned_record_values(tr)
+    assert records == [
+        1, 1, "0x1.28f148745f54fp+1", "0x1.6e70cd3159a02p+6", "0x0.0p+0",
+        2, 2, "0x1.4192bef37e919p+1", "0x1.4fcee8417d4f6p+8", "0x1.7ec71d0fc3990p-3",
+        13, 13, "0x1.8697b3f042cc8p+1", "0x1.42da28144e87fp+5", "0x1.48cff43d30e87p-1",
+        30, 30, "0x1.7fc6d02eb3e15p+1", "0x1.3c7c9f927cb66p+5", "0x1.32eb5f4d1904cp-1",
+    ]
+    assert tr.meta["output_index"] == 3
+    assert output == [
+        "0x1.593ae35b374fdp-2", "0x1.83a773f03ca2cp-2", "0x1.83a773f03ca2cp-2",
+        "0x1.593ae35b374fdp-2", "0x1.83a773f03ca2cp-2", "0x1.3333333333333p-2",
+    ]
+
+
+def test_oblivious_sfw_quadratic_pinned_at_seed():
+    p = Quadratic(np.array([0.9, -0.4, 0.3, 0.0, 0.7, -1.1]), noise_sigma=1.0)
+    tr = oblivious_sfw(p, L1Ball(2.0, 6), Schedule.preset("convex_min", 50),
+                       RngStream(11), log_points=[1, 2, 25, 50])
+    records, output = _pinned_record_values(tr)
+    assert records == [
+        1, 1, "0x1.4b851eb851eb9p+2", "0x1.32431e333cc87p+1", "0x1.7333333333333p+3",
+        2, 2, "0x1.947ae147ae148p+0", "0x1.8bd2d4965804ap+1", "0x1.199999999999ap+2",
+        25, 25, "0x1.5907f6e5d4c3cp-2", "0x1.770261968cab7p-3", "0x1.a7d27d27d27d8p-2",
+        50, 50, "0x1.377fbf0986042p-2", "0x1.843ddfc0dc90cp-3", "0x1.1e00e547cca69p-1",
+    ]
+    assert output == [
+        "0x1.1eb851eb851eap-1", "-0x1.47ae147ae147ap-4", "0x1.47ae147ae147ap-5",
+        "0x0.0p+0", "0x1.47ae147ae147bp-1", "-0x1.0a3d70a3d70a4p-1",
+    ]
 
 
 def test_dr_mode_output_is_vertex_average():
