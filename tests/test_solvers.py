@@ -9,6 +9,7 @@ from fwlab.constraints import (
     Simplex,
 )
 from fwlab.problems import (
+    NQP,
     FacilityLocation,
     Modular,
     MultilinearProblem,
@@ -228,6 +229,45 @@ def test_oblivious_sfw_quadratic_pinned_at_seed():
     assert output == [
         "0x1.1eb851eb851eap-1", "-0x1.47ae147ae147ap-4", "0x1.47ae147ae147ap-5",
         "0x0.0p+0", "0x1.47ae147ae147bp-1", "-0x1.0a3d70a3d70a4p-1",
+    ]
+
+
+def test_scg_baseline_multilinear_matroid_pinned_at_seed():
+    # Pinned before the variation estimators drew their own samples.
+    p = MultilinearProblem(make_coverage(7, 5, RngStream(33, 1)))
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5, 6]], [1, 2], 7)
+    tr = scg_baseline(p, poly, Schedule.preset("dr_submodular_max", 30),
+                      RngStream(12), log_points=[1, 2, 11, 30])
+    records, output = _pinned_record_values(tr)
+    assert records == [
+        1, 1, "0x0.0p+0", "0x1.08c2efbe853bap+5", None,
+        2, 2, "0x1.e11cde901537dp-3", "0x1.ea08f325c7b66p+4", None,
+        11, 11, "0x1.f6488b0e0a832p+0", "0x1.bc049b49f21a6p+4", None,
+        30, 30, "0x1.03dcd3de76833p+2", "0x1.2840431239f92p+5", None,
+    ]
+    assert output == [
+        "0x1.fffffffffffffp-1", "0x0.0p+0", "0x0.0p+0", "0x1.fffffffffffffp-1",
+        "0x1.9999999999999p-3", "0x1.1111111111111p-4", "0x1.7777777777777p-1",
+    ]
+
+
+def test_one_sfw_exact_hessian_nqp_pinned_at_seed():
+    # An oblivious problem takes the generic five-term Hessian estimate;
+    # nonconvex_min picks the output iterate from its own stream.
+    p = NQP(5, RngStream(34, 1), noise_sigma=1.0)
+    tr = one_sfw(p, Simplex(1.0, 5), Schedule.preset("nonconvex_min", 30),
+                 "exact_hessian", RngStream(14), log_points=[1, 2, 19, 30])
+    records, output = _pinned_record_values(tr)
+    assert records == [
+        1, 1, "0x1.c927916c26d13p+1", "0x1.79aff6d718847p+3", "0x1.337df2a812638p-2",
+        2, 2, "0x1.c78f9c4580652p+1", "0x1.258e889fff4a3p+1", "0x1.3d9f9a7bd7b88p-2",
+        19, 19, "0x1.a3400cdf8f1dfp+1", "0x1.095a7a0ae10a9p-2", "0x1.01bc1451fda23p-2",
+        30, 30, "0x1.8d61cdcf969fep+1", "0x1.1c80a79067231p-2", "0x1.2334e07973fb7p-4",
+    ]
+    assert tr.meta["output_index"] == 16
+    assert output == [
+        "0x1.8d3b3e10d9093p-3", "0x1.924543b12f2e2p-3", "0x1.7c5f1c4b75816p-3",
+        "0x1.6f2c863753cf1p-6", "0x1.9b1d6895cbe6bp-2",
     ]
 
 
