@@ -212,6 +212,12 @@ def _check_pairings(cfg: RunConfig):
         budgets = _read("constraint", cfg.constraint, "budgets")
         sizes = [len(b) for b in _read("constraint", cfg.constraint, "blocks")]
     zero = any(b == 0 < n for b, n in zip(budgets, sizes))
+    in_unit_box = constraint == "matroid"
+    if constraint == "box":
+        in_unit_box = bool(_read("constraint", cfg.constraint, "lower").min() >= 0
+                           and _read("constraint", cfg.constraint, "upper").max() <= 1)
+    elif constraint == "simplex":
+        in_unit_box = _read("constraint", cfg.constraint, "scale") <= 1
     capped = False
     if algo == "dbg":
         # shrink_translate's arithmetic inside [0, 1]^d, where every upper
@@ -245,6 +251,11 @@ def _check_pairings(cfg: RunConfig):
         (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"
          and not (multilinear and constraint == "box"),
          "solver.option=grad_diff needs a multilinear problem on a box constraint"),
+        # A multilinear problem samples z ~ p(.; x) at the iterates, a law
+        # defined for x in [0, 1]^d only.
+        (algo in ("one_sfw", "scg") and multilinear and not in_unit_box,
+         f"{algo} on a multilinear problem needs a matroid, a box within "
+         "[0, 1] or a simplex of scale <= 1"),
     ]:
         if broken:
             raise ValueError(why)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -76,7 +77,9 @@ def cmd_report(args) -> int:
         print(f"not a directory: {out}", file=sys.stderr)
         return 2
     rows = []
-    for sidecar in sorted(out.glob("*-s*.json")):
+    # per-seed sidecars only: their stem ends in the tag -s<seed>
+    for sidecar in sorted(p for p in out.glob("*.json")
+                          if re.search(r"-s-?\d+$", p.stem)):
         meta = json.loads(sidecar.read_text())
         trace_csv = sidecar.with_suffix(".csv")
         final = None

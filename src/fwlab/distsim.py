@@ -108,24 +108,16 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
     if n_total % M != 0:
         raise ValueError(f"component count {n_total} not divisible by M={M}")
 
-    if setting == "finite_convex":
-        period = lambda i: 2 ** (i - 1)
+    if setting in ("finite_convex", "stoch_convex"):
+        # the two convex settings differ only in the anchor batch
         anchor = lambda i: None  # all local components
-        inner = lambda i, k: max(1, math.ceil(2 ** (i - 1) / M))
-        eta = lambda i, k, t: 2.0 / (2 ** (i - 1) + k)
-        s1 = lambda i, k: _cap_levels(
-            math.sqrt(d * (2 ** (i - 1)) ** 2 / M) if k == 1
-            else math.sqrt(d * 2 ** (i - 1) / M))
-        s2 = lambda i, k: _cap_levels(
-            math.sqrt(d * (2 ** (i - 1)) ** 2) if k == 1
-            else math.sqrt(d * 2 ** (i - 1)))
-    elif setting == "stoch_convex":
-        if constants is None or not {"sigma", "L", "D"} <= constants.keys():
-            raise ValueError("stoch_convex needs constants sigma, L, D")
-        sg, L, D = constants["sigma"], constants["L"], constants["D"]
+        if setting == "stoch_convex":
+            if constants is None or not {"sigma", "L", "D"} <= constants.keys():
+                raise ValueError("stoch_convex needs constants sigma, L, D")
+            sg, L, D = constants["sigma"], constants["L"], constants["D"]
+            anchor = lambda i: max(
+                1, math.ceil(sg**2 * (2 ** (i - 1)) ** 2 / (M * L**2 * D**2)))
         period = lambda i: 2 ** (i - 1)
-        anchor = lambda i: max(
-            1, math.ceil(sg**2 * (2 ** (i - 1)) ** 2 / (M * L**2 * D**2)))
         inner = lambda i, k: max(1, math.ceil(2 ** (i - 1) / M))
         eta = lambda i, k, t: 2.0 / (2 ** (i - 1) + k)
         s1 = lambda i, k: _cap_levels(

@@ -8,8 +8,12 @@ where Delta_t estimates the gradient variation grad F(x_t) - grad F(x_{t-1}).
 Three variation estimators are provided: the one-sample Hessian estimator
 (exact Hessian-vector products plus score-function terms), its
 gradient-difference approximation (no second-order oracle needed), and the
-oblivious same-sample gradient difference.  The two-point sphere estimator
-serves the purely zeroth-order solvers.
+oblivious same-sample gradient difference.  Each returns a
+:class:`VariationEstimate` holding Delta_t and g_t, the one-sample gradient
+at x_t, both from the iteration's single sample z_t.  The first two take the
+iteration's stream and draw that sample themselves: a ~ U[0,1] from its
+child 0, then z_t ~ p(.;x(a)) from its child 1.  The two-point sphere
+estimator serves the purely zeroth-order solvers.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .rng import RngStream, check_finite, sample_unit_ball, sample_unit_sphere
 __all__ = [
     "VariationEstimate",
     "momentum_update",
-    "hessian_estimate_apply",
     "variation_exact_hessian",
     "variation_grad_diff",
     "variation_oblivious",
@@ -38,9 +41,8 @@ __all__ = [
 @dataclass
 class VariationEstimate:
     delta_tilde: np.ndarray
-    sample: Sample | None
+    grad: np.ndarray  # the one-sample gradient at x_t, from the estimate's sample
     clamped: bool = False  # a grad-diff probe was clipped into the domain
-    grad: np.ndarray | None = None  # ∇F̃(x_t; z) at the sample, if computed
 
 
 def momentum_update(d: np.ndarray, delta_tilde: np.ndarray,
@@ -52,68 +54,53 @@ def momentum_update(d: np.ndarray, delta_tilde: np.ndarray,
     return check_finite(d, "momentum estimate")
 
 
-def hessian_estimate_apply(p: StochasticProblem, x: np.ndarray, s: Sample,
-                           u: np.ndarray) -> np.ndarray:
-    """One-sample Hessian-vector estimate applied to u.
-
-    With z drawn from p(.;x) the expectation is the true Hessian-vector
-    product grad^2 F(x) u; the problem computes it
-    (:meth:`StochasticProblem.hessian_estimate`).
-    """
-    u = check_finite(u, "hessian direction")
-    return check_finite(p.hessian_estimate(x, s, u), "hessian estimate")
-
-
-def _interp_point(x_t, x_prev, rng_a, a):
-    if a is None:
-        a = float(rng_a.uniform())
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("interpolation weight outside [0,1]")
-    return a * np.asarray(x_t, float) + (1.0 - a) * np.asarray(x_prev, float)
+def _sample_between(p: StochasticProblem, x_t, x_prev, it: RngStream):
+    """x(a) = a x_t + (1-a) x_prev with a ~ U[0,1] from ``it.child(0)``, and
+    z ~ p(.;x(a)) from ``it.child(1)``."""
+    # a's stream is a temporary, gone before the sample stream draws, so the
+    # pooled generator has no state to save for it
+    a = float(it.child(0).uniform())
+    xa = a * x_t + (1.0 - a) * x_prev
+    return xa, p.sample(xa, it.child(1))
 
 
 def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
-                            rng_a: RngStream, rng_z: RngStream,
-                            a: float | None = None,
-                            sample: Sample | None = None) -> VariationEstimate:
+                            it: RngStream) -> VariationEstimate:
     """Delta_t = one-sample Hessian estimate at a random interpolation point.
 
     Draws a ~ U[0,1], sets x(a) = a x_t + (1-a) x_prev, samples z ~ p(.;x(a))
-    and applies the estimator to u = x_t - x_prev.  Unbiased for
-    grad F(x_t) - grad F(x_prev) by the fundamental theorem of calculus.
-    ``a``/``sample`` may be supplied to couple runs sample-for-sample;
-    ``rng_a`` is read only when ``a`` is not (it may then be None).
+    and applies :meth:`StochasticProblem.hessian_estimate` to
+    u = x_t - x_prev.  Unbiased for grad F(x_t) - grad F(x_prev) by the
+    fundamental theorem of calculus.
     """
-    xa = _interp_point(x_t, x_prev, rng_a, a)
-    if sample is None:
-        sample = p.sample(xa, rng_z)
-    u = np.asarray(x_t, float) - np.asarray(x_prev, float)
+    xa, sample = _sample_between(p, x_t, x_prev, it)
+    g_t = p.one_sample_grad(x_t, sample)
+    u = x_t - x_prev
     if not u.any():
-        return VariationEstimate(np.zeros(p.dim), sample)
-    return VariationEstimate(hessian_estimate_apply(p, xa, sample, u), sample)
+        return VariationEstimate(np.zeros(p.dim), g_t)
+    return VariationEstimate(
+        check_finite(p.hessian_estimate(xa, sample, u), "hessian estimate"), g_t)
 
 
 def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
-                        rng_a: RngStream, rng_z: RngStream,
-                        a: float | None = None,
-                        sample: Sample | None = None,
+                        it: RngStream,
                         probe_clip: tuple | None = None) -> VariationEstimate:
     """Gradient-difference variant: second-order oracles replaced by
     central differences of first-order oracles along u = x_t - x_prev.
 
     phi(delta; psi) = [grad psi(x + delta u) - grad psi(x - delta u)] / (2 delta)
     approximates grad^2 psi(x) u with error at most L2 * delta * ||u||^2.
+    x(a) and z are drawn as in :func:`variation_exact_hessian`.
     ``probe_clip`` = (lo, hi) clamps probe points into the oracle domain
     (flagged on the result).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    xa = _interp_point(x_t, x_prev, rng_a, a)
-    if sample is None:
-        sample = p.sample(xa, rng_z)
-    u = np.asarray(x_t, float) - np.asarray(x_prev, float)
+    xa, sample = _sample_between(p, x_t, x_prev, it)
+    g_t = p.one_sample_grad(x_t, sample)
+    u = x_t - x_prev
     if not u.any():
-        return VariationEstimate(np.zeros(p.dim), sample)
+        return VariationEstimate(np.zeros(p.dim), g_t)
 
     xp, xm = xa + delta * u, xa - delta * u
     clamped = False
@@ -130,8 +117,7 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
     phi_F = (p.grad(xp, sample) - p.grad(xm, sample)) / (2.0 * delta)
     phi_lp = (p.logp_grad(xp, sample) - p.logp_grad(xm, sample)) / (2.0 * delta)
     dt = val * lg_u * lg + phi_F + lg_u * gF + val * phi_lp + float(gF @ u) * lg
-    return VariationEstimate(check_finite(dt, "grad-diff estimate"), sample,
-                             clamped)
+    return VariationEstimate(check_finite(dt, "grad-diff estimate"), g_t, clamped)
 
 
 def variation_oblivious(p: StochasticProblem, x_t, x_prev,
@@ -146,8 +132,7 @@ def variation_oblivious(p: StochasticProblem, x_t, x_prev,
         raise ValueError("same-sample gradient difference requires an oblivious problem")
     g_t = p.grad(np.asarray(x_t, float), sample)
     dt = g_t - p.grad(np.asarray(x_prev, float), sample)
-    return VariationEstimate(check_finite(dt, "oblivious difference"), sample,
-                             grad=g_t)
+    return VariationEstimate(check_finite(dt, "oblivious difference"), g_t)
 
 
 def two_point_gradient(value_oracle, x: np.ndarray, delta: float,

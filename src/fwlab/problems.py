@@ -80,7 +80,6 @@ class StochasticProblem:
 
     dim: int
     mode: str  # "oblivious" or "nonoblivious"
-    constants: dict
 
     def __init__(self):
         self.samples_drawn = 0
@@ -167,7 +166,6 @@ class Quadratic(StochasticProblem):
         self.target = check_finite(target, "quadratic target")
         self.noise_sigma = float(noise_sigma)
         self.dim = self.target.size
-        self.constants = {"L": 1.0, "L2": 0.0}
 
     def _sample(self, x, rng):
         if self.noise_sigma == 0.0:
@@ -213,8 +211,6 @@ class NQP(StochasticProblem):
         self.b = -H.T @ np.ones(self.dim)
         self.Hsym = 0.5 * (H + H.T)
         self.noise_sigma = float(noise_sigma)
-        L = float(np.linalg.norm(self.Hsym, 2))
-        self.constants = {"L": L, "L2": 0.0}
 
     def _sample(self, x, rng):
         if self.noise_sigma == 0.0:
@@ -261,11 +257,6 @@ class LogisticL1(StochasticProblem):
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be +/-1")
         self.n, self.dim = self.A.shape
-        # per-row smoothness <= ||a||^2 / 4
-        self.constants = {
-            "L": float(np.max(np.sum(self.A**2, axis=1))) / 4.0,
-            "B": float(np.log(2) + np.max(np.linalg.norm(self.A, axis=1)) * 10),
-        }
 
     @classmethod
     def from_csv(cls, path: str) -> "LogisticL1":
@@ -330,7 +321,6 @@ class RobustLRMR(StochasticProblem):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         self.n_obs = self.idx.size
-        self.constants = {"B": 1.0}
 
     @classmethod
     def from_csv(cls, path: str, rows: int, cols: int, sigma: float = 1.0):
@@ -387,11 +377,10 @@ class SetFunction:
     """Real-valued function of subsets of a ground set of size d.
 
     Subsets are boolean membership vectors.  ``bound`` is (an upper bound
-    on) sup_S |f(S)|; ``monotone`` flags instances known nondecreasing.
+    on) sup_S |f(S)|.
     """
 
     ground_size: int
-    monotone = False
 
     def __call__(self, members: np.ndarray) -> float:
         return float(self.batch(np.asarray(members)[None])[0])
@@ -410,7 +399,6 @@ class Modular(SetFunction):
     def __init__(self, weights):
         self.w = check_finite(weights, "modular weights")
         self.ground_size = self.w.size
-        self.monotone = bool(np.all(self.w >= 0))
 
     def __call__(self, members):
         return float(self.w[np.asarray(members, dtype=bool)].sum())
@@ -425,8 +413,6 @@ class Modular(SetFunction):
 
 class FacilityLocation(SetFunction):
     """f(S) = Σ_clients max_{i∈S} W[client, i], with f(∅) = 0."""
-
-    monotone = True
 
     def __init__(self, W):
         self.W = check_finite(W, "facility weights")
@@ -447,8 +433,6 @@ class FacilityLocation(SetFunction):
 class Coverage(SetFunction):
     """Probabilistic coverage f(S) = Σ_j (1 − ∏_{a∈S}(1 − p_a(j)))."""
 
-    monotone = True
-
     def __init__(self, P):
         # P[a, j]: probability element a covers topic j
         self.P = check_finite(P, "coverage probabilities")
@@ -468,8 +452,6 @@ class Coverage(SetFunction):
 
 class ConcaveOverModular(SetFunction):
     """f(S) = Σ_users sqrt(Σ_{j∈S} r[user, j])."""
-
-    monotone = True
 
     def __init__(self, R):
         self.R = check_finite(R, "ratings")
@@ -492,13 +474,12 @@ class TableSetFunction(SetFunction):
     bounded instances in property tests.
     """
 
-    def __init__(self, values: np.ndarray, monotone: bool = False):
+    def __init__(self, values: np.ndarray):
         self.values = check_finite(values, "set-function table")
         d = int(np.log2(self.values.size))
         if 2**d != self.values.size:
             raise ValueError("table length must be a power of two")
         self.ground_size = d
-        self.monotone = monotone
         self._pows = (2 ** np.arange(d)).astype(np.int64)
 
     def batch(self, masks):
@@ -512,8 +493,6 @@ class TableSetFunction(SetFunction):
 
 class LogDet(SetFunction):
     """f(S) = log det(I + Sigma[S, S]) for a PSD kernel Sigma."""
-
-    monotone = True
 
     def __init__(self, Sigma):
         Sigma = check_finite(Sigma, "kernel")
@@ -672,7 +651,6 @@ class MultilinearProblem(StochasticProblem):
         super().__init__()
         self.f = f
         self.dim = f.ground_size
-        self.constants = {"B": f.bound}
 
     def _probs(self, x):
         # the least and greatest coordinate answer as the per-coordinate

@@ -162,10 +162,10 @@ def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
 def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
                  rng: RngStream, variation, x1=None, log_points=None,
                  keep_snapshots=False) -> SolveTrace:
-    """Shared driver: ``variation(t, x_t, x_prev, it_rng)`` returns a
-    :class:`VariationEstimate`.  Its sample, if any, is the one the
-    iteration's gradient uses; its ``grad``, if any, is that gradient at x_t.
-    Plain momentum passes Delta = 0 and no sample."""
+    """Shared driver: ``variation(t, x_t, x_prev, it_rng)`` draws iteration
+    t's one sample from ``it_rng`` and returns a :class:`VariationEstimate`:
+    Delta_t and the one-sample gradient g_t at x_t, both from that sample.
+    Plain momentum returns Delta = 0."""
     T = sched.T
     log_points = _default_log_points(T) if log_points is None else set(log_points)
     t0 = time.perf_counter()
@@ -178,21 +178,12 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     iterates = [x.copy()] if sched.mode == "nonconvex_min" else None
     vertex_sum = np.zeros(set_.dim)
 
-    it = rng.child(1)
-    s1 = p.sample(x, it.child(1))
-    d = p.one_sample_grad(x, s1)
+    d = p.one_sample_grad(x, p.sample(x, rng.child(1).child(1)))
     x_prev = None
     for t in range(1, T + 1):
         if t >= 2:
-            it = rng.child(t)
-            est = variation(t, x, x_prev, it)
-            g_new = est.grad
-            if g_new is None:
-                sample = est.sample
-                if sample is None:
-                    sample = p.sample(x, it.child(1))
-                g_new = p.one_sample_grad(x, sample)
-            d = momentum_update(d, est.delta_tilde, g_new, sched.rho(t))
+            est = variation(t, x, x_prev, rng.child(t))
+            d = momentum_update(d, est.delta_tilde, est.grad, sched.rho(t))
         if p.samples_drawn != t:
             raise RuntimeError("one-sample accounting violated")
         _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots)
@@ -236,16 +227,12 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         if constants is None:
             raise ValueError("grad_diff needs problem constants")
         D = set_.diameter()
-        delta_fn = lambda t: grad_diff_delta(sched.eta(t - 1), constants, D)
 
     def variation(t, x, x_prev, it):
-        # a ~ U[0,1] is drawn here, so its stream is gone before the sample
-        # stream draws and the pooled generator has no state to save.
-        a = float(it.child(0).uniform())
         if option == "exact_hessian":
-            return variation_exact_hessian(p, x, x_prev, None, it.child(1), a=a)
-        return variation_grad_diff(p, x, x_prev, delta_fn(t), None,
-                                   it.child(1), a=a, probe_clip=probe_clip)
+            return variation_exact_hessian(p, x, x_prev, it)
+        delta = grad_diff_delta(sched.eta(t - 1), constants, D)
+        return variation_grad_diff(p, x, x_prev, delta, it, probe_clip)
 
     return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
                         keep_snapshots)
@@ -272,7 +259,8 @@ def scg_baseline(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     """Momentum-only baseline: d_t = (1-rho_t) d_{t-1} + rho_t g_t."""
 
     def variation(t, x, x_prev, it):
-        return VariationEstimate(np.zeros(p.dim), None)
+        return VariationEstimate(np.zeros(p.dim),
+                                 p.one_sample_grad(x, p.sample(x, it.child(1))))
 
     return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
                         keep_snapshots)

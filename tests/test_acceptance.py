@@ -28,7 +28,6 @@ from fwlab.distsim import (
 )
 from fwlab.estimators import (
     grad_diff_delta,
-    hessian_estimate_apply,
     smoothed_value_mc,
     two_point_gradient,
     variation_exact_hessian,
@@ -138,11 +137,11 @@ def test_02_grad_diff_matches_exact_hessian_variant():
             x_t, _ = tr.snapshots[t]
             x_p, _ = tr.snapshots[t - 1]
             it = RngStream(seed).child(t)
-            e1 = variation_exact_hessian(p, x_t, x_p, it.child(0), it.child(1))
+            e1 = variation_exact_hessian(p, x_t, x_p, it)
             it = RngStream(seed).child(t)
             delta = grad_diff_delta(sched.eta(t - 1), consts, D)
-            e2 = variation_grad_diff(p, x_t, x_p, delta, it.child(0),
-                                     it.child(1), probe_clip=(0.0, 1.0))
+            e2 = variation_grad_diff(p, x_t, x_p, delta, it,
+                                     probe_clip=(0.0, 1.0))
             err = float(np.linalg.norm(e2.delta_tilde - e1.delta_tilde))
             bound = (1 + consts["B"]) * D**2 * consts["L2"] * delta + 1e-9
             assert err <= bound, f"seed {seed} t {t}: {err} > {bound}"
@@ -210,15 +209,15 @@ def test_06_hessian_estimator_unbiased_by_enumeration():
     a = 0.37
     xa = a * x_t + (1 - a) * x_p
     _, _, H = multilinear_grad_hess(f, xa)
-    exp = _enum_expectation(p, xa, lambda s: hessian_estimate_apply(p, xa, s, u))
+    exp = _enum_expectation(p, xa, lambda s: p.hessian_estimate(xa, s, u))
     assert np.allclose(exp, H @ u, atol=1e-8)
 
     # integrating over the interpolation grid recovers the gradient change
     grid = np.linspace(0.0, 1.0, 101)
     vals = np.array([
         _enum_expectation(p, a * x_t + (1 - a) * x_p,
-                          lambda s, a=a: hessian_estimate_apply(
-                              p, a * x_t + (1 - a) * x_p, s, u))
+                          lambda s, a=a: p.hessian_estimate(
+                              a * x_t + (1 - a) * x_p, s, u))
         for a in grid
     ])
     integral = np.trapezoid(vals, grid, axis=0)

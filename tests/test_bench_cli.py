@@ -371,6 +371,17 @@ def test_cli_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_report_counts_only_per_seed_sidecars(tmp_path, capsys):
+    # "-s" in the name once made the run's own report match as a seed row
+    path = _write(tmp_path, QUAD_INI.replace("name = tiny", "name = my-solve")
+                  .replace("seeds = 0", "seeds = -1..1"))
+    run_experiment(load_config(path, out_dir=tmp_path / "runs"))
+    assert main(["report", "--out", str(tmp_path / "runs")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_runs"] == 3
+    assert [r["seed"] for r in out["rows"]] == [-1, 0, 1]
+
+
 def _distsim_ini(tmp_path):
     """8 logistic rows, d=3, M=2 workers, T=6 rounds."""
     rows = [f"{(-1) ** i},{0.1 * i},{0.2},{-0.3 * i}" for i in range(8)]
@@ -489,9 +500,25 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
      "dbg needs every matroid budget >= 1"),
     (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.budgets=2 1"],
      "below its block size"),
+    # a multilinear problem samples at the iterates, which must lie in
+    # [0, 1]^d; once every seed exited 3
+    (SUBMAX_INI, ["constraint.kind=l1ball", "solver.mode=convex_min"],
+     "one_sfw on a multilinear problem needs"),
+    (SUBMAX_INI, ["solver.algorithm=scg", "constraint.kind=box",
+                  "constraint.upper=1.5"], "scg on a multilinear problem needs"),
+    (SUBMAX_INI, ["constraint.kind=box", "constraint.lower=-0.1"],
+     "one_sfw on a multilinear problem needs"),
+    (SUBMAX_INI, ["solver.algorithm=scg", "constraint.kind=simplex",
+                  "constraint.scale=2", "solver.mode=convex_min"],
+     "scg on a multilinear problem needs"),
+    (SUBMAX_INI, ["constraint.kind=nuclear", "constraint.rows=2",
+                  "constraint.cols=2", "solver.mode=convex_min"],
+     "one_sfw on a multilinear problem needs"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
-        "dbg-zero-budget", "dbg-full-budget"])
+        "dbg-zero-budget", "dbg-full-budget", "one_sfw-multilinear-l1ball",
+        "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
+        "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear"])
 def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
@@ -572,6 +599,19 @@ def test_cli_grad_diff_off_multilinear_box_rejected_at_load(tmp_path, capsys,
     assert main(args) == 2
     assert "grad_diff" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("overrides", [
+    ["solver.algorithm=scg", "constraint.kind=simplex", "constraint.scale=1",
+     "solver.mode=convex_min"],
+    ["constraint.kind=box", "constraint.upper=0.5", "solver.mode=convex_min"],
+], ids=["scg-simplex-1", "one_sfw-box-within-unit"])
+def test_cli_multilinear_inside_unit_box_runs(tmp_path, capsys, overrides):
+    args = ["solve", "--config", _write(tmp_path, SUBMAX_INI), "--out", str(tmp_path / "r")]
+    for ov in overrides:
+        args += ["--override", ov]
+    assert main(args) == 0
+    capsys.readouterr()
 
 
 def test_cli_grad_diff_multilinear_box_runs(tmp_path, capsys):
@@ -678,6 +718,9 @@ def _table_config(section, group):
         del cfg["distsim"]
     if group is not None:
         cfg[section][bench._SELECTORS[section]] = group
+    if section == "constraint" and group in ("l1ball", "nuclear"):
+        # one_sfw samples a multilinear problem only inside [0, 1]^d
+        cfg["problem"]["kind"] = "quadratic"
     return cfg
 
 

@@ -4,7 +4,6 @@ import pytest
 from fwlab.estimators import (
     VariationEstimate,
     grad_diff_delta,
-    hessian_estimate_apply,
     lbar_constant,
     momentum_update,
     smoothed_value_mc,
@@ -69,14 +68,14 @@ def test_hessian_estimator_zero_for_modular():
     p = MultilinearProblem(Modular(np.ones(3)))
     x = np.full(3, 0.5)
     u = np.ones(3)
-    exp = _enum_expectation(p, x, lambda s: hessian_estimate_apply(p, x, s, u))
+    exp = _enum_expectation(p, x, lambda s: p.hessian_estimate(x, s, u))
     assert np.allclose(exp, 0.0, atol=1e-10)
 
 
 def test_hessian_estimator_zero_direction():
     p = MultilinearProblem(Modular(np.ones(3)))
     s = Sample(z=np.array([True, False, True]))
-    assert np.allclose(hessian_estimate_apply(p, np.full(3, 0.4), s, np.zeros(3)), 0.0)
+    assert np.allclose(p.hessian_estimate(np.full(3, 0.4), s, np.zeros(3)), 0.0)
 
 
 def test_hessian_estimator_matches_enumeration():
@@ -86,7 +85,7 @@ def test_hessian_estimator_matches_enumeration():
     x = rng.uniform(0.2, 0.8, size=4)
     u = rng.normal(size=4)
     _, _, H = multilinear_grad_hess(f, x)
-    exp = _enum_expectation(p, x, lambda s: hessian_estimate_apply(p, x, s, u))
+    exp = _enum_expectation(p, x, lambda s: p.hessian_estimate(x, s, u))
     assert np.allclose(exp, H @ u, atol=1e-8)
 
 
@@ -94,7 +93,7 @@ def test_hessian_estimator_oblivious_reduces_to_hess_vec():
     p = Quadratic(np.zeros(3), noise_sigma=1.0)
     s = Sample(z=np.array([0.3, -0.1, 0.2]))
     u = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(hessian_estimate_apply(p, np.zeros(3), s, u), u)
+    assert np.allclose(p.hessian_estimate(np.zeros(3), s, u), u)
 
 
 # --- variation estimators --------------------------------------------------
@@ -103,7 +102,7 @@ def test_variation_zero_displacement():
     p = MultilinearProblem(Modular(np.ones(3)))
     rng = RngStream(2)
     x = np.full(3, 0.4)
-    est = variation_exact_hessian(p, x, x, rng.child(0), rng.child(1))
+    est = variation_exact_hessian(p, x, x, rng)
     assert np.allclose(est.delta_tilde, 0.0)
 
 
@@ -112,7 +111,7 @@ def test_variation_quadratic_deterministic():
     rng = RngStream(3)
     x_t = np.array([0.5, 0.1, -0.2])
     x_p = np.array([0.1, 0.0, 0.3])
-    est = variation_exact_hessian(p, x_t, x_p, rng.child(0), rng.child(1))
+    est = variation_exact_hessian(p, x_t, x_p, rng)
     assert np.allclose(est.delta_tilde, x_t - x_p)
 
 
@@ -129,7 +128,7 @@ def test_variation_unbiased_monte_carlo():
     sq = np.zeros(6)
     for i in range(n):
         it = rng.child(i)
-        d = variation_exact_hessian(p, x_t, x_p, it.child(0), it.child(1)).delta_tilde
+        d = variation_exact_hessian(p, x_t, x_p, it).delta_tilde
         acc += d
         sq += d * d
     mean = acc / n
@@ -155,12 +154,24 @@ def test_grad_diff_phi_cubic_hand_example():
         def logp_hess_vec(self, x, s, u):
             return np.zeros(1)
 
+        def sample(self, x, rng):
+            return Sample(z=None)
+
+        def one_sample_grad(self, x, s):
+            return self.grad(x, s)
+
+    class Half:
+        # a stream whose every child draws a = 0.5
+        def child(self, label):
+            return self
+
+        def uniform(self):
+            return 0.5
+
     p = Cubic()
-    rng = RngStream(5)
     # x_t = 1.05, x_prev = 0.95 -> u = 0.1, interpolation fixed at a=0.5 -> x=1
     est = variation_grad_diff(p, np.array([1.05]), np.array([0.95]), delta=1.0,
-                              rng_a=rng.child(0), rng_z=rng.child(1),
-                              a=0.5, sample=Sample(z=None))
+                              it=Half())
     # phi = (psi'(1.1) - psi'(0.9)) / 2 = (3.63 - 2.43)/2 = 0.6 = H*u + 0
     assert est.delta_tilde[0] == pytest.approx(0.6, abs=1e-12)
 
@@ -170,15 +181,14 @@ def test_grad_diff_exact_for_quadratic():
     rng = RngStream(6)
     x_t, x_p = np.array([0.4, 0.1]), np.array([0.0, 0.0])
     for delta in (0.5, 0.01):
-        est = variation_grad_diff(p, x_t, x_p, delta, rng.child(0), rng.child(1))
+        est = variation_grad_diff(p, x_t, x_p, delta, rng)
         assert np.allclose(est.delta_tilde, x_t - x_p, atol=1e-12)
 
 
 def test_grad_diff_requires_positive_delta():
     p = Quadratic(np.zeros(2))
     with pytest.raises(ValueError):
-        variation_grad_diff(p, np.ones(2), np.zeros(2), 0.0,
-                            RngStream(0), RngStream(1))
+        variation_grad_diff(p, np.ones(2), np.zeros(2), 0.0, RngStream(0))
 
 
 def test_oblivious_variation_exact_expectation():

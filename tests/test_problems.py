@@ -483,4 +483,4 @@ def test_constants_spot_check():
     for x in probes:
         for _ in range(200):
             s = p.sample(x, rng)
-            assert abs(p.value(x, s)) <= p.constants["B"] + 1e-12
+            assert abs(p.value(x, s)) <= f.bound + 1e-12
