@@ -35,14 +35,9 @@ def main():
 
     rows = {t: {"t": t} for t in pts}
     for option in ("exact_hessian", "grad_diff"):
-        kw = {}
-        if option == "grad_diff":
-            kw = {"constants": p.domain_constants(0.29, 0.71),
-                  "probe_clip": (0.0, 1.0)}
         errs = np.zeros(len(pts))
         for seed in range(args.seeds):
-            tr = one_sfw(p, box, sched, option, RngStream(seed),
-                         log_points=pts, **kw)
+            tr = one_sfw(p, box, sched, option, RngStream(seed), log_points=pts)
             errs += np.array([r.est_error for r in tr.records])
         errs /= args.seeds
         A = np.vstack([np.log(pts), np.ones(len(pts))]).T

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from fwlab.bench import brute_force_opt
-from fwlab.constraints import Box, PartitionMatroid, PartitionMatroidPolytope
+from fwlab.constraints import PartitionMatroid, PartitionMatroidPolytope
 from fwlab.problems import MultilinearProblem, make_facility_location, multilinear_exact
 from fwlab.rng import RngStream
 from fwlab.solvers import Schedule, bcg, dbg, one_sfw
@@ -40,7 +40,7 @@ def main():
         tr = one_sfw(p, poly, Schedule.preset("dr_submodular_max", 2000),
                      "exact_hessian", RngStream(seed), log_points=[2000])
         results["one_sfw"].append(multilinear_exact(f, tr.output))
-        out = bcg(oracle, poly, Box.unit(d), 1000, 0.02, d, RngStream(seed))
+        out = bcg(oracle, poly, RngStream(seed), 1000, 0.02, d)
         results["bcg"].append(multilinear_exact(f, out))
         S = dbg(f, m, 800, 0.05, 20, 1, RngStream(seed))
         results["dbg"].append(float(f(S)))

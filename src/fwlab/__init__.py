@@ -30,7 +30,7 @@ from .problems import (
     multilinear_grad_hess,
 )
 from .solvers import Schedule, bcg, dbg, deterministic_fw, fw_gap, oblivious_sfw, one_sfw
-from .quantize import decode, encode_partition, exact_variance, message_bits
+from .quantize import decode, encode_partition, exact_variance
 from .distsim import run_qfw, run_snc_qfw, schedule_from_theorem
 
 __version__ = "0.1.0"

@@ -213,18 +213,22 @@ def _check_pairings(cfg: RunConfig):
         sizes = [len(b) for b in _read("constraint", cfg.constraint, "blocks")]
     zero = any(b == 0 < n for b, n in zip(budgets, sizes))
     in_unit_box = constraint == "matroid"
+    # l1 balls, matroids and nuclear balls hold 0, and a simplex never does
+    holds_origin = constraint != "simplex"
     if constraint == "box":
-        in_unit_box = bool(_read("constraint", cfg.constraint, "lower").min() >= 0
-                           and _read("constraint", cfg.constraint, "upper").max() <= 1)
+        lower = _read("constraint", cfg.constraint, "lower")
+        upper = _read("constraint", cfg.constraint, "upper")
+        in_unit_box = bool(lower.min() >= 0 and upper.max() <= 1)
+        holds_origin = bool(lower.max() <= 0 <= upper.min())
     elif constraint == "simplex":
         in_unit_box = _read("constraint", cfg.constraint, "scale") <= 1
     capped = False
     if algo == "dbg":
-        # shrink_translate's arithmetic inside [0, 1]^d, where every upper
-        # bound of the shrunk set is min(1, 1 - delta) - delta
+        # shrink_translate's arithmetic, where every upper bound of the
+        # shrunk set is 1 - delta - delta
         delta = _read("solver", cfg.solver, "delta")
-        upper = np.minimum(1.0, 1.0 - delta) - delta
-        capped = any(C.shrunk_cap(b, np.full(n, upper), delta)[1]
+        shrunk = 1.0 - delta - delta
+        capped = any(C.shrunk_cap(b, np.full(n, shrunk), delta)[1]
                      for b, n in zip(budgets, sizes))
     for broken, why in [
         (cfg.distsim is not None and kind != "logistic_csv",
@@ -247,7 +251,7 @@ def _check_pairings(cfg: RunConfig):
         (capped, "dbg needs every matroid budget below its block size by at least "
                  "|block|·solver.delta"),
         # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
-        # problem on a box supplies them (MultilinearProblem.domain_constants).
+        # problem derives them, from a box (MultilinearProblem.domain_constants).
         (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"
          and not (multilinear and constraint == "box"),
          "solver.option=grad_diff needs a multilinear problem on a box constraint"),
@@ -256,6 +260,14 @@ def _check_pairings(cfg: RunConfig):
         (algo in ("one_sfw", "scg") and multilinear and not in_unit_box,
          f"{algo} on a multilinear problem needs a matroid, a box within "
          "[0, 1] or a simplex of scale <= 1"),
+        # The momentum solvers start DR maximization at 0 (bcg and dbg read
+        # no mode).
+        (algo in ("one_sfw", "oblivious_sfw", "scg")
+         and _read("solver", cfg.solver, "mode") == "dr_submodular_max"
+         and not holds_origin,
+         f"{algo} under solver.mode=dr_submodular_max starts at 0, which the "
+         "constraint must hold (a box needs lower <= 0 <= upper; a simplex "
+         "never holds 0)"),
     ]:
         if broken:
             raise ValueError(why)
@@ -425,13 +437,7 @@ def _run_one_seed(cfg: RunConfig, seed: int):
         c, a = s["eta_c"], s["eta_a"]
         sched.eta_fn = lambda t: min(1.0, c / (t + 1.0) ** a)
     if algo == "one_sfw":
-        consts = None
-        if s["option"] == "grad_diff":  # load_config admits only multilinear on a box
-            lo, hi = float(np.min(set_.lower)), float(np.max(set_.upper))
-            consts = problem.domain_constants(max(lo - 1e-2, 1e-3),
-                                              min(hi + 1e-2, 1 - 1e-3))
-        return one_sfw(problem, set_, sched, s["option"], rng, constants=consts,
-                       probe_clip=(0.0, 1.0) if problem.mode == "nonoblivious" else None)
+        return one_sfw(problem, set_, sched, s["option"], rng)
     if algo == "oblivious_sfw":
         return oblivious_sfw(problem, set_, sched, rng)
     if algo == "scg":
@@ -442,7 +448,7 @@ def _run_one_seed(cfg: RunConfig, seed: int):
     # bcg and dbg: load_config admits them only on a multilinear problem.
     if algo == "bcg":
         out = bcg(lambda Y: P.multilinear_exact(setf, np.clip(Y, 0, 1)), set_,
-                  C.Box.unit(problem.dim), T, s["delta"], s["batch"], rng)
+                  rng, T, s["delta"], s["batch"])
         return SolveTrace(output=out, meta={"objective": problem.exact_value(out)})
     members = dbg(setf, set_.matroid, T, s["delta"], s["l"], s["batch"], rng)
     return SolveTrace(output=members.astype(float),

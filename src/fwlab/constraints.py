@@ -107,8 +107,8 @@ class Box(FeasibleSet):
         self.dim = lower.size
 
     @classmethod
-    def unit(cls, dim: int, scale: float = 1.0) -> "Box":
-        return cls(np.zeros(dim), np.full(dim, float(scale)))
+    def unit(cls, dim: int) -> "Box":
+        return cls(np.zeros(dim), np.ones(dim))
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
@@ -335,7 +335,7 @@ class NuclearNormBall(FeasibleSet):
     def lmo_min(self, g):
         g = _check_dim(self, g)
         G = g.reshape(self.rows, self.cols)
-        M, _ = nuclear_lmo(G, self.radius, tol=1e-8, max_iter=1000, rng=self._rng)
+        M, _ = nuclear_lmo(G, self.radius, rng=self._rng)
         return M.ravel()
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
@@ -347,9 +347,10 @@ class NuclearNormBall(FeasibleSet):
         return 2.0 * self.radius
 
 
-def nuclear_lmo(G: np.ndarray, radius: float, tol: float = 1e-8,
-                max_iter: int = 1000, rng: RngStream | None = None):
-    """Rank-1 minimizer of <M, G> over the nuclear-norm ball, by power iteration.
+def nuclear_lmo(G: np.ndarray, radius: float, rng: RngStream | None = None):
+    """Rank-1 minimizer of <M, G> over the nuclear-norm ball, by power
+    iteration: at most 1000 steps, until the Rayleigh quotient moves by less
+    than 1e-8 relative.
 
     Returns ``(M, flags)`` where ``M = -radius * u1 v1^T`` built from the top
     singular pair of ``G``.  ``flags`` is a dict with ``degenerate`` (G = 0)
@@ -367,14 +368,14 @@ def nuclear_lmo(G: np.ndarray, radius: float, tol: float = 1e-8,
     def power(v0):
         v = v0 / np.linalg.norm(v0)
         last = -np.inf
-        for _ in range(max_iter):
+        for _ in range(1000):
             w = G.T @ (G @ v)
             nw = np.linalg.norm(w)
             if nw == 0:
                 return v, 0.0, False
             v = w / nw
             rq = float(v @ (G.T @ (G @ v)))
-            if abs(rq - last) < tol * max(1.0, rq):
+            if abs(rq - last) < 1e-8 * max(1.0, rq):
                 return v, rq, True
             last = rq
         return v, last, False
@@ -405,32 +406,27 @@ def shrunk_cap(budget: float, upper: np.ndarray, delta: float) -> tuple[float, b
     return min(want, mass), want > mass
 
 
-def shrink_translate(set_: FeasibleSet, box: Box, delta: float) -> FeasibleSet:
-    """Shrink the ambient box by delta on every face and translate by -delta.
+def shrink_translate(set_: FeasibleSet, delta: float) -> FeasibleSet:
+    """Shrink the unit box by delta on every face and translate by -delta.
 
-    For an ambient box prod [0, a_i] and constraint set K inside it, the
-    result is (X'_delta  intersect  K) - delta*1, realized exactly for the
-    supported kinds: boxes and partition-matroid polytopes (the latter as a
+    For a constraint set K inside [0, 1]^d, the result is
+    (X'_delta  intersect  K) - delta*1, realized exactly for the supported
+    kinds: boxes and partition-matroid polytopes (the latter as a
     :class:`BudgetBoxPolytope`).
     """
-    if np.any(box.lower != 0):
-        raise ValueError("ambient box must be prod [0, a_i]")
-    a = box.upper
-    if delta < 0 or (delta > 0 and delta >= float(np.min(a)) / 2):
-        raise InfeasibleShrinkError(f"delta={delta} too large for the ambient box")
+    if delta < 0 or delta >= 0.5:
+        raise InfeasibleShrinkError(f"delta={delta} too large for the unit box")
     if delta == 0:
         return set_
 
     if isinstance(set_, Box):
         lo = np.maximum(set_.lower - delta, 0.0)
-        hi = np.minimum(set_.upper, a - delta) - delta
+        hi = np.minimum(set_.upper, 1.0 - delta) - delta
         if np.any(hi < lo - MEMBERSHIP_TOL):
             raise InfeasibleShrinkError("empty box after shrink")
         return Box(lo, np.maximum(hi, lo))
     if isinstance(set_, PartitionMatroidPolytope):
-        upper = np.minimum(1.0, a - delta) - delta
-        if np.any(upper < 0):
-            raise InfeasibleShrinkError("empty set after shrink")
+        upper = np.full(set_.dim, 1.0 - delta - delta)
         caps = [shrunk_cap(b, upper[blk], delta)[0]
                 for blk, b in zip(set_.blocks, set_.budgets)]
         if any(c < 0 for c in caps):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .constraints import FeasibleSet
 from .problems import FiniteSumProblem, StochasticProblem, ordered_means
-from .quantize import UNQUANTIZED, decode, encode_partition, message_bits
-from .rng import RngStream, check_finite
+from .quantize import UNQUANTIZED, decode, encode_partition
+from .rng import RngStream
 from .solvers import IterationRecord, SolveTrace, fw_gap
 
 __all__ = [
@@ -156,7 +156,7 @@ def _send(vec: np.ndarray, s: int, rng: RngStream, ledger: BitLedger,
         ledger.charge(round_, direction, RAW_BITS_PER_COORD * vec.size)
         return vec.copy()
     msg = encode_partition(vec, s, rng)
-    ledger.charge(round_, direction, message_bits(msg))
+    ledger.charge(round_, direction, msg.bits)
     return decode(msg)
 
 
@@ -214,8 +214,6 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
                              "mode": cfg.mode})
     nonconvex = cfg.setting.endswith("nonconvex")
     iterates = [x0.copy()]
-    if log_points is None:
-        log_points = set(range(1, T + 1)) if T <= 256 else None
     for t, i, k in _round_schedule(cfg, T):
         s1, s2 = int(cfg.s1_fn(i, k)), int(cfg.s2_fn(i, k))
         size = cfg.anchor_batch_fn(i) if k == 1 else cfg.inner_batch_fn(i, k)
@@ -270,10 +268,8 @@ def _run_fl(problem, set_, cfg, T, rng, log_points):
     for t in range(1, T + 1):
         V = np.stack([set_.lmo_min(g) for g in problem.batch_grad(X, idx)])
         X = X + float(cfg.eta_fn(1, 1, t)) * (V - X)
-        for _ in range(M):
-            ledger.charge(t, "up", RAW_BITS_PER_COORD * d)
-        avg = ordered_means(X)[0]
-        ledger.charge(t, "down", RAW_BITS_PER_COORD * d)
+        sent = np.stack([_send(x, UNQUANTIZED, None, ledger, t, "up") for x in X])
+        avg = _send(ordered_means(sent)[0], UNQUANTIZED, None, ledger, t, "down")
         X = np.tile(avg, (M, 1))
         if log_points is None or t in log_points:
             trace.records.append(IterationRecord(

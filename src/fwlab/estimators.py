@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Sample, StochasticProblem
+from .problems import Sample, StochasticProblem, five_term_estimate
 from .rng import RngStream, check_finite, sample_unit_ball, sample_unit_sphere
 
 __all__ = [
@@ -83,16 +83,15 @@ def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
 
 
 def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
-                        it: RngStream,
-                        probe_clip: tuple | None = None) -> VariationEstimate:
+                        it: RngStream) -> VariationEstimate:
     """Gradient-difference variant: second-order oracles replaced by
     central differences of first-order oracles along u = x_t - x_prev.
 
     phi(delta; psi) = [grad psi(x + delta u) - grad psi(x - delta u)] / (2 delta)
     approximates grad^2 psi(x) u with error at most L2 * delta * ||u||^2.
-    x(a) and z are drawn as in :func:`variation_exact_hessian`.
-    ``probe_clip`` = (lo, hi) clamps probe points into the oracle domain
-    (flagged on the result).
+    x(a) and z are drawn as in :func:`variation_exact_hessian`.  A
+    non-oblivious problem's sample law is defined on [0, 1]^d only, so its
+    probe points are clipped into it (flagged on the result).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -104,19 +103,15 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
 
     xp, xm = xa + delta * u, xa - delta * u
     clamped = False
-    if probe_clip is not None:
-        lo, hi = probe_clip
-        cp, cm = np.clip(xp, lo, hi), np.clip(xm, lo, hi)
+    if p.mode == "nonoblivious":
+        cp, cm = np.clip(xp, 0.0, 1.0), np.clip(xm, 0.0, 1.0)
         clamped = bool(np.any(cp != xp) or np.any(cm != xm))
         xp, xm = cp, cm
 
-    val = p.value(xa, sample)
-    gF = p.grad(xa, sample)
-    lg = p.logp_grad(xa, sample)
-    lg_u = float(lg @ u)
     phi_F = (p.grad(xp, sample) - p.grad(xm, sample)) / (2.0 * delta)
     phi_lp = (p.logp_grad(xp, sample) - p.logp_grad(xm, sample)) / (2.0 * delta)
-    dt = val * lg_u * lg + phi_F + lg_u * gF + val * phi_lp + float(gF @ u) * lg
+    dt = five_term_estimate(p.value(xa, sample), p.grad(xa, sample),
+                            p.logp_grad(xa, sample), u, phi_F, phi_lp)
     return VariationEstimate(check_finite(dt, "grad-diff estimate"), g_t, clamped)
 
 

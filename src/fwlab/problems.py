@@ -21,6 +21,7 @@ from .rng import RngStream, check_finite
 __all__ = [
     "Sample",
     "StochasticProblem",
+    "five_term_estimate",
     "Quadratic",
     "NQP",
     "LogisticL1",
@@ -71,6 +72,22 @@ class Sample:
     fz: float | None = None
 
 
+def five_term_estimate(val: float, grad: np.ndarray, logp_grad: np.ndarray,
+                       u: np.ndarray, hess_u: np.ndarray,
+                       logp_hess_u: np.ndarray) -> np.ndarray:
+    """The one-sample Hessian-vector estimate from one draw's oracles:
+
+    F̃ ⟨∇log p, u⟩ ∇log p + ∇²F̃ u + ⟨∇log p, u⟩ ∇F̃ + F̃ ∇²log p u
+    + ⟨∇F̃, u⟩ ∇log p,
+
+    with ``hess_u`` standing for ∇²F̃ u and ``logp_hess_u`` for ∇²log p u
+    (exact products, or the central differences of the grad-diff variant).
+    """
+    lg_u = float(logp_grad @ u)
+    return (val * lg_u * logp_grad + hess_u + lg_u * grad + val * logp_hess_u
+            + float(grad @ u) * logp_grad)
+
+
 class StochasticProblem:
     """Oracle bundle; subclasses fill in the per-sample and exact oracles.
 
@@ -113,25 +130,14 @@ class StochasticProblem:
         raise NotImplementedError
 
     def hessian_estimate(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
-        """One-sample estimate of ∇²F(x) u from z ∼ p(·;x), in five terms:
-
-        F̃ ⟨∇log p, u⟩ ∇log p + ∇²F̃ u + ⟨∇log p, u⟩ ∇F̃ + F̃ ∇²log p u
-        + ⟨∇F̃, u⟩ ∇log p.
-
-        Its expectation is ∇²F(x) u because the second derivative of the
+        """One-sample estimate of ∇²F(x) u from z ∼ p(·;x): the
+        :func:`five_term_estimate` of the sample's oracles at x.  Its
+        expectation is ∇²F(x) u because the second derivative of the
         density satisfies ∇²p = p (∇log p ∇log pᵀ + ∇²log p).
         """
-        val = self.value(x, s)
-        gF = self.grad(x, s)
-        lg = self.logp_grad(x, s)
-        lg_u = float(lg @ u)
-        return (
-            val * lg_u * lg
-            + self.hess_vec(x, s, u)
-            + lg_u * gF
-            + val * self.logp_hess_vec(x, s, u)
-            + float(gF @ u) * lg
-        )
+        return five_term_estimate(self.value(x, s), self.grad(x, s),
+                                  self.logp_grad(x, s), u, self.hess_vec(x, s, u),
+                                  self.logp_hess_vec(x, s, u))
 
     def one_sample_grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
         """Unbiased one-sample gradient: ∇F̃(x;z) + F̃(x;z)∇log p(z;x)."""
@@ -728,15 +734,18 @@ class MultilinearProblem(StochasticProblem):
         F, g, _ = multilinear_grad_hess(self.f, x, want_hess=False)
         return F, g
 
-    def domain_constants(self, lo: float, hi: float) -> dict:
-        """Analytic (B, G, L, L2) valid when iterates stay in [lo, hi]^d.
+    def domain_constants(self, box) -> dict:
+        """Analytic (B, G, L, L2) valid on [lo, hi]^d, the box ``box``
+        widened by 1e-2 on each side and kept 1e-3 inside (0, 1).
 
         The bounds cover the score-function terms: the log-density gradient
         has coordinates at most m = max(1/lo, 1/(1−hi)) in magnitude, its
         Hessian diagonal at most m², and the third derivative at most 2m³.
         """
-        if not 0 < lo < hi < 1:
-            raise ValueError("need 0 < lo < hi < 1")
+        lo = max(float(np.min(box.lower)) - 1e-2, 1e-3)
+        hi = min(float(np.max(box.upper)) + 1e-2, 1 - 1e-3)
+        if not lo < hi:
+            raise ValueError("need a box with lower < upper inside [0, 1]")
         m = max(1.0 / lo, 1.0 / (1.0 - hi))
         d = self.dim
         B = self.f.bound

@@ -22,7 +22,6 @@ __all__ = [
     "decode",
     "exact_variance",
     "variance_upper_bound",
-    "message_bits",
     "encode_decode_batch",
     "UNQUANTIZED",
 ]
@@ -41,7 +40,6 @@ class QuantizedMessage:
     levels: np.ndarray     # integers in [0, s]
     inf_norm: float
     s: int
-    bits: int
 
     def __post_init__(self):
         d = self.signs.size
@@ -53,15 +51,24 @@ class QuantizedMessage:
             raise ValueError("zero vector must have all-zero levels")
         if d and (self.levels.min() < 0 or self.levels.max() > self.s):
             raise ValueError("level outside [0, s]")
-        if self.bits != 32 + d * (_levels_z(self.s) + 1):
-            raise ValueError("bit count does not match 32 + d(z+1)")
+
+    @property
+    def bits(self) -> int:
+        """32 + d(z+1): the norm, then a sign and z level bits per coordinate."""
+        return 32 + self.signs.size * (_levels_z(self.s) + 1)
 
 
-def _ratios(g: np.ndarray):
-    inf = float(np.max(np.abs(g))) if g.size else 0.0
+def _partition_law(g: np.ndarray, s: int):
+    """(||g||_inf, floor levels lo, round-up probabilities q) of the
+    s-partition law: coordinate i is sent at level lo_i + 1 with
+    probability q_i and at lo_i otherwise (all zero for a zero vector)."""
+    a = np.abs(g)
+    inf = float(a.max()) if g.size else 0.0
     if inf == 0.0:
-        return inf, np.zeros(g.size)
-    return inf, np.abs(g) / inf
+        return inf, np.zeros(g.size, dtype=np.int64), np.zeros(g.size)
+    rs = a / inf * s                         # the ratio |g_i| / inf, times s
+    lo = np.minimum(np.floor(rs), s - 1).astype(np.int64)
+    return inf, lo, rs - lo
 
 
 def encode_partition(g: np.ndarray, s: int, rng: RngStream) -> QuantizedMessage:
@@ -69,18 +76,10 @@ def encode_partition(g: np.ndarray, s: int, rng: RngStream) -> QuantizedMessage:
     if s < 1:
         raise ValueError("partition count s must be >= 1")
     g = check_finite(g, "quantizer input")
-    d = g.size
-    a = np.abs(g)
-    inf = float(a.max()) if d else 0.0
-    if inf == 0.0:
-        levels = np.zeros(d, dtype=np.int64)
-    else:
-        rs = a / inf * s                     # the ratio |g_i| / inf, times s
-        lo = np.minimum(np.floor(rs), s - 1).astype(np.int64)
-        levels = lo + (rng.random(d) < rs - lo)
-    signs = np.sign(g).astype(np.int64)
-    bits = 32 + d * (_levels_z(s) + 1)
-    return QuantizedMessage(signs=signs, levels=levels, inf_norm=inf, s=s, bits=bits)
+    inf, lo, q = _partition_law(g, s)
+    levels = lo + (rng.random(g.size) < q) if inf else lo
+    return QuantizedMessage(signs=np.sign(g).astype(np.int64), levels=levels,
+                            inf_norm=inf, s=s)
 
 
 def decode(msg: QuantizedMessage) -> np.ndarray:
@@ -89,12 +88,8 @@ def decode(msg: QuantizedMessage) -> np.ndarray:
 
 def bernoulli_params(g: np.ndarray, s: int):
     """Per-coordinate Bernoulli split probability q_i used by the encoder."""
-    g = check_finite(g, "quantizer input")
-    inf, r = _ratios(g)
-    if inf == 0.0:
-        return inf, np.zeros(g.size)
-    lo = np.minimum(np.floor(r * s), s - 1)
-    return inf, r * s - lo
+    inf, _, q = _partition_law(check_finite(g, "quantizer input"), s)
+    return inf, q
 
 
 def exact_variance(g: np.ndarray, s: int) -> float:
@@ -112,18 +107,11 @@ def variance_upper_bound(g: np.ndarray, s: int) -> float:
     return g.size / (s * s) * inf * inf
 
 
-def message_bits(msg: QuantizedMessage) -> int:
-    return msg.bits
-
-
 def encode_decode_batch(g: np.ndarray, s: int, n_rounds: int, rng: RngStream) -> np.ndarray:
     """Vectorized decode(encode(g)) repeated n_rounds times; rows are rounds."""
     g = check_finite(g, "quantizer input")
-    d = g.size
-    inf, r = _ratios(g)
+    inf, lo, q = _partition_law(g, s)
     if inf == 0.0:
-        return np.zeros((n_rounds, d))
-    lo = np.minimum(np.floor(r * s), s - 1)
-    q = r * s - lo
-    levels = lo[None, :] + (rng.random((n_rounds, d)) < q[None, :])
+        return np.zeros((n_rounds, g.size))
+    levels = lo[None, :] + (rng.random((n_rounds, g.size)) < q[None, :])
     return np.sign(g)[None, :] * (levels / s) * inf

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import MEMBERSHIP_TOL, FeasibleSet, shrink_translate
+from .constraints import MEMBERSHIP_TOL, Box, FeasibleSet, pipage_round, shrink_translate
 from .estimators import (
     VariationEstimate,
     grad_diff_delta,
@@ -23,7 +23,7 @@ from .estimators import (
     variation_grad_diff,
     variation_oblivious,
 )
-from .problems import StochasticProblem
+from .problems import MultilinearProblem, StochasticProblem
 from .rng import RngStream, check_finite
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _OUTPUT_STREAM = 0xA11
+_LOG_POINTS = 64
 
 #: Variation estimators of :func:`one_sfw`.
 ONE_SFW_OPTIONS = ("exact_hessian", "grad_diff")
@@ -121,10 +122,11 @@ def fw_gap(grad: np.ndarray, set_: FeasibleSet, x: np.ndarray) -> float:
     return max(g, 0.0)
 
 
-def _default_log_points(T: int, n: int = 64):
-    if T <= n:
+def _default_log_points(T: int):
+    """Every t for a short run, else _LOG_POINTS geometrically spaced t and T."""
+    if T <= _LOG_POINTS:
         return set(range(1, T + 1))
-    pts = np.unique(np.geomspace(1, T, num=n).astype(int))
+    pts = np.unique(np.geomspace(1, T, num=_LOG_POINTS).astype(int))
     return set(pts.tolist()) | {T}
 
 
@@ -133,11 +135,7 @@ def _assert_member(set_: FeasibleSet, x, what: str):
         raise ValueError(f"{what} left the feasible set")
 
 
-def _start_point(set_: FeasibleSet, mode: str, x1):
-    if x1 is not None:
-        x1 = check_finite(x1, "start point")
-        _assert_member(set_, x1, "start point")
-        return x1.copy()
+def _start_point(set_: FeasibleSet, mode: str):
     if mode == "dr_submodular_max":
         x0 = np.zeros(set_.dim)
         _assert_member(set_, x0, "origin start (DR mode needs 0 in the set)")
@@ -160,7 +158,7 @@ def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
 
 
 def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-                 rng: RngStream, variation, x1=None, log_points=None,
+                 rng: RngStream, variation, log_points=None,
                  keep_snapshots=False) -> SolveTrace:
     """Shared driver: ``variation(t, x_t, x_prev, it_rng)`` draws iteration
     t's one sample from ``it_rng`` and returns a :class:`VariationEstimate`:
@@ -174,7 +172,7 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     p.samples_drawn = 0
 
     dr = sched.mode == "dr_submodular_max"
-    x = _start_point(set_, sched.mode, x1)
+    x = _start_point(set_, sched.mode)
     iterates = [x.copy()] if sched.mode == "nonconvex_min" else None
     vertex_sum = np.zeros(set_.dim)
 
@@ -212,34 +210,34 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
 
 
 def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-            option: str, rng: RngStream, x1=None, log_points=None,
-            keep_snapshots=False, constants=None, probe_clip=None) -> SolveTrace:
+            option: str, rng: RngStream, log_points=None,
+            keep_snapshots=False) -> SolveTrace:
     """Momentum Frank-Wolfe with one stochastic sample per iteration.
 
     ``option`` picks the variation estimator: "exact_hessian" uses the
     one-sample Hessian estimate, "grad_diff" its finite-difference
     approximation with radius delta_t = sqrt(3) eta_{t-1} Lbar / (D L2 (1+B)),
-    whose constants B, G, L, L2 ``constants`` must supply.
+    whose constants B, G, L, L2 a multilinear problem derives from the box
+    ``set_`` (:meth:`MultilinearProblem.domain_constants`).
     """
     if option not in ONE_SFW_OPTIONS:
         raise ValueError(f"unknown option {option!r}")
     if option == "grad_diff":
-        if constants is None:
-            raise ValueError("grad_diff needs problem constants")
-        D = set_.diameter()
+        if not (isinstance(p, MultilinearProblem) and isinstance(set_, Box)):
+            raise ValueError("grad_diff needs a multilinear problem on a box")
+        constants, D = p.domain_constants(set_), set_.diameter()
 
     def variation(t, x, x_prev, it):
         if option == "exact_hessian":
             return variation_exact_hessian(p, x, x_prev, it)
         delta = grad_diff_delta(sched.eta(t - 1), constants, D)
-        return variation_grad_diff(p, x, x_prev, delta, it, probe_clip)
+        return variation_grad_diff(p, x, x_prev, delta, it)
 
-    return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
-                        keep_snapshots)
+    return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
 
 
 def oblivious_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-                  rng: RngStream, x1=None, log_points=None,
+                  rng: RngStream, log_points=None,
                   keep_snapshots=False) -> SolveTrace:
     """Momentum Frank-Wolfe with the same-sample gradient difference
     (valid only when the sample law does not depend on x)."""
@@ -249,12 +247,11 @@ def oblivious_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     def variation(t, x, x_prev, it):
         return variation_oblivious(p, x, x_prev, p.sample(x, it.child(1)))
 
-    return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
-                        keep_snapshots)
+    return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
 
 
 def scg_baseline(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-                 rng: RngStream, x1=None, log_points=None,
+                 rng: RngStream, log_points=None,
                  keep_snapshots=False) -> SolveTrace:
     """Momentum-only baseline: d_t = (1-rho_t) d_{t-1} + rho_t g_t."""
 
@@ -262,22 +259,21 @@ def scg_baseline(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         return VariationEstimate(np.zeros(p.dim),
                                  p.one_sample_grad(x, p.sample(x, it.child(1))))
 
-    return _momentum_fw(p, set_, sched, rng, variation, x1, log_points,
-                        keep_snapshots)
+    return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
 
 
 def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
-                     step_rule="two_over_t_plus_two", x1=None,
                      value_oracle=None) -> SolveTrace:
-    """Classical Frank-Wolfe with an exact gradient oracle."""
-    x = x1.copy() if x1 is not None else set_.lmo_min(np.zeros(set_.dim))
+    """Classical Frank-Wolfe with an exact gradient oracle and step
+    2/(k+2), from the vertex lmo_min(0)."""
+    x = set_.lmo_min(np.zeros(set_.dim))
     _assert_member(set_, x, "start point")
     trace = SolveTrace(meta={"mode": "deterministic"})
     t0 = time.perf_counter()
     for k in range(1, int(T) + 1):
         g = grad_oracle(x)
         v = set_.lmo_min(g)
-        eta = 2.0 / (k + 2.0) if step_rule == "two_over_t_plus_two" else float(step_rule)
+        eta = 2.0 / (k + 2.0)
         obj = None if value_oracle is None else float(value_oracle(x))
         trace.records.append(IterationRecord(
             t=k, objective=obj, fw_gap=fw_gap(g, set_, x),
@@ -288,30 +284,29 @@ def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
     return trace
 
 
-def bcg(value_oracle, set_: FeasibleSet, box, T: int, delta: float,
-        batch_fn, rng: RngStream, log_fn=None) -> np.ndarray:
+def bcg(value_oracle, set_: FeasibleSet, rng: RngStream, T: int, delta: float,
+        batch: int, log_fn=None) -> np.ndarray:
     """Zeroth-order continuous greedy for monotone DR maximization.
 
     Works on the shrunk-translated set K' = (X'_delta intersect K) - delta 1
     so every two-point probe delta 1 + x_t +/- delta u stays inside the
-    function's box domain.  rho_t = 2/(t+3)^{2/3}; the update x += v/T
+    function's domain [0, 1]^d.  rho_t = 2/(t+3)^{2/3}; the update x += v/T
     averages T vertices of K'; the output is shifted back by delta 1.
     ``value_oracle`` maps a (k, d) array of points to their (k,) values;
-    each iteration makes one call, on all 2·batch probes.
+    each iteration makes one call, on all 2·batch probes.  ``T`` stays the
+    fourth positional argument: perfbench's tracer reads it there.
     """
     if not 0 < delta:
         raise ValueError("delta must be positive")
     T = int(T)
-    kp = shrink_translate(set_, box, delta)
-    if isinstance(batch_fn, int):
-        b, batch_fn = batch_fn, lambda t: b
+    kp = shrink_translate(set_, delta)
     shift = delta * np.ones(set_.dim)
     x = np.zeros(set_.dim)
     gbar = np.zeros(set_.dim)
     for t in range(1, T + 1):
         rho = 2.0 / (t + 3.0) ** (2.0 / 3.0)
         g = two_point_gradient(lambda Y: value_oracle(Y + shift), x, delta,
-                               int(batch_fn(t)), rng.child(t))
+                               batch, rng.child(t))
         gbar = (1.0 - rho) * gbar + rho * g
         v = kp.lmo_max(gbar)
         x = x + v / T
@@ -329,9 +324,6 @@ def dbg(f, m, T: int, delta: float, l: int, batch, rng: RngStream):
     extension with each value query replaced by the average of ``l``
     sampled f(S), S drawn coordinate-independently from the query point,
     followed by value-preserving rounding to a matroid base."""
-    from .constraints import pipage_round
-    from .problems import Modular
-
     if l < 1:
         raise ValueError("sample count l must be >= 1")
     if not 0 < delta < 0.5:
@@ -339,10 +331,7 @@ def dbg(f, m, T: int, delta: float, l: int, batch, rng: RngStream):
     d = m.ground_size
     if all(b == 0 for b in m.budgets):
         return np.zeros(d, dtype=bool)
-    from .constraints import Box as _Box
-
     set_ = m.polytope()
-    box = _Box.unit(d)
     oracle_rng = rng.child(0xD1)
 
     def value_oracle(Y):
@@ -354,5 +343,5 @@ def dbg(f, m, T: int, delta: float, l: int, batch, rng: RngStream):
             out[r] = np.mean(f.batch(draws))
         return out
 
-    x = bcg(value_oracle, set_, box, T, delta, batch, rng.child(0xD2))
+    x = bcg(value_oracle, set_, rng.child(0xD2), T, delta, batch)
     return pipage_round(x, m, f, rng.child(0xD3))

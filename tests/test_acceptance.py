@@ -99,15 +99,10 @@ def _decay_slope(option):
     T = 1024
     pts = sorted(set(np.geomspace(32, T, 24).astype(int).tolist()))
     sched = Schedule.preset("nonconvex_min", T)
-    kw = {}
-    if option == "grad_diff":
-        kw = {"constants": p.domain_constants(0.29, 0.71),
-              "probe_clip": (0.0, 1.0)}
     errs = np.zeros(len(pts))
     n_seeds = 50
     for seed in range(n_seeds):
-        tr = one_sfw(p, box, sched, option, RngStream(seed),
-                     log_points=pts, **kw)
+        tr = one_sfw(p, box, sched, option, RngStream(seed), log_points=pts)
         errs += np.array([r.est_error for r in tr.records])
     return _log_log_slope(pts, errs / n_seeds)
 
@@ -126,7 +121,7 @@ def test_02_grad_diff_matches_exact_hessian_variant():
     f = _normalized_facility(8, 5, 42)
     p = MultilinearProblem(f)
     box = Box(np.full(8, 0.3), np.full(8, 0.7))
-    consts = p.domain_constants(0.29, 0.71)
+    consts = p.domain_constants(box)
     D = box.diameter()
     T = 200
     sched = Schedule.preset("nonconvex_min", T)
@@ -140,8 +135,7 @@ def test_02_grad_diff_matches_exact_hessian_variant():
             e1 = variation_exact_hessian(p, x_t, x_p, it)
             it = RngStream(seed).child(t)
             delta = grad_diff_delta(sched.eta(t - 1), consts, D)
-            e2 = variation_grad_diff(p, x_t, x_p, delta, it,
-                                     probe_clip=(0.0, 1.0))
+            e2 = variation_grad_diff(p, x_t, x_p, delta, it)
             err = float(np.linalg.norm(e2.delta_tilde - e1.delta_tilde))
             bound = (1 + consts["B"]) * D**2 * consts["L2"] * delta + 1e-9
             assert err <= bound, f"seed {seed} t {t}: {err} > {bound}"
@@ -374,7 +368,7 @@ def test_12_black_box_continuous_greedy_guarantee():
     thr = (1 - 1 / math.e) * opt - 0.07 * opt
     oracle = lambda Y: multilinear_exact(f, np.clip(Y, 0.0, 1.0))
     for seed in range(30):
-        out = bcg(oracle, poly, Box.unit(8), 1000, 0.02, 8, RngStream(seed))
+        out = bcg(oracle, poly, RngStream(seed), 1000, 0.02, 8)
         assert poly.contains(out, tol=1e-8)
         val = multilinear_exact(f, out)
         assert val >= thr, f"seed {seed}: {val:.3f} < {thr:.3f}"

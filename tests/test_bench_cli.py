@@ -514,11 +514,17 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     (SUBMAX_INI, ["constraint.kind=nuclear", "constraint.rows=2",
                   "constraint.cols=2", "solver.mode=convex_min"],
      "one_sfw on a multilinear problem needs"),
+    # DR maximization starts at 0, which neither set holds; once every seed
+    # exited 3
+    (SUBMAX_INI, ["constraint.kind=simplex"], "starts at 0"),
+    (SUBMAX_INI, ["constraint.kind=box", "constraint.lower=0.3",
+                  "constraint.upper=0.7"], "starts at 0"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
         "dbg-zero-budget", "dbg-full-budget", "one_sfw-multilinear-l1ball",
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
-        "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear"])
+        "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
+        "dr-simplex", "dr-box-without-origin"])
 def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
@@ -718,6 +724,9 @@ def _table_config(section, group):
     if section == "constraint" and group in ("l1ball", "nuclear"):
         # one_sfw samples a multilinear problem only inside [0, 1]^d
         cfg["problem"]["kind"] = "quadratic"
+    if section == "constraint" and group == "simplex":
+        # DR maximization starts at 0, which a simplex never holds
+        cfg["solver"]["mode"] = "convex_min"
     return cfg
 
 

@@ -12,7 +12,6 @@ from fwlab.quantize import (
     encode_decode_batch,
     encode_partition,
     exact_variance,
-    message_bits,
     variance_upper_bound,
 )
 from fwlab.rng import RngStream
@@ -105,7 +104,7 @@ def test_decode_within_norm_and_bits(g, s):
     dec = decode(msg)
     assert np.all(np.abs(dec) <= msg.inf_norm + 1e-12)
     z = math.ceil(math.log2(s + 1))
-    assert message_bits(msg) == 32 + g.size * (z + 1)
+    assert msg.bits == 32 + g.size * (z + 1)
 
 
 def test_lemma6_hand_values():
@@ -157,9 +156,9 @@ def test_batch_matches_scalar_path_statistically():
 
 
 def test_message_bits_examples():
-    assert message_bits(encode_partition(np.ones(100), 1, RngStream(0))) == 232
-    assert message_bits(encode_partition(np.ones(10), 3, RngStream(0))) == 62
-    assert message_bits(encode_partition(np.zeros(0), 5, RngStream(0))) == 32
+    assert encode_partition(np.ones(100), 1, RngStream(0)).bits == 232
+    assert encode_partition(np.ones(10), 3, RngStream(0)).bits == 62
+    assert encode_partition(np.zeros(0), 5, RngStream(0)).bits == 32
 
 
 def test_invalid_s():
@@ -170,11 +169,11 @@ def test_invalid_s():
 def test_message_invariant_validation():
     with pytest.raises(ValueError):
         QuantizedMessage(signs=np.array([1]), levels=np.array([2]),
-                         inf_norm=0.0, s=2, bits=32 + 1 * 3)
+                         inf_norm=0.0, s=2)
 
 
 _GOOD_MESSAGE = dict(signs=np.array([1, -1]), levels=np.array([2, 1]),
-                     inf_norm=1.5, s=2, bits=32 + 2 * 3)
+                     inf_norm=1.5, s=2)
 
 
 @pytest.mark.parametrize("broken, match", [
@@ -182,8 +181,7 @@ _GOOD_MESSAGE = dict(signs=np.array([1, -1]), levels=np.array([2, 1]),
     (dict(inf_norm=-1.5), "negative inf_norm"),
     (dict(levels=np.array([-1, 1])), "outside"),
     (dict(levels=np.array([2, 3])), "outside"),
-    (dict(bits=32 + 2 * 2), "bit count"),
-], ids=["length", "negative-norm", "level-below-0", "level-above-s", "bits"])
+], ids=["length", "negative-norm", "level-below-0", "level-above-s"])
 def test_message_rejects_each_broken_invariant(broken, match):
     # the zero-vector invariant is test_message_invariant_validation's case
     QuantizedMessage(**_GOOD_MESSAGE)
