@@ -43,12 +43,7 @@ option = grad_diff
 t = 30
 """
 
-FACILITY_MATROID = """\
-[problem]
-kind = multilinear_facility
-dim = 6
-n_clients = 4
-instance_seed = 5
+MATROID_DR = """\
 [constraint]
 kind = matroid
 blocks = 0 1 2 | 3 4 5
@@ -59,6 +54,16 @@ mode = dr_submodular_max
 option = exact_hessian
 t = 30
 """
+
+
+def _multilinear(kind: str, extra: str = "") -> str:
+    """One_sfw exact_hessian, DR max on a matroid, for ``multilinear_<kind>``
+    at d = 6; ``extra`` holds the kind's own problem keys."""
+    return (f"[problem]\nkind = multilinear_{kind}\ndim = 6\n{extra}"
+            f"instance_seed = 5\n" + MATROID_DR)
+
+
+FACILITY_MATROID = _multilinear("facility", "n_clients = 4\n")
 
 QUADRATIC = """\
 [problem]
@@ -112,6 +117,10 @@ RUNS = {
     "one_sfw-grad_diff-box-dr": (
         "submax", COVERAGE_BOX, ["constraint.lower=0", "constraint.upper=0.6"]),
     "one_sfw-exact_hessian-matroid-dr": ("submax", FACILITY_MATROID, []),
+    "one_sfw-concave_modular-matroid-dr": (
+        "submax", _multilinear("concave_modular", "n_users = 3\n"), []),
+    "one_sfw-logdet-matroid-dr": ("submax", _multilinear("logdet"), []),
+    "one_sfw-modular-matroid-dr": ("submax", _multilinear("modular"), []),
     "oblivious_sfw-quadratic-l1ball": ("solve", QUADRATIC, []),
     "scg-nqp-box-dr": ("submax", NQP_BOX, []),
     "deterministic_fw-quadratic-simplex": (
