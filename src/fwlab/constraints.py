@@ -105,6 +105,7 @@ class Box(FeasibleSet):
         self.lower = lower
         self.upper = upper
         self.dim = lower.size
+        self._shifted = {}  # tol -> (lower - tol, upper + tol), for contains
 
     @classmethod
     def unit(cls, dim: int) -> "Box":
@@ -116,7 +117,11 @@ class Box(FeasibleSet):
         return np.where(g > 0, self.lower, np.where(g < 0, self.upper, self.lower))
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        bounds = self._shifted.get(tol)
+        if bounds is None:
+            bounds = self._shifted[tol] = (self.lower - tol, self.upper + tol)
+        lower, upper = bounds
+        return bool(np.all(x >= lower) and np.all(x <= upper))
 
     def diameter(self):
         return float(np.linalg.norm(self.upper - self.lower))

@@ -265,9 +265,9 @@ def _run_fl(problem, set_, cfg, T, rng, log_points):
     ledger = BitLedger()
     trace = SolveTrace(meta={"setting": cfg.setting, "M": M, "T": T,
                              "mode": "fl", "guarantee": "none"})
-    for t in range(1, T + 1):
+    for t, i, k in _round_schedule(cfg, T):
         V = np.stack([set_.lmo_min(g) for g in problem.batch_grad(X, idx)])
-        X = X + float(cfg.eta_fn(1, 1, t)) * (V - X)
+        X = X + float(cfg.eta_fn(i, k, t)) * (V - X)
         sent = np.stack([_send(x, UNQUANTIZED, None, ledger, t, "up") for x in X])
         avg = _send(ordered_means(sent)[0], UNQUANTIZED, None, ledger, t, "down")
         X = np.tile(avg, (M, 1))

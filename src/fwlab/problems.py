@@ -526,11 +526,6 @@ class LogDet(SetFunction):
 
 # --- exact multilinear oracles --------------------------------------------
 
-#: Subset-weight table entries built at once; a stack of points is
-#: processed in row blocks of at most this many entries (one row at d = 20).
-WEIGHT_BLOCK_ENTRIES = 2**20
-
-
 def _all_masks(d: int) -> np.ndarray:
     ints = np.arange(2**d, dtype=np.uint32)
     return (ints[:, None] >> np.arange(d)[None, :]) & 1 == 1
@@ -552,33 +547,37 @@ def _all_values(f: SetFunction) -> np.ndarray:
 def _multilinear_rows(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
     """F at each row of a (k, d) stack, from the 2^d table ``vals``.
 
-    Row r's weight for subset S (bit i of the index set iff i ∈ S) is
-    Π_{i∈S} x_ri Π_{i∉S} (1 − x_ri), multiplied out in coordinate order by
-    doubling: coordinate i splits the first 2^i weights into the halves
-    without and with i.  The products and the per-row ``np.vecdot`` round
-    exactly as a per-point mask product and ``vals @ w`` do.
+    The ground set splits into its low m = ⌊d/2⌋ coordinates and the high
+    d − m, so ``vals`` is the (2^(d−m), 2^m) matrix V of f(S_hi ∪ S_lo), and
+    F(x) = hi(x) @ (V @ lo(x)), where lo and hi hold the subset weights
+    Π_{i∈S} x_i Π_{i∉S} (1 − x_i) of the two halves (bit i of S set iff
+    i ∈ S): one gemv and one dot per row, and k·(2^m + 2^(d−m)) weights in
+    place of a k × 2^d table.  The weights are multiplied out in coordinate
+    order by doubling, both halves at once: coordinate i of a half splits
+    its first 2^i weights into the halves without and with i.  A row rounds
+    as that point alone does, at any k (the stack is never one gemm).
     """
     k, d = X.shape
-    out = np.empty(k)
-    rows = max(1, WEIGHT_BLOCK_ENTRIES >> d)
-    W = np.empty((min(k, rows), 2**d))
-    for lo in range(0, k, rows):
-        Xb = X[lo:lo + rows]
-        w = W[:len(Xb)]
-        w[:, 0] = 1.0
-        for i in range(d):
-            h = 1 << i
-            np.multiply(w[:, :h], Xb[:, i:i + 1], out=w[:, h:2 * h])
-            w[:, :h] *= 1.0 - Xb[:, i:i + 1]
-        out[lo:lo + rows] = np.vecdot(w, vals)
-    return out
+    m = d // 2
+    P = np.stack([1.0 - X, X], axis=-1)       # (k, d, 2): factors without/with i
+    halves = P[:, :2 * m].reshape(k, 2, m, 2)
+    W = np.ones((k, 2, 1))
+    for i in range(m):
+        W = (halves[:, :, i, :, None] * W[:, :, None, :]).reshape(k, 2, 2 << i)
+    lo, hi = W[:, 0], W[:, 1]
+    if d % 2:                                 # the high half's last coordinate
+        hi = (P[:, -1, :, None] * hi[:, None, :]).reshape(k, 2 << m)
+    V = vals.reshape(2**(d - m), 2**m)
+    return np.vecdot(np.matmul(V, lo[:, :, None])[:, :, 0], hi)
 
 
 def multilinear_exact(f: SetFunction, x: np.ndarray):
     """Exact multilinear extension F(x) = Σ_S f(S) Π x_i Π (1−x_j).
 
     A ``(d,)`` point gives a float; a ``(k, d)`` stack gives the ``(k,)``
-    values of its rows.
+    values of its rows.  The sum is taken as the half-table contraction of
+    :func:`_multilinear_rows`, which fixes its rounding: each row's value
+    has the bits of that point evaluated alone.
     """
     x = check_finite(x, "multilinear point")
     d = f.ground_size
@@ -729,8 +728,9 @@ class MultilinearProblem(StochasticProblem):
         return self.exact_value_grad(x)[1]
 
     def exact_value_grad(self, x):
-        """F is row 0 of the stack the pinned gradient evaluates, and rounds
-        as :func:`multilinear_exact` does."""
+        """F is row 0 of the stack the pinned gradient evaluates; the
+        contraction rounds a row as the point alone, so F has the bits of
+        :func:`multilinear_exact` at x."""
         F, g, _ = multilinear_grad_hess(self.f, x, want_hess=False)
         return F, g
 

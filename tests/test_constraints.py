@@ -381,12 +381,19 @@ def test_matroid_validation():
         PartitionMatroid([[0, 1]], [3], 2)  # budget too large
 
 
+def _box_contains(box, x, tol):
+    return bool(np.all(x >= box.lower - tol) and np.all(x <= box.upper + tol))
+
+
 def test_budget_box_contains_same_answer_across_tolerances():
     # contains keeps its shifted bounds per tol; interleaving tolerances and
     # reusing them answers as the bounds computed afresh do.
     rng = RngStream(6)
     poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5, 6]], [1, 2], 7)
-    for s in (poly, _budget_box(poly), shrink_translate(poly, 0.05)):
+    box = Box(np.linspace(-0.5, 0.1, 7), np.linspace(0.3, 1.0, 7))
+    cases = [(s, _greedy_contains)
+             for s in (poly, _budget_box(poly), shrink_translate(poly, 0.05))]
+    for s, reference in cases + [(box, _box_contains)]:
         answers = set()
         for _ in range(600):
             tol = (0.0, 1e-12, 1e-9, 1e-8, MEMBERSHIP_TOL)[int(rng.integers(5))]
@@ -394,10 +401,10 @@ def test_budget_box_contains_same_answer_across_tolerances():
             x = s.lmo_max(rng.normal(size=7)) * (1.0 + float(rng.uniform(-2e-8, 2e-8)))
             x[int(rng.integers(7))] += float(rng.uniform(-2e-8, 2e-8))
             answers.add((tol, s.contains(x, tol)))
-            assert s.contains(x, tol) == _greedy_contains(s, x, tol)
+            assert s.contains(x, tol) == reference(s, x, tol)
         assert len(answers) >= 8   # most tolerances answer both ways
         x = s.lmo_max(np.ones(7))
-        assert s.contains(x) == _greedy_contains(s, x, MEMBERSHIP_TOL)
+        assert s.contains(x) == reference(s, x, MEMBERSHIP_TOL)
 
 
 def test_shrunk_cap_clamps_above_box_mass():

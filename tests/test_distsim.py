@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -321,6 +322,27 @@ def test_fl_mode_runs_without_guarantee():
     assert trace.meta["guarantee"] == "none"
     assert ledger.total == 8 * (4 + 1) * 32 * 6
     assert set_.contains(trace.output, tol=1e-9)
+
+
+@pytest.mark.parametrize("setting", ["finite_convex", "finite_nonconvex"])
+def test_fl_steps_follow_the_quantized_schedule(setting):
+    # fl takes round t's step from the same (i, k, t) as the quantized mode
+    T = 12
+    steps = {}
+    for mode in ("quantized", "fl"):
+        cfg = schedule_from_theorem(setting, 40, 4, 6, T=T, mode=mode)
+        calls = steps[mode] = []
+
+        def eta(i, k, t, eta_fn=cfg.eta_fn, calls=calls):
+            calls.append((t, eta_fn(i, k, t)))
+            return calls[-1][1]
+
+        run_qfw(_tiny_logistic(), L1Ball(2.0, 6),
+                dataclasses.replace(cfg, eta_fn=eta), T, RngStream(4))
+    assert [t for t, _ in steps["fl"]] == list(range(1, T + 1))
+    assert steps["fl"] == steps["quantized"]
+    if setting == "finite_convex":
+        assert steps["fl"][1][1] < steps["fl"][0][1] == 1.0
 
 
 def test_snc_qfw_zero_noise_matches_surrogate():

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,14 +196,17 @@ def test_monotone_dr_property():
             assert np.all(gx >= gy - 1e-9)
 
 
-# The subset-weight formula as a mask product, one point at a time, and
-# coordinate pinning one point per partial derivative: the references the
-# stacked kernel must match bit for bit.
+# The half-table contraction, one point at a time, with each half's subset
+# weights as a mask product, and coordinate pinning one point per partial
+# derivative: the references the stacked kernel must match bit for bit.
 
 def _ref_exact(f, x):
-    masks = _all_masks(f.ground_size)
-    w = np.where(masks, x[None, :], 1.0 - x[None, :]).prod(axis=1)
-    return float(_all_values(f) @ w)
+    d = f.ground_size
+    m = d // 2
+    lo = np.where(_all_masks(m), x[None, :m], 1.0 - x[None, :m]).prod(axis=1)
+    hi = np.where(_all_masks(d - m), x[None, m:], 1.0 - x[None, m:]).prod(axis=1)
+    R = _all_values(f).reshape(hi.size, lo.size) @ lo
+    return float(hi @ R)
 
 
 def _ref_grad_hess(f, x):
@@ -259,13 +263,53 @@ def test_multilinear_exact_equals_mask_product(d):
 
 
 def test_multilinear_exact_stack_spanning_row_blocks():
-    d = 12                     # 256 rows per block; 600 rows make 3 blocks
+    d = 12
     rng = RngStream(52)
     f = make_random_bounded(d, rng)
     X = rng.uniform(-0.2, 1.2, size=(600, d))
     out = multilinear_exact(f, X)
     assert np.all(out == [_ref_exact(f, x) for x in X])
     assert multilinear_exact(f, X[:0]).shape == (0,)
+
+
+def _scaled_ints(values):
+    """Integers n and one exponent e with values[j] == n[j] / 2**e exactly
+    (every float is a dyadic rational)."""
+    ratios = [Fraction(float(v)) for v in values]
+    e = max(r.denominator.bit_length() - 1 for r in ratios)
+    return [r.numerator << (e - r.denominator.bit_length() + 1) for r in ratios], e
+
+
+@pytest.mark.parametrize("d", [1, 4, 7, 10, 11])
+def test_multilinear_exact_error_within_contraction_bound(d):
+    # |F - F_exact| <= (d + 2^floor(d/2) + 2^ceil(d/2)) u sum_S |f(S) w_S(x)|,
+    # u = 2^-53, against the sum taken in exact rational arithmetic
+    rng = RngStream(80 + d)
+    X = _exactness_points(d, rng)
+    gamma = Fraction(d + 2 ** (d // 2) + 2 ** (d - d // 2), 2**53)
+    for f in _exactness_functions(d, rng):
+        vals, e_vals = _scaled_ints(_all_values(f))
+        for x in X:
+            xs, e = _scaled_ints(x)           # 1 - x_i = (2^e - xs_i) / 2^e
+            w = [1]                           # weights times 2^(e d), by doubling
+            for xi in xs:
+                w = [wS * ((1 << e) - xi) for wS in w] + [wS * xi for wS in w]
+            terms = [v * wS for v, wS in zip(vals, w)]
+            unit = Fraction(1, 2 ** (e_vals + e * d))
+            err = abs(Fraction(multilinear_exact(f, x)) - sum(terms) * unit)
+            assert err <= gamma * sum(map(abs, terms)) * unit
+
+
+@pytest.mark.parametrize("d", [6, 7, 12, 13])
+def test_multilinear_row_rounds_as_the_point_alone(d):
+    # a row's value does not depend on the stack it is evaluated in
+    rng = RngStream(90 + d)
+    f = make_random_bounded(d, rng)
+    X = rng.uniform(-0.2, 1.2, size=(300, d))
+    alone = np.array([multilinear_exact(f, x) for x in X])
+    for k in (2, 24, 300):
+        out = multilinear_exact(f, X[:k])
+        assert out.tobytes() == alone[:k].tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 4, 10, 12])
@@ -298,7 +342,7 @@ def test_multilinear_exact_rejects_bad_shapes():
 
 def test_multilinear_hessian_memory_is_bounded():
     # 4*C(14,2) + 2*14 + 1 = 393 pinned points: a single 393 x 2^14 weight
-    # table would take 51 MB; row blocks keep the peak near one 8 MB block.
+    # table would take 51 MB; the two half tables take 393 x 2 x 2^7 weights.
     d = 14
     rng = RngStream(71)
     f = make_random_bounded(d, rng)
