@@ -60,7 +60,7 @@ def _multilinear(kind: str, extra: str = "") -> str:
     """One_sfw exact_hessian, DR max on a matroid, for ``multilinear_<kind>``
     at d = 6; ``extra`` holds the kind's own problem keys."""
     return (f"[problem]\nkind = multilinear_{kind}\ndim = 6\n{extra}"
-            f"instance_seed = 5\n" + MATROID_DR)
+            "instance_seed = 5\n" + MATROID_DR)
 
 
 FACILITY_MATROID = _multilinear("facility", "n_clients = 4\n")
