@@ -114,7 +114,12 @@ class Box(FeasibleSet):
     def lmo_min(self, g):
         g = _check_dim(self, g)
         # ties at g_i = 0 resolve to the lower bound
-        return np.where(g > 0, self.lower, np.where(g < 0, self.upper, self.lower))
+        return np.where(g < 0, self.upper, self.lower)
+
+    def lmo_max(self, g):
+        g = _check_dim(self, g)
+        # ties at g_i = 0 resolve to the upper bound: an all-zero ascent moves
+        return np.where(g < 0, self.lower, self.upper)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         bounds = self._shifted.get(tol)

@@ -544,22 +544,22 @@ def _all_values(f: SetFunction) -> np.ndarray:
     return vals
 
 
-def _multilinear_rows(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """F at each row of a (k, d) stack, from the 2^d table ``vals``.
+def _multilinear_rows(vals: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Σ_S f(S) Π_i P[r, i, [i ∈ S]] at each row r of a (k, d, 2) factor
+    stack, from the 2^d table ``vals`` (bit i of S set iff i ∈ S).
 
-    The ground set splits into its low m = ⌊d/2⌋ coordinates and the high
-    d − m, so ``vals`` is the (2^(d−m), 2^m) matrix V of f(S_hi ∪ S_lo), and
-    F(x) = hi(x) @ (V @ lo(x)), where lo and hi hold the subset weights
-    Π_{i∈S} x_i Π_{i∉S} (1 − x_i) of the two halves (bit i of S set iff
-    i ∈ S): one gemv and one dot per row, and k·(2^m + 2^(d−m)) weights in
-    place of a k × 2^d table.  The weights are multiplied out in coordinate
-    order by doubling, both halves at once: coordinate i of a half splits
-    its first 2^i weights into the halves without and with i.  A row rounds
-    as that point alone does, at any k (the stack is never one gemm).
+    The factors (1 − x_i, x_i) make a row F(x); swapping a pair for its
+    derivative (−1, 1) makes it ∂F/∂x_i, and two swapped pairs a mixed
+    second derivative.  With the low m = ⌊d/2⌋ coordinates and the high
+    d − m, ``vals`` is the (2^(d−m), 2^m) matrix V of f(S_hi ∪ S_lo) and a
+    row is hi @ (V @ lo), where lo and hi are the factor products of the
+    two halves: one gemv and one dot per row.  The products are multiplied
+    out in coordinate order by doubling, both halves at once: coordinate i
+    of a half splits its first 2^i products into those without and with i.
+    A row rounds as it does alone, at any k (the stack is never one gemm).
     """
-    k, d = X.shape
+    k, d, _ = P.shape
     m = d // 2
-    P = np.stack([1.0 - X, X], axis=-1)       # (k, d, 2): factors without/with i
     halves = P[:, :2 * m].reshape(k, 2, m, 2)
     W = np.ones((k, 2, 1))
     for i in range(m):
@@ -575,54 +575,45 @@ def multilinear_exact(f: SetFunction, x: np.ndarray):
     """Exact multilinear extension F(x) = Σ_S f(S) Π x_i Π (1−x_j).
 
     A ``(d,)`` point gives a float; a ``(k, d)`` stack gives the ``(k,)``
-    values of its rows.  The sum is taken as the half-table contraction of
-    :func:`_multilinear_rows`, which fixes its rounding: each row's value
-    has the bits of that point evaluated alone.
+    values of its rows.  The sum is the contraction of
+    :func:`_multilinear_rows` on the factors (1 − x_i, x_i), which fixes
+    its rounding: a row has the bits of that point evaluated alone.
     """
     x = check_finite(x, "multilinear point")
     d = f.ground_size
     if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise ValueError(f"dimension mismatch: need (d,) or (k, d) with d={d}, "
                          f"got {x.shape}")
-    F = _multilinear_rows(_all_values(f), x.reshape(-1, d))
+    X = x.reshape(-1, d)
+    F = _multilinear_rows(_all_values(f), np.stack([1.0 - X, X], axis=-1))
     return float(F[0]) if x.ndim == 1 else F
 
 
-def _pinned(x: np.ndarray, pins) -> np.ndarray:
-    """Copies of x, one per row of the pins: row r sets x[cols[r]] = b for
-    each (cols, b) in ``pins``."""
-    Y = np.tile(x, (len(pins[0][0]), 1))
-    rows = np.arange(len(Y))
-    for cols, b in pins:
-        Y[rows, cols] = b
-    return Y
-
-
 def multilinear_grad_hess(f: SetFunction, x: np.ndarray, want_hess: bool = True):
-    """(F, gradF, hessF) of the multilinear extension by coordinate pinning.
+    """(F, gradF, hessF) of the multilinear extension: the rows of one
+    :func:`_multilinear_rows` stack, which defines their rounding.
 
-    ∂F/∂x_i = F(x|x_i=1) − F(x|x_i=0); the mixed second derivative pins two
-    coordinates (the diagonal is zero by multilinearity).  All pinned points
-    are evaluated as one stack.
+    Row 0 holds x's factors (1 − x_i, x_i) and gives F; row 1 + i swaps
+    coordinate i's pair for its derivative (−1, 1) and gives ∂F/∂x_i; with
+    ``want_hess``, one row per pair i < j swaps both pairs and gives
+    ∂²F/∂x_i∂x_j (the diagonal is zero by multilinearity).
     """
     x = check_finite(x, "multilinear point")
     d = f.ground_size
     if x.shape != (d,):
         raise ValueError("dimension mismatch")
     diag = np.arange(d)
-    I, J = np.triu_indices(d, 1)
-    stacks = [x[None, :], _pinned(x, [(diag, 1.0)]), _pinned(x, [(diag, 0.0)])]
+    I, J = np.triu_indices(d, 1) if want_hess else (diag[:0], diag[:0])
+    P = np.tile(np.stack([1.0 - x, x], axis=-1), (1 + d + I.size, 1, 1))
+    P[1 + diag, diag] = (-1.0, 1.0)
+    pair_rows = np.arange(1 + d, len(P))
+    P[pair_rows, I] = P[pair_rows, J] = (-1.0, 1.0)
+    rows = _multilinear_rows(_all_values(f), P)
+    hess = None
     if want_hess:
-        stacks += [_pinned(x, [(I, bi), (J, bj)])
-                   for bi, bj in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))]
-    vals = _multilinear_rows(_all_values(f), np.concatenate(stacks))
-    F, F1, F0 = float(vals[0]), vals[1:d + 1], vals[d + 1:2 * d + 1]
-    if not want_hess:
-        return F, F1 - F0, None
-    F11, F10, F01, F00 = vals[2 * d + 1:].reshape(4, len(I))
-    hess = np.zeros((d, d))
-    hess[I, J] = hess[J, I] = F11 - F10 - F01 + F00
-    return F, F1 - F0, hess
+        hess = np.zeros((d, d))
+        hess[I, J] = hess[J, I] = rows[1 + d:]
+    return float(rows[0]), rows[1:1 + d], hess
 
 
 def multilinear_value(f: SetFunction, x: np.ndarray, rng: RngStream | None = None,
@@ -728,9 +719,9 @@ class MultilinearProblem(StochasticProblem):
         return self.exact_value_grad(x)[1]
 
     def exact_value_grad(self, x):
-        """F is row 0 of the stack the pinned gradient evaluates; the
-        contraction rounds a row as the point alone, so F has the bits of
-        :func:`multilinear_exact` at x."""
+        """F and ∇F are rows of the one factor stack of
+        :func:`multilinear_grad_hess`; the contraction rounds a row as that
+        row alone, so F has the bits of :func:`multilinear_exact` at x."""
         F, g, _ = multilinear_grad_hess(self.f, x, want_hess=False)
         return F, g
 

@@ -626,6 +626,21 @@ def test_cli_grad_diff_multilinear_box_runs(tmp_path, capsys):
     assert len(list(out.glob("sub-*-s0.csv"))) == 1
 
 
+def test_cli_dr_ascent_on_box_leaves_the_origin(tmp_path, capsys, monkeypatch):
+    # At x = 0 every draw is the empty set, so the first estimates are all
+    # zero; the box breaks those argmax ties at its upper bound.
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "r"
+    args = ["submax", "--config", "scripts/configs/submax_facility.ini", "--out", str(out)]
+    for ov in ["constraint.kind=box", "constraint.upper=0.6", "solver.option=grad_diff",
+               "solver.t=200"]:
+        args += ["--override", ov]
+    assert main(args) == 0
+    capsys.readouterr()
+    rows = json.loads(next(out.glob("*-report.json")).read_text())["rows"]
+    assert len(rows) == 10 and all(r["final_objective"] > 0 for r in rows)
+
+
 @pytest.mark.parametrize("block", [
     {"kind": "quadratic"},
     {"kind": "quadratic", "dim": "0"},

@@ -44,6 +44,14 @@ def test_box_lmo_tie_to_lower():
     assert np.array_equal(s.lmo_min(np.array([0.5, -2.0, 0.0])), [0, 1, 0])
 
 
+def test_box_lmo_max_tie_to_upper():
+    # an argmax that breaks zero-gradient ties at the upper bound, so a DR
+    # ascent whose first estimates are all zero still leaves the origin
+    s = Box(np.array([0.0, -1.0, 0.25]), np.array([0.6, 2.0, 0.5]))
+    assert np.array_equal(s.lmo_max(np.zeros(3)), s.upper)
+    assert np.array_equal(s.lmo_max(np.array([0.5, -2.0, -0.0])), [0.6, -1.0, 0.5])
+
+
 def test_simplex_lmo():
     s = Simplex(1.0, 3)
     assert np.array_equal(s.lmo_min(np.array([4.0, 1.0, 7.0])), [0, 1, 0])

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fwlab import problems
 from fwlab.problems import (
     _all_masks,
     _all_values,
@@ -196,17 +198,30 @@ def test_monotone_dr_property():
             assert np.all(gx >= gy - 1e-9)
 
 
-# The half-table contraction, one point at a time, with each half's subset
-# weights as a mask product, and coordinate pinning one point per partial
-# derivative: the references the stacked kernel must match bit for bit.
+# The half-table contraction, one row at a time, with each half's factor
+# products as a mask product: the reference the stacked kernel must match bit
+# for bit, for values (x's factor pairs) and for partial derivatives (pairs
+# swapped for (-1, 1)).  Coordinate pinning, one point per partial
+# derivative, is the classical definition, which rounds another way.
 
 def _ref_exact(f, x):
+    """The row of a (d,) point x, or of (d, 2) factor pairs P: coordinate i
+    contributes P[i, 1] where i is in S and P[i, 0] where it is not."""
+    P = _factor_pairs(x) if x.ndim == 1 else x
     d = f.ground_size
     m = d // 2
-    lo = np.where(_all_masks(m), x[None, :m], 1.0 - x[None, :m]).prod(axis=1)
-    hi = np.where(_all_masks(d - m), x[None, m:], 1.0 - x[None, m:]).prod(axis=1)
+    lo = np.where(_all_masks(m), P[None, :m, 1], P[None, :m, 0]).prod(axis=1)
+    hi = np.where(_all_masks(d - m), P[None, m:, 1], P[None, m:, 0]).prod(axis=1)
     R = _all_values(f).reshape(hi.size, lo.size) @ lo
     return float(hi @ R)
+
+
+def _factor_pairs(x, swapped=()):
+    """x's factor pairs (1 - x_i, x_i), the pair of each coordinate in
+    ``swapped`` replaced by its derivative (-1, 1)."""
+    P = np.stack([1.0 - x, x], axis=-1)
+    P[list(swapped)] = (-1.0, 1.0)
+    return P
 
 
 def _ref_grad_hess(f, x):
@@ -280,24 +295,50 @@ def _scaled_ints(values):
     return [r.numerator << (e - r.denominator.bit_length() + 1) for r in ratios], e
 
 
+def _exact_contraction(f, x, swapped=()):
+    """The row of ``_factor_pairs(x, swapped)`` and its sum of absolute
+    terms, both in exact rational arithmetic (1 - x_i is not rounded)."""
+    vals, e_vals = _scaled_ints(_all_values(f))
+    xs, e = _scaled_ints(x)                   # 1 - x_i = (2^e - xs_i) / 2^e
+    w = [1]                                   # weights times 2^(e d), by doubling
+    for i, xi in enumerate(xs):
+        without, with_ = (-1 << e, 1 << e) if i in swapped else ((1 << e) - xi, xi)
+        w = [wS * without for wS in w] + [wS * with_ for wS in w]
+    terms = [v * wS for v, wS in zip(vals, w)]
+    unit = Fraction(1, 2 ** (e_vals + e * len(xs)))
+    return sum(terms) * unit, sum(map(abs, terms)) * unit
+
+
+def _contraction_gamma(d):
+    # (d + 2^floor(d/2) + 2^ceil(d/2)) u, u = 2^-53
+    return Fraction(d + 2 ** (d // 2) + 2 ** (d - d // 2), 2**53)
+
+
 @pytest.mark.parametrize("d", [1, 4, 7, 10, 11])
 def test_multilinear_exact_error_within_contraction_bound(d):
-    # |F - F_exact| <= (d + 2^floor(d/2) + 2^ceil(d/2)) u sum_S |f(S) w_S(x)|,
-    # u = 2^-53, against the sum taken in exact rational arithmetic
+    # |F - F_exact| <= gamma sum_S |f(S) w_S(x)|, against the sum taken in
+    # exact rational arithmetic
     rng = RngStream(80 + d)
     X = _exactness_points(d, rng)
-    gamma = Fraction(d + 2 ** (d // 2) + 2 ** (d - d // 2), 2**53)
     for f in _exactness_functions(d, rng):
-        vals, e_vals = _scaled_ints(_all_values(f))
         for x in X:
-            xs, e = _scaled_ints(x)           # 1 - x_i = (2^e - xs_i) / 2^e
-            w = [1]                           # weights times 2^(e d), by doubling
-            for xi in xs:
-                w = [wS * ((1 << e) - xi) for wS in w] + [wS * xi for wS in w]
-            terms = [v * wS for v, wS in zip(vals, w)]
-            unit = Fraction(1, 2 ** (e_vals + e * d))
-            err = abs(Fraction(multilinear_exact(f, x)) - sum(terms) * unit)
-            assert err <= gamma * sum(map(abs, terms)) * unit
+            exact, scale = _exact_contraction(f, x)
+            err = abs(Fraction(multilinear_exact(f, x)) - exact)
+            assert err <= _contraction_gamma(d) * scale
+
+
+@pytest.mark.parametrize("d", [1, 4, 7, 10, 11])
+def test_multilinear_grad_error_within_contraction_bound(d):
+    # |dF/dx_i - exact| <= gamma sum_S |f(S) d_i w_S(x)|: a gradient row is
+    # the same contraction on the pairs with (-1, 1) at coordinate i
+    rng = RngStream(100 + d)
+    X = _exactness_points(d, rng)
+    for f in _exactness_functions(d, rng):
+        for x in X:
+            _, g, _ = multilinear_grad_hess(f, x, want_hess=False)
+            for i in range(d):
+                exact, scale = _exact_contraction(f, x, [i])
+                assert abs(Fraction(g[i]) - exact) <= _contraction_gamma(d) * scale
 
 
 @pytest.mark.parametrize("d", [6, 7, 12, 13])
@@ -313,17 +354,61 @@ def test_multilinear_row_rounds_as_the_point_alone(d):
 
 
 @pytest.mark.parametrize("d", [1, 4, 10, 12])
-def test_multilinear_grad_hess_equals_pinning(d):
+def test_multilinear_grad_hess_equals_factor_rows(d):
     rng = RngStream(60 + d)
     X = _exactness_points(d, rng)[::2] if d == 12 else _exactness_points(d, rng)
     for f in _exactness_functions(d, rng):
         for x in X:
             F, g, H = multilinear_grad_hess(f, x)
-            rF, rg, rH = _ref_grad_hess(f, x)
-            assert isinstance(F, float) and F == rF
-            assert np.all(g == rg) and np.all(H == rH)
+            rg = [_ref_exact(f, _factor_pairs(x, [i])) for i in range(d)]
+            rH = np.zeros((d, d))
+            for i, j in itertools.combinations(range(d), 2):
+                rH[i, j] = rH[j, i] = _ref_exact(f, _factor_pairs(x, [i, j]))
+            assert isinstance(F, float) and F.hex() == _ref_exact(f, x).hex()
+            assert _bits(g) == _bits(rg) and _bits(H) == _bits(rH)
             F2, g2, none = multilinear_grad_hess(f, x, want_hess=False)
-            assert F2 == rF and np.all(g2 == rg) and none is None
+            assert F2.hex() == F.hex() and _bits(g2) == _bits(g) and none is None
+
+
+@pytest.mark.parametrize("d", [1, 4, 10, 12])
+def test_multilinear_grad_hess_equals_pinning(d):
+    # Pinning rounds each pinned value within the contraction bound; the
+    # rows and the differences of pinned values then agree within twice that
+    # bound (and a few roundings of the differences), scaled by
+    # sum_S |f(S) dw_S(x)|, the contraction of |f| with the |factor pairs|.
+    rng = RngStream(60 + d)
+    X = _exactness_points(d, rng)[::2] if d == 12 else _exactness_points(d, rng)
+    tol = (2 * (d + 2 ** (d // 2) + 2 ** (d - d // 2)) + 8) * 2.0**-53
+    for f in _exactness_functions(d, rng):
+        abs_f = TableSetFunction(np.abs(_all_values(f)))
+        for x in X:
+            F, g, H = multilinear_grad_hess(f, x)
+            rF, rg, rH = _ref_grad_hess(f, x)
+            assert F == rF
+            for i in range(d):
+                scale = _ref_exact(abs_f, np.abs(_factor_pairs(x, [i])))
+                assert abs(g[i] - rg[i]) <= tol * scale
+                for j in range(i + 1, d):
+                    scale = _ref_exact(abs_f, np.abs(_factor_pairs(x, [i, j])))
+                    assert abs(H[i, j] - rH[i, j]) <= tol * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_multilinear_grad_hess_is_one_kernel_call(d, monkeypatch):
+    shapes = []
+    kernel = problems._multilinear_rows
+
+    def counted(vals, P):
+        shapes.append(P.shape)
+        return kernel(vals, P)
+
+    monkeypatch.setattr(problems, "_multilinear_rows", counted)
+    rng = RngStream(74)
+    f = make_random_bounded(d, rng)
+    x = rng.uniform(size=d)
+    multilinear_grad_hess(f, x, want_hess=False)
+    multilinear_grad_hess(f, x)
+    assert shapes == [(1 + d, d, 2), (1 + d + d * (d - 1) // 2, d, 2)]
 
 
 def test_multilinear_exact_rejects_bad_shapes():
@@ -341,8 +426,8 @@ def test_multilinear_exact_rejects_bad_shapes():
 
 
 def test_multilinear_hessian_memory_is_bounded():
-    # 4*C(14,2) + 2*14 + 1 = 393 pinned points: a single 393 x 2^14 weight
-    # table would take 51 MB; the two half tables take 393 x 2 x 2^7 weights.
+    # 1 + 14 + C(14,2) = 106 rows: a single 106 x 2^14 weight table would
+    # take 14 MB; the two half tables take 106 x 2 x 2^7 weights.
     d = 14
     rng = RngStream(71)
     f = make_random_bounded(d, rng)
