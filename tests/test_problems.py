@@ -378,7 +378,7 @@ def test_multilinear_grad_hess_equals_pinning(d):
     # sum_S |f(S) dw_S(x)|, the contraction of |f| with the |factor pairs|.
     rng = RngStream(60 + d)
     X = _exactness_points(d, rng)[::2] if d == 12 else _exactness_points(d, rng)
-    tol = (2 * (d + 2 ** (d // 2) + 2 ** (d - d // 2)) + 8) * 2.0**-53
+    tol = 2 * float(_contraction_gamma(d)) + 8 * 2.0**-53
     for f in _exactness_functions(d, rng):
         abs_f = TableSetFunction(np.abs(_all_values(f)))
         for x in X:
