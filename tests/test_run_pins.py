@@ -5,7 +5,9 @@ overrides, one seed and at most 30 iterations (rounds).  The test hashes
 the files the run writes and compares the hashes with the table in
 ``run_pins.json``: the trace CSV, the seed's JSON sidecar, and the report
 JSON with its per-seed ``wall_s`` removed.  A change that moves any byte of
-a pinned run fails here.  The digests hold for one platform (Python 3.11,
+a pinned run fails here.  Each entry also runs on the seeds ``SEED - 1``
+and ``SEED`` in one run, whose second seed must keep its trace and sidecar
+pins: a run builds its problem and constraint once for all its seeds.  The digests hold for one platform (Python 3.11,
 numpy 2.4), as the float-hex pins in ``test_solvers.py`` do.
 
 To add a path, add an entry to ``RUNS`` and regenerate the table; a change
@@ -122,6 +124,10 @@ RUNS = {
     "one_sfw-logdet-matroid-dr": ("submax", _multilinear("logdet"), []),
     "one_sfw-modular-matroid-dr": ("submax", _multilinear("modular"), []),
     "oblivious_sfw-quadratic-l1ball": ("solve", QUADRATIC, []),
+    "oblivious_sfw-quadratic-nuclear": (
+        "solve", QUADRATIC, ["problem.dim=6", "constraint.kind=nuclear",
+                             "constraint.radius=1", "constraint.rows=2",
+                             "constraint.cols=3"]),
     "scg-nqp-box-dr": ("submax", NQP_BOX, []),
     "deterministic_fw-quadratic-simplex": (
         "solve", QUADRATIC, ["solver.algorithm=deterministic_fw",
@@ -155,12 +161,13 @@ def _digests(out: Path) -> dict:
     return {k: hashlib.sha256(v).hexdigest() for k, v in blobs.items()}
 
 
-def run_pinned(name: str, tmp: Path) -> dict:
-    """Run ``RUNS[name]`` from the repository root, writing into ``tmp``."""
+def run_pinned(name: str, tmp: Path, seeds: str = str(SEED)) -> dict:
+    """Run ``RUNS[name]`` on ``seeds`` (``--seeds`` text) from the repository
+    root, writing into ``tmp``; digest seed ``SEED``'s files."""
     command, text, overrides = RUNS[name]
     ini = tmp / f"{name}.ini"
     ini.write_text(f"[experiment]\nname = {name}\n" + text)
-    argv = [command, "--config", str(ini), "--seed", str(SEED), "--out",
+    argv = [command, "--config", str(ini), "--seeds", seeds, "--out",
             str(tmp / "out")]
     for ov in overrides:
         argv += ["--override", ov]
@@ -176,6 +183,16 @@ def test_every_run_has_a_pin():
 def test_run_bytes_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert run_pinned(name, tmp_path) == json.loads(TABLE.read_text())[name]
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_run_bytes_pinned_after_another_seed(name, tmp_path, monkeypatch):
+    # Seed SEED run right after another seed writes the trace and sidecar it
+    # writes alone: nothing one seed's run leaves behind reaches the next.
+    monkeypatch.chdir(ROOT)
+    got = run_pinned(name, tmp_path, f"{SEED - 1},{SEED}")
+    pin = json.loads(TABLE.read_text())[name]
+    assert [got["trace"], got["sidecar"]] == [pin["trace"], pin["sidecar"]]
 
 
 def write_table():
