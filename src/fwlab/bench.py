@@ -24,7 +24,7 @@ import numpy as np
 from . import constraints as C
 from . import problems as P
 from .distsim import MODES, SETTINGS, run_qfw, schedule_from_theorem
-from .rng import RngStream
+from .rng import NumericsError, RngStream
 from .solvers import (
     ONE_SFW_OPTIONS,
     Schedule,
@@ -353,7 +353,7 @@ def build_constraint(block: dict, dim: int) -> C.FeasibleSet:
         if kind == "matroid":
             return C.PartitionMatroidPolytope(v["blocks"], v["budgets"], dim)
         return C.NuclearNormBall(v["radius"], v["rows"], v["cols"])  # nuclear
-    except ValueError as e:
+    except (ValueError, NumericsError) as e:
         raise ConfigError(f"bad constraint block: {e}") from e
 
 
@@ -384,7 +384,7 @@ def build_problem(block: dict):
             f = P.Modular(v["weights"] if v["weights"] is not None
                           else inst.uniform(0.0, 1.0, size=v["dim"]))
         return P.MultilinearProblem(f), f
-    except ValueError as e:
+    except (ValueError, NumericsError) as e:
         raise ConfigError(f"bad problem block: {e}") from e
 
 
@@ -397,9 +397,6 @@ def brute_force_opt(f: P.SetFunction, m: C.PartitionMatroid):
         v = f(mask)
         if v > best:
             best, best_mask = v, mask
-    if best_mask is None:  # no base at all only if ground set empty
-        return f(np.zeros(m.ground_size, dtype=bool)), np.zeros(
-            m.ground_size, dtype=bool)
     return float(best), best_mask
 
 
@@ -417,10 +414,10 @@ def write_trace(path: Path, trace: SolveTrace):
                         ""])  # wall_ms omitted: trace files are byte-reproducible
 
 
-def _run_one_seed(cfg: RunConfig, seed: int):
+def _run_one_seed(cfg: RunConfig, problem, setf, set_, seed: int):
+    """One seed's solver run on the problem, set function and set that
+    every seed of the run shares."""
     rng = RngStream(seed, 0)
-    problem, setf = build_problem(cfg.problem)
-    set_ = build_constraint(cfg.constraint, problem.dim)
     if cfg.distsim is not None:  # load_config admits only logistic_csv here
         ds = _values("distsim", cfg.distsim)
         fs = P.FiniteSumProblem.from_logistic(problem)
@@ -456,20 +453,21 @@ def _run_one_seed(cfg: RunConfig, seed: int):
 
 
 def run_experiment(cfg: RunConfig) -> dict:
-    """Run every seed (isolated failures), write traces, return the report.
+    """Build the problem and the constraint once, run every seed on them
+    (isolated failures), write traces, return the report.
 
-    The output directory is created just before the first file is written,
-    so a configuration error raised by a seed leaves nothing behind.
+    A build error is a ConfigError, raised before the output directory is
+    created, so it leaves nothing behind.
     """
     digest = cfg.digest()
+    problem, setf = build_problem(cfg.problem)
+    set_ = build_constraint(cfg.constraint, problem.dim)
     rows, failures = [], []
     for seed in cfg.seeds:
         tag = f"{cfg.name}-{digest}-s{seed}"
         t0 = time.perf_counter()
         try:
-            trace = _run_one_seed(cfg, seed)
-        except ConfigError:
-            raise
+            trace = _run_one_seed(cfg, problem, setf, set_, seed)
         except Exception as e:  # per-seed isolation
             failures.append({"seed": seed, "error": f"{type(e).__name__}: {e}"})
             continue

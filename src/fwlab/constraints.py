@@ -340,12 +340,11 @@ class NuclearNormBall(FeasibleSet):
         self.rows = int(rows)
         self.cols = int(cols)
         self.dim = self.rows * self.cols
-        self._rng = RngStream(0xF0F0, 0x5EED)  # power-iteration restarts only
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
         G = g.reshape(self.rows, self.cols)
-        M, _ = nuclear_lmo(G, self.radius, rng=self._rng)
+        M, _ = nuclear_lmo(G, self.radius)
         return M.ravel()
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
@@ -357,10 +356,11 @@ class NuclearNormBall(FeasibleSet):
         return 2.0 * self.radius
 
 
-def nuclear_lmo(G: np.ndarray, radius: float, rng: RngStream | None = None):
+def nuclear_lmo(G: np.ndarray, radius: float):
     """Rank-1 minimizer of <M, G> over the nuclear-norm ball, by power
     iteration: at most 1000 steps, until the Rayleigh quotient moves by less
-    than 1e-8 relative.
+    than 1e-8 relative.  The start vectors come from a fixed stream made
+    anew at every call, so the result depends on ``G`` alone.
 
     Returns ``(M, flags)`` where ``M = -radius * u1 v1^T`` built from the top
     singular pair of ``G``.  ``flags`` is a dict with ``degenerate`` (G = 0)
@@ -369,8 +369,7 @@ def nuclear_lmo(G: np.ndarray, radius: float, rng: RngStream | None = None):
     if radius <= 0:
         raise ValueError("radius must be positive")
     G = check_finite(np.asarray(G, dtype=float), "nuclear LMO input")
-    if rng is None:
-        rng = RngStream(0x9C, 0x1A)
+    rng = RngStream(0x9C, 0x1A)
     rows, cols = G.shape
     if np.all(G == 0):
         return np.zeros_like(G), {"degenerate": True, "converged": True}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Sample, StochasticProblem, five_term_estimate
+from .problems import Sample, StochasticProblem
 from .rng import RngStream, check_finite, sample_unit_ball, sample_unit_sphere
 
 __all__ = [
@@ -84,15 +84,18 @@ def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
 
 def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
                         it: RngStream) -> VariationEstimate:
-    """Gradient-difference variant: second-order oracles replaced by
-    central differences of first-order oracles along u = x_t - x_prev.
-
-    phi(delta; psi) = [grad psi(x + delta u) - grad psi(x - delta u)] / (2 delta)
-    approximates grad^2 psi(x) u with error at most L2 * delta * ||u||^2.
-    x(a) and z are drawn as in :func:`variation_exact_hessian`.  A
-    non-oblivious problem's sample law is defined on [0, 1]^d only, so its
-    probe points are clipped into it (flagged on the result).
+    """Gradient-difference variant for a non-oblivious problem, whose
+    F̃(x;z) = f(z) is x-free: Delta_t = f(z) (<grad log p, u> grad log p
+    + phi_lp) at x(a), where the central difference of the score along
+    u = x_t - x_prev, phi_lp = [grad log p(x + delta u) - grad log p(x -
+    delta u)] / (2 delta), stands for grad^2 log p u with error at most
+    L2 * delta * ||u||^2.  x(a) and z are drawn as in
+    :func:`variation_exact_hessian`.  The sample law is defined on [0, 1]^d
+    only, so the probes are clipped into it (flagged on the result).
     """
+    if p.mode != "nonoblivious":
+        raise ValueError("score-function gradient difference requires a "
+                         "non-oblivious problem")
     if delta <= 0:
         raise ValueError("delta must be positive")
     xa, sample = _sample_between(p, x_t, x_prev, it)
@@ -102,16 +105,12 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
         return VariationEstimate(np.zeros(p.dim), g_t)
 
     xp, xm = xa + delta * u, xa - delta * u
-    clamped = False
-    if p.mode == "nonoblivious":
-        cp, cm = np.clip(xp, 0.0, 1.0), np.clip(xm, 0.0, 1.0)
-        clamped = bool(np.any(cp != xp) or np.any(cm != xm))
-        xp, xm = cp, cm
-
-    phi_F = (p.grad(xp, sample) - p.grad(xm, sample)) / (2.0 * delta)
-    phi_lp = (p.logp_grad(xp, sample) - p.logp_grad(xm, sample)) / (2.0 * delta)
-    dt = five_term_estimate(p.value(xa, sample), p.grad(xa, sample),
-                            p.logp_grad(xa, sample), u, phi_F, phi_lp)
+    cp, cm = np.clip(xp, 0.0, 1.0), np.clip(xm, 0.0, 1.0)
+    clamped = bool(np.any(cp != xp) or np.any(cm != xm))
+    phi_lp = (p.logp_grad(cp, sample) - p.logp_grad(cm, sample)) / (2.0 * delta)
+    val, lg = p.value(xa, sample), p.logp_grad(xa, sample)
+    # + 0.0: the +0.0 that the five-term estimate's zero terms (∇F̃ = 0) add
+    dt = val * float(lg @ u) * lg + val * phi_lp + 0.0
     return VariationEstimate(check_finite(dt, "grad-diff estimate"), g_t, clamped)
 
 

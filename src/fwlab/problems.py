@@ -21,7 +21,6 @@ from .rng import RngStream, check_finite
 __all__ = [
     "Sample",
     "StochasticProblem",
-    "five_term_estimate",
     "Quadratic",
     "NQP",
     "LogisticL1",
@@ -72,27 +71,11 @@ class Sample:
     fz: float | None = None
 
 
-def five_term_estimate(val: float, grad: np.ndarray, logp_grad: np.ndarray,
-                       u: np.ndarray, hess_u: np.ndarray,
-                       logp_hess_u: np.ndarray) -> np.ndarray:
-    """The one-sample Hessian-vector estimate from one draw's oracles:
-
-    F̃ ⟨∇log p, u⟩ ∇log p + ∇²F̃ u + ⟨∇log p, u⟩ ∇F̃ + F̃ ∇²log p u
-    + ⟨∇F̃, u⟩ ∇log p,
-
-    with ``hess_u`` standing for ∇²F̃ u and ``logp_hess_u`` for ∇²log p u
-    (exact products, or the central differences of the grad-diff variant).
-    """
-    lg_u = float(logp_grad @ u)
-    return (val * lg_u * logp_grad + hess_u + lg_u * grad + val * logp_hess_u
-            + float(grad @ u) * logp_grad)
-
-
 class StochasticProblem:
     """Oracle bundle; subclasses fill in the per-sample and exact oracles.
 
     ``samples_drawn`` counts calls to :meth:`sample`, giving the one-sample
-    accounting used by solver tests.
+    accounting of the momentum driver, which zeroes it as a run starts.
     """
 
     dim: int
@@ -130,14 +113,19 @@ class StochasticProblem:
         raise NotImplementedError
 
     def hessian_estimate(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
-        """One-sample estimate of ∇²F(x) u from z ∼ p(·;x): the
-        :func:`five_term_estimate` of the sample's oracles at x.  Its
-        expectation is ∇²F(x) u because the second derivative of the
-        density satisfies ∇²p = p (∇log p ∇log pᵀ + ∇²log p).
+        """One-sample estimate of ∇²F(x) u from z ∼ p(·;x), the five terms
+
+        F̃ ⟨∇log p, u⟩ ∇log p + ∇²F̃ u + ⟨∇log p, u⟩ ∇F̃ + F̃ ∇²log p u
+        + ⟨∇F̃, u⟩ ∇log p
+
+        of the sample's oracles at x.  Its expectation is ∇²F(x) u because
+        the second derivative of the density satisfies
+        ∇²p = p (∇log p ∇log pᵀ + ∇²log p).
         """
-        return five_term_estimate(self.value(x, s), self.grad(x, s),
-                                  self.logp_grad(x, s), u, self.hess_vec(x, s, u),
-                                  self.logp_hess_vec(x, s, u))
+        val, grad, lg = self.value(x, s), self.grad(x, s), self.logp_grad(x, s)
+        lg_u = float(lg @ u)
+        return (val * lg_u * lg + self.hess_vec(x, s, u) + lg_u * grad
+                + val * self.logp_hess_vec(x, s, u) + float(grad @ u) * lg)
 
     def one_sample_grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
         """Unbiased one-sample gradient: ∇F̃(x;z) + F̃(x;z)∇log p(z;x)."""

@@ -168,7 +168,6 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     log_points = _default_log_points(T) if log_points is None else set(log_points)
     t0 = time.perf_counter()
     trace = SolveTrace(meta={"mode": sched.mode, "T": T})
-    base_samples = p.samples_drawn
     p.samples_drawn = 0
 
     dr = sched.mode == "dr_submodular_max"
@@ -195,7 +194,6 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
             iterates.append(x.copy())
 
     trace.meta["oracle_calls"] = p.samples_drawn
-    p.samples_drawn += base_samples
     if sched.mode == "nonconvex_min":
         idx = int(rng.child(_OUTPUT_STREAM).integers(1, T + 2))
         trace.output = iterates[idx - 1]

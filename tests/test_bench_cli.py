@@ -226,6 +226,60 @@ def test_run_experiment_seed_isolation(tmp_path):
     assert "ValueError" in report["failures"][0]["error"]
 
 
+def test_run_builds_problem_and_constraint_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(name):
+        build = getattr(bench, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+        return wrapper
+
+    for name in ("build_problem", "build_constraint"):
+        monkeypatch.setattr(bench, name, counted(name))
+    out = tmp_path / "r"
+    assert main(["solve", "--config", _write(tmp_path, QUAD_INI), "--seeds", "0..2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["build_constraint", "build_problem"]
+    assert len(list(out.glob("*-s*.csv"))) == 3
+
+
+def test_seed_failing_mid_run_fails_alone(tmp_path, capsys, monkeypatch):
+    # Seed 1 raises after drawing 5 samples from the problem all seeds
+    # share; seeds 0 and 2 still write the bytes they write alone.
+    path = _write(tmp_path, QUAD_INI)
+    for seed in (0, 2):
+        assert main(["solve", "--config", path, "--seed", str(seed),
+                     "--out", str(tmp_path / f"alone{seed}")]) == 0
+    seeds = []
+    run_one_seed, sample = bench._run_one_seed, Quadratic.sample
+
+    def run_seed(cfg, problem, setf, set_, seed):
+        seeds.append(seed)
+        return run_one_seed(cfg, problem, setf, set_, seed)
+
+    def failing_sample(self, x, rng):
+        if seeds[-1] == 1 and self.samples_drawn == 5:
+            raise RuntimeError("boom")
+        return sample(self, x, rng)
+
+    monkeypatch.setattr(bench, "_run_one_seed", run_seed)
+    monkeypatch.setattr(Quadratic, "sample", failing_sample)
+    out = tmp_path / "r"
+    assert main(["solve", "--config", path, "--seeds", "0..2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(next(out.glob("*-report.json")).read_text())
+    assert (report["n_ok"], report["n_failed"]) == (2, 1)
+    assert report["failures"] == [{"seed": 1, "error": "RuntimeError: boom"}]
+    for seed in (0, 2):
+        for alone in (tmp_path / f"alone{seed}").glob(f"*-s{seed}.*"):
+            assert (out / alone.name).read_bytes() == alone.read_bytes()
+    assert not list(out.glob("*-s1.*"))
+
+
 def test_run_experiment_submax(tmp_path):
     cfg = load_config(_write(tmp_path, SUBMAX_INI), out_dir=tmp_path / "runs")
     report = run_experiment(cfg)
@@ -639,6 +693,20 @@ def test_cli_dr_ascent_on_box_leaves_the_origin(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     rows = json.loads(next(out.glob("*-report.json")).read_text())["rows"]
     assert len(rows) == 10 and all(r["final_objective"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_features_exit_2(tmp_path, capsys, bad):
+    data = tmp_path / "data.csv"
+    data.write_text(f"1,0.5,{bad}\n-1,0.25,0.75\n1,-0.5,0.1\n-1,1.0,0.2\n")
+    ini = (f"[problem]\nkind = logistic_csv\npath = {data}\n"
+           "[constraint]\nkind = l1ball\n[solver]\nalgorithm = oblivious_sfw\nt = 5\n")
+    out = tmp_path / "r"
+    assert main(["solve", "--config", _write(tmp_path, ini), "--seeds", "0..2",
+                 "--out", str(out)]) == 2
+    assert ("config error: bad problem block: non-finite values in feature matrix"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", [

@@ -281,6 +281,16 @@ def test_nuclear_lmo_vs_svd_oracle():
         assert float(np.sum(M * G)) <= -2.0 * sigma1 + 1e-6
 
 
+def test_nuclear_ball_lmo_depends_on_the_gradient_alone():
+    # A ball's earlier calls do not move a later answer: one ball is shared
+    # by every seed of a run.
+    rng = RngStream(8)
+    g1, g2 = rng.normal(size=6), rng.normal(size=6)
+    used = NuclearNormBall(1.0, 2, 3)
+    used.lmo_min(g1)
+    assert used.lmo_min(g2).tobytes() == NuclearNormBall(1.0, 2, 3).lmo_min(g2).tobytes()
+
+
 def test_nuclear_ball_membership():
     s = NuclearNormBall(1.0, 3, 3)
     assert s.contains(np.zeros(9))

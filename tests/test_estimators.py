@@ -3,6 +3,7 @@ import pytest
 
 from fwlab.estimators import (
     VariationEstimate,
+    _sample_between,
     grad_diff_delta,
     lbar_constant,
     momentum_update,
@@ -136,60 +137,73 @@ def test_variation_unbiased_monte_carlo():
     assert np.all(np.abs(mean - (g_t - g_p)) <= 3 * se + 1e-12)
 
 
-def test_grad_diff_phi_cubic_hand_example():
-    # psi(x) = x^3 embedded as a 1-d "problem": check the central difference
-    class Cubic:
-        dim = 1
-        mode = "oblivious"
-
-        def value(self, x, s):
-            return float(x[0] ** 3)
-
-        def grad(self, x, s):
-            return np.array([3.0 * x[0] ** 2])
-
-        def logp_grad(self, x, s):
-            return np.zeros(1)
-
-        def logp_hess_vec(self, x, s, u):
-            return np.zeros(1)
-
-        def sample(self, x, rng):
-            return Sample(z=None)
-
-        def one_sample_grad(self, x, s):
-            return self.grad(x, s)
-
-    class Half:
-        # a stream whose every child draws a = 0.5
-        def child(self, label):
-            return self
-
-        def uniform(self):
-            return 0.5
-
-    p = Cubic()
-    # x_t = 1.05, x_prev = 0.95 -> u = 0.1, interpolation fixed at a=0.5 -> x=1
-    est = variation_grad_diff(p, np.array([1.05]), np.array([0.95]), delta=1.0,
-                              it=Half())
-    # phi = (psi'(1.1) - psi'(0.9)) / 2 = (3.63 - 2.43)/2 = 0.6 = H*u + 0
-    assert est.delta_tilde[0] == pytest.approx(0.6, abs=1e-12)
-
-
-def test_grad_diff_exact_for_quadratic():
-    p = Quadratic(np.zeros(2), noise_sigma=1.0)
-    rng = RngStream(6)
-    x_t, x_p = np.array([0.4, 0.1]), np.array([0.0, 0.0])
-    for delta in (0.5, 0.01):
-        est = variation_grad_diff(p, x_t, x_p, delta, rng)
-        assert np.allclose(est.delta_tilde, x_t - x_p, atol=1e-12)
-
-
 def test_grad_diff_requires_positive_delta():
-    p = Quadratic(np.zeros(2))
-    with pytest.raises(ValueError):
-        variation_grad_diff(p, np.ones(2), np.zeros(2), 0.0, RngStream(0))
+    p = MultilinearProblem(Modular(np.ones(2)))
+    with pytest.raises(ValueError, match="delta"):
+        variation_grad_diff(p, np.full(2, 0.6), np.full(2, 0.4), 0.0, RngStream(0))
 
+
+def test_grad_diff_refuses_an_oblivious_problem():
+    p = Quadratic(np.zeros(2), noise_sigma=1.0)
+    with pytest.raises(ValueError, match="non-oblivious"):
+        variation_grad_diff(p, np.full(2, 0.6), np.full(2, 0.4), 0.1, RngStream(0))
+
+
+def _five_term_bits(p, xa, s, u, delta):
+    """The generic five-term composition of grad_diff's terms: ∇²F̃ u and
+    ∇²log p u replaced by central differences of the probes clipped into
+    [0, 1]^d."""
+    xp, xm = np.clip(xa + delta * u, 0.0, 1.0), np.clip(xa - delta * u, 0.0, 1.0)
+    phi_F = (p.grad(xp, s) - p.grad(xm, s)) / (2.0 * delta)
+    phi_lp = (p.logp_grad(xp, s) - p.logp_grad(xm, s)) / (2.0 * delta)
+    val, grad, lg = p.value(xa, s), p.grad(xa, s), p.logp_grad(xa, s)
+    lg_u = float(lg @ u)
+    dt = val * lg_u * lg + phi_F + lg_u * grad + val * phi_lp + float(grad @ u) * lg
+    return dt.tobytes()
+
+
+class _Fixed:
+    """A stream whose every child draws ``a`` as its uniform and ``r`` as
+    its uniform vector."""
+
+    def __init__(self, a, r):
+        self.a, self.r = a, r
+
+    def child(self, label):
+        return self
+
+    def uniform(self):
+        return self.a
+
+    def random(self, d):
+        return self.r
+
+
+def test_grad_diff_equals_five_term_composition_bitwise():
+    # f(z) (<∇log p, u> ∇log p + phi_lp) + 0.0 against the five-term
+    # estimate with phi_F = 0, bit for bit: f(∅) = 0, f(z) = -0.0, signed
+    # zeros in u and probes clipped into the unit box.
+    rng = RngStream(21)
+    d = 6
+    facility = MultilinearProblem(make_facility_location(d, 4, rng.child(0)))
+    signed = MultilinearProblem(Modular(np.array([-0.0, 0.0, 1.0, -2.0, -0.0, 0.5])))
+    n_clamped = 0
+    for k in range(60):
+        p = signed if k % 2 else facility
+        x_prev = rng.uniform(0.0, 1.0, size=d)
+        x_t = np.clip(x_prev + rng.normal(scale=0.3, size=d), 0.0, 1.0)
+        if k % 5 == 0:
+            x_t[[1, 4]] = x_prev[[1, 4]]                # u = 0.0 there
+        if k % 7 == 0:
+            x_t[2], x_prev[2] = 0.4, 0.4 + 1e-12      # a tiny negative u
+        # z = ∅, z = {0} (f = -0.0 for ``signed``), or a random draw
+        r = (np.ones(d), np.r_[0.0, np.ones(d - 1)], rng.uniform(0.0, 1.0, size=d))[k % 3]
+        it, delta = _Fixed(float(rng.uniform()), r), (1e-3, 0.2, 2.0, 0.05)[k % 4]
+        est = variation_grad_diff(p, x_t, x_prev, delta, it)
+        xa, s = _sample_between(p, x_t, x_prev, it)
+        assert est.delta_tilde.tobytes() == _five_term_bits(p, xa, s, x_t - x_prev, delta)
+        n_clamped += est.clamped
+    assert 0 < n_clamped < 60
 
 def test_oblivious_variation_exact_expectation():
     rng = RngStream(7)
