@@ -725,7 +725,7 @@ def test_cli_missing_dim_exit_2(tmp_path, capsys):
     path = _write(tmp_path, QUAD_INI.replace("dim = 3\n", ""))
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 2
     assert "dim" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()  # the seed raised before any write
+    assert not (tmp_path / "r").exists()  # refused at load, before any write
 
 
 def test_modular_weights_need_no_dim():

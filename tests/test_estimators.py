@@ -205,6 +205,7 @@ def test_grad_diff_equals_five_term_composition_bitwise():
         n_clamped += est.clamped
     assert 0 < n_clamped < 60
 
+
 def test_oblivious_variation_exact_expectation():
     rng = RngStream(7)
     A = rng.normal(size=(2, 3))
