@@ -10,10 +10,13 @@ and ``SEED`` in one run, whose second seed must keep its trace and sidecar
 pins: a run builds its problem and constraint once for all its seeds.  The digests hold for one platform (Python 3.11,
 numpy 2.4), as the float-hex pins in ``test_solvers.py`` do.
 
-To add a path, add an entry to ``RUNS`` and regenerate the table; a change
-that moves a digest on purpose says which and why.  Regenerate with
+To add a path, add an entry to ``RUNS`` and regenerate its pin; a change
+that moves a digest on purpose says which and why.  Regenerate the named
+entries (every entry when none is named) with
 
-    PYTHONPATH=src python tests/test_run_pins.py --write
+    PYTHONPATH=src python tests/test_run_pins.py --write [NAME ...]
+
+which prints the names whose digests changed.
 """
 
 import hashlib
@@ -111,6 +114,18 @@ t = 30
 mode = quantized
 """
 
+LOGISTIC_SOLVE = """\
+[problem]
+kind = logistic_csv
+path = scripts/configs/logistic_tiny.csv
+[constraint]
+kind = l1ball
+radius = 2.0
+[solver]
+mode = convex_min
+t = 30
+"""
+
 #: name -> (command, config text, overrides)
 RUNS = {
     "one_sfw-grad_diff-box-convex": ("solve", COVERAGE_BOX, ["solver.mode=convex_min"]),
@@ -124,6 +139,10 @@ RUNS = {
     "one_sfw-logdet-matroid-dr": ("submax", _multilinear("logdet"), []),
     "one_sfw-modular-matroid-dr": ("submax", _multilinear("modular"), []),
     "oblivious_sfw-quadratic-l1ball": ("solve", QUADRATIC, []),
+    "oblivious_sfw-logistic-l1ball": (
+        "solve", LOGISTIC_SOLVE, ["solver.algorithm=oblivious_sfw"]),
+    "one_sfw-logistic-l1ball": (
+        "solve", LOGISTIC_SOLVE, ["solver.algorithm=one_sfw"]),
     "oblivious_sfw-quadratic-nuclear": (
         "solve", QUADRATIC, ["problem.dim=6", "constraint.kind=nuclear",
                              "constraint.radius=1", "constraint.rows=2",
@@ -195,24 +214,32 @@ def test_run_bytes_pinned_after_another_seed(name, tmp_path, monkeypatch):
     assert [got["trace"], got["sidecar"]] == [pin["trace"], pin["sidecar"]]
 
 
-def write_table():
-    """Run every entry of ``RUNS`` and write their digests to the table."""
+def write_table(names=()):
+    """Run the entries ``names`` of ``RUNS`` (every entry if none is named),
+    write their digests into the table, and print the names whose digests
+    changed."""
     import contextlib
     import io
     import os
     import tempfile
 
+    unknown = sorted(set(names) - set(RUNS))
+    if unknown:
+        sys.exit(f"no such run: {', '.join(unknown)}")
     os.chdir(ROOT)
-    table = {}
-    for name in RUNS:
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    table = dict(old) if names else {}
+    for name in names or RUNS:
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()):
             table[name] = run_pinned(name, Path(tmp))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} pins to {TABLE}")
+    changed = sorted(n for n in table if table[n] != old.get(n))
+    print(f"wrote {len(names or RUNS)} pins to {TABLE}; changed: "
+          + (", ".join(changed) or "none"))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_run_pins.py --write")
-    write_table()
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_run_pins.py --write [NAME ...]")
+    write_table(sys.argv[2:])
