@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import RngStream, check_finite, sample_unit_sphere
+from .rng import RngStream, check_finite
 
 __all__ = [
     "FeasibleSet",
@@ -343,9 +343,7 @@ class NuclearNormBall(FeasibleSet):
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
-        G = g.reshape(self.rows, self.cols)
-        M, _ = nuclear_lmo(G, self.radius)
-        return M.ravel()
+        return nuclear_lmo(g.reshape(self.rows, self.cols), self.radius).ravel()
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         X = np.asarray(x, dtype=float).reshape(self.rows, self.cols)
@@ -356,51 +354,18 @@ class NuclearNormBall(FeasibleSet):
         return 2.0 * self.radius
 
 
-def nuclear_lmo(G: np.ndarray, radius: float):
-    """Rank-1 minimizer of <M, G> over the nuclear-norm ball, by power
-    iteration: at most 1000 steps, until the Rayleigh quotient moves by less
-    than 1e-8 relative.  The start vectors come from a fixed stream made
-    anew at every call, so the result depends on ``G`` alone.
-
-    Returns ``(M, flags)`` where ``M = -radius * u1 v1^T`` built from the top
-    singular pair of ``G``.  ``flags`` is a dict with ``degenerate`` (G = 0)
-    and ``converged``.
-    """
+def nuclear_lmo(G: np.ndarray, radius: float) -> np.ndarray:
+    """Rank-1 minimizer ``-radius * u1 v1^T`` of <M, G> over the
+    nuclear-norm ball, from the top singular pair of ``np.linalg.svd``
+    (the outer product does not depend on the sign LAPACK picks); the zero
+    matrix for G = 0."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     G = check_finite(np.asarray(G, dtype=float), "nuclear LMO input")
-    rng = RngStream(0x9C, 0x1A)
-    rows, cols = G.shape
-    if np.all(G == 0):
-        return np.zeros_like(G), {"degenerate": True, "converged": True}
-
-    def power(v0):
-        v = v0 / np.linalg.norm(v0)
-        last = -np.inf
-        for _ in range(1000):
-            w = G.T @ (G @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                return v, 0.0, False
-            v = w / nw
-            rq = float(v @ (G.T @ (G @ v)))
-            if abs(rq - last) < 1e-8 * max(1.0, rq):
-                return v, rq, True
-            last = rq
-        return v, last, False
-
-    v, rq, ok = power(sample_unit_sphere(rng, cols))
-    if not ok:  # one restart with a fresh random vector on stagnation
-        v2, rq2, ok2 = power(sample_unit_sphere(rng, cols))
-        if rq2 > rq:
-            v, rq, ok = v2, rq2, ok2
-    u = G @ v
-    sigma = np.linalg.norm(u)
-    if sigma == 0:
-        return np.zeros_like(G), {"degenerate": True, "converged": ok}
-    u = u / sigma
-    M = -radius * np.outer(u, v)
-    return M, {"degenerate": False, "converged": ok}
+    if not G.any():
+        return np.zeros_like(G)
+    U, _, Vt = np.linalg.svd(G, full_matrices=False)
+    return -radius * np.outer(U[:, 0], Vt[0])
 
 
 def shrunk_cap(budget: float, upper: np.ndarray, delta: float) -> tuple[float, bool]:

@@ -191,9 +191,9 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     mini-batches with replacement from the local partition.
 
     The M replicas are the rows of one ``(M, d)`` array, advanced together:
-    each round makes one stacked ``batch_grad`` call (two on inner rounds),
-    while each worker draws its batch and its quantizer bits from its own
-    stream and sends its own message.
+    each round makes one stacked ``batch_grad`` call (on inner rounds over
+    X and X_prev stacked), while each worker draws its batch and its
+    quantizer bits from its own stream and sends its own message.
     """
     N, M, d = problem.n, cfg.M, problem.dim
     if N % M != 0:
@@ -218,13 +218,16 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         s1, s2 = int(cfg.s1_fn(i, k)), int(cfg.s2_fn(i, k))
         size = cfg.anchor_batch_fn(i) if k == 1 else cfg.inner_batch_fn(i, k)
         if size is None:
-            idx = np.arange(N)              # every worker's whole partition
+            idx = range(N)                  # every worker's whole partition
         else:
             idx = (np.stack([r.integers(n_local, size=int(size))
                              for r in worker_rngs]) + offsets).ravel()
-        G = problem.batch_grad(X, idx)
-        if k > 1:
-            G = G - problem.batch_grad(X_prev, idx)
+        if k == 1:
+            G = problem.batch_grad(X, idx)
+        else:   # X and X_prev as one stack of 2M rows, each block alone
+            both = problem.batch_grad(np.concatenate([X, X_prev]),
+                                      np.concatenate([idx, idx]))
+            G = both[:M] - both[M:]
         decoded = np.stack([_send(G[m], s1, worker_rngs[m], ledger, t, "up")
                             for m in range(M)])
         gtilde = ordered_means(decoded)[0]    # summed in worker order
@@ -261,7 +264,7 @@ def _run_fl(problem, set_, cfg, T, rng, log_points):
     own components, then the master averages the models (no guarantee)."""
     N, M, d = problem.n, cfg.M, problem.dim
     X = np.tile(set_.lmo_min(np.zeros(d)), (M, 1))
-    idx = np.arange(N)                      # every worker's whole partition
+    idx = range(N)                          # every worker's whole partition
     ledger = BitLedger()
     trace = SolveTrace(meta={"setting": cfg.setting, "M": M, "T": T,
                              "mode": "fl", "guarantee": "none"})

@@ -233,6 +233,12 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+def _softplus(t):
+    # log(1 + e^t) = max(t, 0) + log1p(e^-|t|): exp and log1p run through
+    # numpy's SIMD loops, where logaddexp(0, t) calls libm per element
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
 class LogisticL1(StochasticProblem):
     """Binary logistic loss F(w) = (1/n) Σ log(1 + exp(−y_i w·a_i)).
 
@@ -269,7 +275,7 @@ class LogisticL1(StochasticProblem):
         return -self.y[i] * float(self.A[i] @ x)
 
     def value(self, x, s):
-        return float(np.logaddexp(0.0, self._margin(x, s.z)))
+        return float(_softplus(self._margin(x, s.z)))
 
     def grad(self, x, s):
         i = s.z
@@ -282,7 +288,7 @@ class LogisticL1(StochasticProblem):
         return sig * (1 - sig) * float(self.A[i] @ u) * self.A[i]
 
     def exact_value(self, x):
-        return float(np.mean(np.logaddexp(0.0, -self.y * (self.A @ x))))
+        return float(np.mean(_softplus(-self.y * (self.A @ x))))
 
     def exact_grad(self, x):
         sig = _sigmoid(-self.y * (self.A @ x))
@@ -786,7 +792,7 @@ class FiniteSumProblem:
         A, y = p.A, p.y
 
         def values(x, idx):
-            return np.logaddexp(0.0, -y[idx] * np.vecdot(A[idx], x))
+            return _softplus(-y[idx] * np.vecdot(A[idx], x))
 
         def grads(x, idx):
             a, yi = A[idx], y[idx]
@@ -814,14 +820,21 @@ class FiniteSumProblem:
         ``idx``, or a stack ``(M, dim)``: then ``idx`` is M equal consecutive
         blocks and row m of the ``(M, dim)`` result is the mean over block m
         at ``x[m]``, bit for bit what a call on ``x[m]`` and block m gives.
+        ``range(n)`` names every component in order, as ``np.arange(n)``
+        does, and the oracles read it as :data:`FULL_RANGE`, without a
+        gather; unlike that slice, the range has a length.
         """
-        idx = np.asarray(idx)
+        if isinstance(idx, range) and idx == range(self.n):
+            n_idx, idx = self.n, FULL_RANGE   # read in place, without a gather
+        else:
+            idx = np.asarray(idx)
+            n_idx = idx.size
         X = np.reshape(x, (-1, self.dim))   # one point is a stack of one
         M = len(X)
-        if idx.size == 0 or idx.size % M:
-            raise ValueError(f"{idx.size} indices do not split into {M} "
+        if n_idx == 0 or n_idx % M:
+            raise ValueError(f"{n_idx} indices do not split into {M} "
                              "nonempty equal blocks")
-        points = np.repeat(X, idx.size // M, axis=0)  # X[m] for each of block m
+        points = np.repeat(X, n_idx // M, axis=0)  # X[m] for each of block m
         G = ordered_means(self.grads(points, idx), M)
         return G if np.ndim(x) == 2 else G[0]
 

@@ -66,9 +66,12 @@ def _partition_law(g: np.ndarray, s: int):
     inf = float(a.max()) if g.size else 0.0
     if inf == 0.0:
         return inf, np.zeros(g.size, dtype=np.int64), np.zeros(g.size)
-    rs = a / inf * s                         # the ratio |g_i| / inf, times s
-    lo = np.minimum(np.floor(rs), s - 1).astype(np.int64)
-    return inf, lo, rs - lo
+    a /= inf
+    a *= s                                   # the ratio |g_i| / inf, times s
+    lo = np.floor(a)
+    np.minimum(lo, s - 1, out=lo)
+    a -= lo
+    return inf, lo.astype(np.int64), a
 
 
 def encode_partition(g: np.ndarray, s: int, rng: RngStream) -> QuantizedMessage:

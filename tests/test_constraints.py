@@ -259,26 +259,39 @@ def test_continuous_greedy_average_feasible():
 # --- nuclear norm ball -----------------------------------------------------
 
 def test_nuclear_lmo_diagonal():
-    M, flags = nuclear_lmo(np.diag([3.0, 1.0]), 1.0)
-    assert not flags["degenerate"]
-    assert np.allclose(np.abs(M), [[1, 0], [0, 0]], atol=1e-5)
-    assert M[0, 0] == pytest.approx(-1.0, abs=1e-5)
+    M = nuclear_lmo(np.diag([3.0, 1.0]), 1.0)
+    assert np.array_equal(M, [[-1.0, 0.0], [0.0, 0.0]])
 
 
 def test_nuclear_lmo_zero_degenerate():
-    M, flags = nuclear_lmo(np.zeros((3, 2)), 2.0)
-    assert flags["degenerate"]
+    M = nuclear_lmo(np.zeros((3, 2)), 2.0)
     assert np.array_equal(M, np.zeros((3, 2)))
 
 
+def _orthonormal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
 def test_nuclear_lmo_vs_svd_oracle():
+    # <M, G> = -r sigma_1 and ||M||_* = r: at several shapes, on a
+    # rank-deficient G, and on G whose top singular values tie.
     rng = RngStream(6)
-    for _ in range(20):
-        G = rng.normal(size=(5, 4))
+    cases = [rng.normal(size=shape) for shape in [(2, 3), (5, 8), (20, 30)]
+             for _ in range(5)]
+    cases.append(np.outer(rng.normal(size=5), rng.normal(size=8)))  # rank 1
+    cases.append(rng.normal(size=(20, 2)) @ rng.normal(size=(2, 30)))  # rank 2
+    for rows, cols in [(2, 3), (5, 8), (20, 30)]:
+        sigma = np.zeros(min(rows, cols))
+        sigma[:2] = 3.0
+        sigma[2:] = 1.0
+        cases.append(_orthonormal(rng, rows)[:, :len(sigma)] * sigma
+                     @ _orthonormal(rng, cols)[:len(sigma)])
+    for G in cases:
         sigma1 = np.linalg.svd(G, compute_uv=False)[0]
-        M, flags = nuclear_lmo(G, 2.0)
-        assert np.sum(np.linalg.svd(M, compute_uv=False)) == pytest.approx(2.0, abs=1e-8)
-        assert float(np.sum(M * G)) <= -2.0 * sigma1 + 1e-6
+        M = nuclear_lmo(G, 2.0)
+        assert M.shape == G.shape
+        assert np.sum(np.linalg.svd(M, compute_uv=False)) == pytest.approx(2.0, rel=1e-12)
+        assert float(np.sum(M * G)) == pytest.approx(-2.0 * sigma1, rel=1e-12)
 
 
 def test_nuclear_ball_lmo_depends_on_the_gradient_alone():

@@ -128,6 +128,7 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
         "random": rng.integers(n_local, size=(M, 5)) + offsets,
         "duplicates": np.array([[2, 0, 2]] * M) + offsets,
     }
+    Y = rng.normal(size=(M, d))
     for name, B in blocks.items():
         G = fs.batch_grad(X, B.ravel())
         assert G.shape == (M, d)
@@ -135,6 +136,14 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
             ref = _loop_mean_grad(grad_fns, X[m], B[m])
             assert G[m].tobytes() == ref.tobytes(), (name, m)
             assert G[m].tobytes() == fs.batch_grad(X[m], B[m]).tobytes()
+        # X and Y stacked as 2M rows, each block at its own row, as two calls
+        both = fs.batch_grad(np.concatenate([X, Y]), np.concatenate([B.ravel()] * 2))
+        assert both.tobytes() == np.concatenate(
+            [G, fs.batch_grad(Y, B.ravel())]).tobytes(), name
+    # range(n) reads every component in place, as np.arange(n) names them
+    for points in (X, X[0]):
+        assert (fs.batch_grad(points, range(n)).tobytes()
+                == fs.batch_grad(points, np.arange(n)).tobytes())
     with pytest.raises(ValueError, match="equal blocks"):
         fs.batch_grad(X, np.arange(n_local + 1))
 
@@ -263,6 +272,29 @@ def test_anchor_exact_with_unquantized_links():
     v = set_.lmo_min(g)
     eta = float(cfg.eta_fn(1, 1, 1))
     assert np.allclose(trace.output, x0 + eta * (v - x0), atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["quantized", "fl"])
+def test_one_batch_grad_call_per_round(mode, monkeypatch):
+    # Anchors (and fl rounds) name the whole range; a correction round
+    # evaluates X and X_prev in one stacked call.
+    fs = _tiny_logistic()
+    calls, inner = [], fs.batch_grad
+
+    def counted(x, idx):
+        calls.append((len(x), idx))
+        return inner(x, idx)
+
+    monkeypatch.setattr(fs, "batch_grad", counted)
+    T, M = 20, 4
+    cfg = schedule_from_theorem("finite_convex", 40, M, 6, T=T, mode=mode)
+    run_qfw(fs, L1Ball(2.0, 6), cfg, T, RngStream(6))
+    assert len(calls) == T
+    for (rows, idx), (_, i, k) in zip(calls, _round_schedule(cfg, T)):
+        if k == 1 or mode == "fl":
+            assert rows == M and idx == range(40)
+        else:
+            assert rows == 2 * M and len(idx) == 2 * M * cfg.inner_batch_fn(i, k)
 
 
 def test_replica_consistency_and_determinism():

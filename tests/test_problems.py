@@ -10,6 +10,7 @@ from fwlab.problems import (
     _all_masks,
     _all_values,
     _sigmoid,
+    _softplus,
     Coverage,
     EnumerationBudgetError,
     FacilityLocation,
@@ -97,6 +98,17 @@ def test_sigmoid_equals_mask_form():
     t = np.concatenate([edges, RngStream(3).normal(scale=40.0, size=20_000)])
     assert _sigmoid(t).tobytes() == _sigmoid_mask_form(t).tobytes()
     assert _sigmoid(edges[:2]).tobytes() == np.array([0.5, 0.5]).tobytes()
+
+
+def test_softplus_within_3_ulp_of_logaddexp():
+    edges = np.array([0.0, -0.0, 709.0, -709.0, 800.0, -800.0, 1e308, -1e308])
+    draws = [RngStream(4, k).normal(scale=scale, size=20_000)
+             for k, scale in enumerate([0.01, 0.1, 1.0, 10.0, 100.0])]
+    t = np.concatenate([edges, *draws])
+    got, ref = _softplus(t), np.logaddexp(0.0, t)
+    assert np.isfinite(got).all()
+    assert (np.abs(got - ref) <= 3 * np.spacing(ref)).all()
+    assert got[:2].tobytes() == np.full(2, np.log(2.0)).tobytes()
 
 
 def test_logistic_sample_law_uniform_and_x_free():

@@ -60,7 +60,7 @@ def _encode_reference(g, s, rng):
     return np.sign(g).astype(np.int64), levels, inf
 
 
-@pytest.mark.parametrize("s", [1, 2, 7, 2**16])
+@pytest.mark.parametrize("s", [1, 2, 7, 9, 40, 2**16])
 def test_encode_equals_reference_encoder(s):
     gen = RngStream(21)
     cases = [np.zeros(6), np.zeros(0), np.array([-0.0, 0.0, -0.0]),
@@ -68,7 +68,9 @@ def test_encode_equals_reference_encoder(s):
              gen.normal(size=50) * 1e-300, gen.uniform(-1.0, 1.0, size=200)]
     for j, g in enumerate(cases):
         rng, ref_rng = RngStream(5, j), RngStream(5, j)
+        sent = g.copy()
         msg = encode_partition(g, s, rng)
+        assert g.tobytes() == sent.tobytes()  # the law works on its own copies
         signs, levels, inf = _encode_reference(g, s, ref_rng)
         assert msg.signs.tobytes() == signs.tobytes()
         assert msg.levels.tobytes() == levels.tobytes()
