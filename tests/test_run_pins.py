@@ -227,14 +227,15 @@ def write_table(names=()):
     if unknown:
         sys.exit(f"no such run: {', '.join(unknown)}")
     os.chdir(ROOT)
-    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    old = json.loads(TABLE.read_text())
     table = dict(old) if names else {}
     for name in names or RUNS:
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()):
             table[name] = run_pinned(name, Path(tmp))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    changed = sorted(n for n in table if table[n] != old.get(n))
+    changed = sorted(n for n in table.keys() | old.keys()
+                     if table.get(n) != old.get(n))
     print(f"wrote {len(names or RUNS)} pins to {TABLE}; changed: "
           + (", ".join(changed) or "none"))
 
