@@ -138,7 +138,13 @@ RUNS = {
         "submax", _multilinear("concave_modular", "n_users = 3\n"), []),
     "one_sfw-logdet-matroid-dr": ("submax", _multilinear("logdet"), []),
     "one_sfw-modular-matroid-dr": ("submax", _multilinear("modular"), []),
+    "one_sfw-facility-matroid-convex": (
+        "solve", FACILITY_MATROID, ["solver.mode=convex_min"]),
+    "deterministic_fw-facility-matroid": (
+        "solve", FACILITY_MATROID, ["solver.algorithm=deterministic_fw",
+                                    "solver.mode=convex_min"]),
     "oblivious_sfw-quadratic-l1ball": ("solve", QUADRATIC, []),
+    "one_sfw-quadratic-l1ball": ("solve", QUADRATIC, ["solver.algorithm=one_sfw"]),
     "oblivious_sfw-logistic-l1ball": (
         "solve", LOGISTIC_SOLVE, ["solver.algorithm=oblivious_sfw"]),
     "one_sfw-logistic-l1ball": (
@@ -148,6 +154,7 @@ RUNS = {
                              "constraint.radius=1", "constraint.rows=2",
                              "constraint.cols=3"]),
     "scg-nqp-box-dr": ("submax", NQP_BOX, []),
+    "one_sfw-nqp-box-dr": ("submax", NQP_BOX, ["solver.algorithm=one_sfw"]),
     "deterministic_fw-quadratic-simplex": (
         "solve", QUADRATIC, ["solver.algorithm=deterministic_fw",
                              "constraint.kind=simplex", "constraint.scale=1.5"]),
