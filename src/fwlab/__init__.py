@@ -31,6 +31,6 @@ from .problems import (
 )
 from .solvers import Schedule, bcg, dbg, deterministic_fw, fw_gap, oblivious_sfw, one_sfw
 from .quantize import decode, encode_partition, exact_variance
-from .distsim import run_qfw, run_snc_qfw, schedule_from_theorem
+from .distsim import run_qfw, schedule_from_theorem
 
 __version__ = "0.1.0"

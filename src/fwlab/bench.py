@@ -156,10 +156,7 @@ _TABLE = {
                       "eta_c": Key(float, None, _POSITIVE),
                       "eta_a": Key(float, 1.0, _NONNEGATIVE)},
                **_ALGORITHMS},
-    # Neither stochastic setting: stoch_convex's schedule needs constants
-    # (sigma, L, D) and stoch_nonconvex a surrogate size, which no key gives.
-    "distsim": {None: {"setting": Key(str, "finite_convex", tuple(
-                           s for s in SETTINGS if not s.startswith("stoch_"))),
+    "distsim": {None: {"setting": Key(str, "finite_convex", SETTINGS),
                        "m": Key(int, 1, _COUNT), "t": Key(int, 64, _COUNT),
                        "mode": Key(str, "quantized", MODES)}},
 }
@@ -340,21 +337,27 @@ def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
 
 
 def build_constraint(block: dict, dim: int) -> C.FeasibleSet:
+    """The constraint of ``block``, in the problem's dimension ``dim``."""
     try:
         v = _values("constraint", block)
         kind = v["kind"]
         if kind == "l1ball":
-            return C.L1Ball(v["radius"], dim)
-        if kind == "box":
-            return C.Box(*(np.full(dim, b[0]) if b.size == 1 else b
+            set_ = C.L1Ball(v["radius"], dim)
+        elif kind == "box":
+            set_ = C.Box(*(np.full(dim, b[0]) if b.size == 1 else b
                            for b in (v["lower"], v["upper"])))
-        if kind == "simplex":
-            return C.Simplex(v["scale"], dim)
-        if kind == "matroid":
-            return C.PartitionMatroidPolytope(v["blocks"], v["budgets"], dim)
-        return C.NuclearNormBall(v["radius"], v["rows"], v["cols"])  # nuclear
+        elif kind == "simplex":
+            set_ = C.Simplex(v["scale"], dim)
+        elif kind == "matroid":
+            set_ = C.PartitionMatroidPolytope(v["blocks"], v["budgets"], dim)
+        else:  # nuclear
+            set_ = C.NuclearNormBall(v["radius"], v["rows"], v["cols"])
     except (ValueError, NumericsError) as e:
         raise ConfigError(f"bad constraint block: {e}") from e
+    if set_.dim != dim:
+        raise ConfigError(f"bad constraint block: a {kind} constraint of dimension "
+                          f"{set_.dim} for a problem of dimension {dim}")
+    return set_
 
 
 def build_problem(block: dict):
@@ -457,11 +460,17 @@ def run_experiment(cfg: RunConfig) -> dict:
     (isolated failures), write traces, return the report.
 
     A build error is a ConfigError, raised before the output directory is
-    created, so it leaves nothing behind.
+    created, so it leaves nothing behind; so is a worker count that does
+    not divide the rows of the simulator's data.
     """
     digest = cfg.digest()
     problem, setf = build_problem(cfg.problem)
     set_ = build_constraint(cfg.constraint, problem.dim)
+    if cfg.distsim is not None:  # load_config admits only logistic_csv here
+        m = _read("distsim", cfg.distsim, "m")
+        if problem.n % m:
+            raise ConfigError(f"distsim.m={m} does not divide the {problem.n} "
+                              "rows of the problem's data")
     rows, failures = [], []
     for seed in cfg.seeds:
         tag = f"{cfg.name}-{digest}-s{seed}"

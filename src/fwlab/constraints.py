@@ -66,9 +66,6 @@ class FeasibleSet:
     def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
-    def diameter(self) -> float:
-        raise NotImplementedError
-
 
 class L1Ball(FeasibleSet):
     def __init__(self, radius: float, dim: int):
@@ -90,9 +87,6 @@ class L1Ball(FeasibleSet):
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return float(np.sum(np.abs(x))) <= self.radius + tol
 
-    def diameter(self):
-        return 2.0 * self.radius
-
 
 class Box(FeasibleSet):
     def __init__(self, lower, upper):
@@ -106,10 +100,6 @@ class Box(FeasibleSet):
         self.upper = upper
         self.dim = lower.size
         self._shifted = {}  # tol -> (lower - tol, upper + tol), for contains
-
-    @classmethod
-    def unit(cls, dim: int) -> "Box":
-        return cls(np.zeros(dim), np.ones(dim))
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
@@ -147,19 +137,8 @@ class Simplex(FeasibleSet):
         v[int(np.argmin(g))] = self.scale
         return v
 
-    def lmo_max(self, g):
-        g = _check_dim(self, g)
-        v = np.zeros(self.dim)
-        v[int(np.argmax(g))] = self.scale
-        return v
-
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - self.scale) <= tol)
-
-    def diameter(self):
-        if self.dim < 2:
-            return 0.0
-        return self.scale * np.sqrt(2.0)
 
 
 def _parse_blocks(blocks, dim):
@@ -190,12 +169,6 @@ class PartitionMatroid:
         for blk, b in zip(self.blocks, self.budgets):
             if not 0 <= b <= len(blk):
                 raise ValueError("budgets must satisfy 0 <= budget <= block size")
-
-    def is_independent(self, members: np.ndarray) -> bool:
-        members = np.asarray(members, dtype=bool)
-        return all(
-            int(members[blk].sum()) <= b for blk, b in zip(self.blocks, self.budgets)
-        )
 
     def is_base(self, members: np.ndarray) -> bool:
         members = np.asarray(members, dtype=bool)
@@ -312,9 +285,6 @@ class BudgetBoxPolytope(FeasibleSet):
         sums = np.add.reduceat(seg, self._seg_starts)
         return bool((sums <= caps).all())
 
-    def diameter(self):
-        return float(np.linalg.norm(self.upper))
-
 
 class PartitionMatroidPolytope(BudgetBoxPolytope):
     """{0 <= x <= 1, sum over block_j <= budget_j}, the unit case of
@@ -348,10 +318,6 @@ class NuclearNormBall(FeasibleSet):
     def contains(self, x, tol=MEMBERSHIP_TOL):
         X = np.asarray(x, dtype=float).reshape(self.rows, self.cols)
         return float(np.sum(np.linalg.svd(X, compute_uv=False))) <= self.radius + tol
-
-    def diameter(self):
-        # Frobenius diameter: 2r, attained by opposite rank-1 matrices
-        return 2.0 * self.radius
 
 
 def nuclear_lmo(G: np.ndarray, radius: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import FeasibleSet
-from .problems import FiniteSumProblem, StochasticProblem, ordered_means
+from .problems import FiniteSumProblem, ordered_means
 from .quantize import UNQUANTIZED, decode, encode_partition
 from .rng import RngStream
 from .solvers import IterationRecord, SolveTrace, fw_gap
@@ -27,7 +27,6 @@ __all__ = [
     "QfwConfig",
     "BitLedger",
     "run_qfw",
-    "run_snc_qfw",
     "schedule_from_theorem",
     "RAW_BITS_PER_COORD",
     "SETTINGS",
@@ -40,8 +39,7 @@ _WORKER_STREAM = 0x700
 _MASTER_STREAM = 0x600
 _OUTPUT_STREAM = 0xA11
 
-SETTINGS = ("finite_convex", "stoch_convex", "finite_nonconvex",
-            "stoch_nonconvex")
+SETTINGS = ("finite_convex", "finite_nonconvex")
 MODES = ("quantized", "unquantized", "fl")
 
 
@@ -67,16 +65,15 @@ class BitLedger:
 class QfwConfig:
     """Simulator schedule bundle.
 
-    ``setting`` is one of finite_convex, stoch_convex, finite_nonconvex,
-    stoch_nonconvex; ``mode`` is quantized, unquantized, or fl (local-update
-    heuristic with end-of-round model averaging, no guarantee).  The
-    callables take the period index i (1-based) and inner index k.
+    ``setting`` is finite_convex or finite_nonconvex; ``mode`` is quantized,
+    unquantized, or fl (local-update heuristic with end-of-round model
+    averaging, no guarantee).  The callables take the period index i
+    (1-based) and inner index k.
     """
 
     M: int
     setting: str
     period_fn: object          # i -> p_i
-    anchor_batch_fn: object    # i -> batch size at k=1 (None = all local)
     inner_batch_fn: object     # (i, k) -> mini-batch size for k >= 2
     eta_fn: object             # (i, k, t) -> step size
     s1_fn: object              # (i, k) -> up-link levels (UNQUANTIZED = raw)
@@ -96,8 +93,7 @@ def _cap_levels(s: float) -> int:
     return max(1, min(int(math.ceil(s)), LEVEL_CAP))
 
 
-def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
-                          constants: dict | None = None, T: int | None = None,
+def schedule_from_theorem(setting: str, n_total: int, M: int, d: int, T: int,
                           mode: str = "quantized") -> QfwConfig:
     """Theorem-prescribed periods, batches, steps, and quantization levels.
 
@@ -105,18 +101,7 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
     additionally capped at 2^16.  With ``mode="unquantized"`` both links
     send raw vectors (levels ``UNQUANTIZED``) on the same schedule.
     """
-    if n_total % M != 0:
-        raise ValueError(f"component count {n_total} not divisible by M={M}")
-
-    if setting in ("finite_convex", "stoch_convex"):
-        # the two convex settings differ only in the anchor batch
-        anchor = lambda i: None  # all local components
-        if setting == "stoch_convex":
-            if constants is None or not {"sigma", "L", "D"} <= constants.keys():
-                raise ValueError("stoch_convex needs constants sigma, L, D")
-            sg, L, D = constants["sigma"], constants["L"], constants["D"]
-            anchor = lambda i: max(
-                1, math.ceil(sg**2 * (2 ** (i - 1)) ** 2 / (M * L**2 * D**2)))
+    if setting == "finite_convex":
         period = lambda i: 2 ** (i - 1)
         inner = lambda i, k: max(1, math.ceil(2 ** (i - 1) / M))
         eta = lambda i, k, t: 2.0 / (2 ** (i - 1) + k)
@@ -126,12 +111,9 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
         s2 = lambda i, k: _cap_levels(
             math.sqrt(d * (2 ** (i - 1)) ** 2) if k == 1
             else math.sqrt(d * 2 ** (i - 1)))
-    elif setting in ("finite_nonconvex", "stoch_nonconvex"):
-        if T is None:
-            raise ValueError("nonconvex schedules need the horizon T")
+    elif setting == "finite_nonconvex":
         p = max(1, math.ceil(math.sqrt(n_total)))
         period = lambda i: p
-        anchor = lambda i: None
         inner = lambda i, k: max(1, math.ceil(math.sqrt(n_total) / M))
         eta = lambda i, k, t: T ** (-0.5)
         s1 = lambda i, k: _cap_levels(
@@ -145,8 +127,8 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int,
         s1 = s2 = lambda i, k: UNQUANTIZED
 
     return QfwConfig(M=M, setting=setting, period_fn=period,
-                     anchor_batch_fn=anchor, inner_batch_fn=inner,
-                     eta_fn=eta, s1_fn=s1, s2_fn=s2, mode=mode)
+                     inner_batch_fn=inner, eta_fn=eta, s1_fn=s1, s2_fn=s2,
+                     mode=mode)
 
 
 def _send(vec: np.ndarray, s: int, rng: RngStream, ledger: BitLedger,
@@ -182,12 +164,12 @@ def _replicas_agree(S: np.ndarray) -> bool:
 
 
 def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
-            T: int, rng: RngStream, log_points=None):
+            T: int, rng: RngStream):
     """Quantized distributed Frank-Wolfe on a finite sum.
 
-    Returns (SolveTrace, BitLedger).  The N components are partitioned
-    evenly across the M workers; anchors with ``anchor_batch_fn -> None``
-    use every local component (exact local gradient), inner rounds draw
+    Returns (SolveTrace, BitLedger), with one trace record per round.  The
+    N components are partitioned evenly across the M workers; anchors use
+    every local component (exact local gradient), inner rounds draw
     mini-batches with replacement from the local partition.
 
     The M replicas are the rows of one ``(M, d)`` array, advanced together:
@@ -200,7 +182,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         raise ValueError(f"component count {N} not divisible by M={M}")
     n_local = N // M
     if cfg.mode == "fl":
-        return _run_fl(problem, set_, cfg, T, rng, log_points)
+        return _run_fl(problem, set_, cfg, T)
 
     x0 = set_.lmo_min(np.zeros(d))
     X = np.tile(x0, (M, 1))
@@ -216,15 +198,12 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     iterates = [x0.copy()]
     for t, i, k in _round_schedule(cfg, T):
         s1, s2 = int(cfg.s1_fn(i, k)), int(cfg.s2_fn(i, k))
-        size = cfg.anchor_batch_fn(i) if k == 1 else cfg.inner_batch_fn(i, k)
-        if size is None:
-            idx = range(N)                  # every worker's whole partition
-        else:
-            idx = (np.stack([r.integers(n_local, size=int(size))
-                             for r in worker_rngs]) + offsets).ravel()
-        if k == 1:
-            G = problem.batch_grad(X, idx)
+        if k == 1:   # every worker's whole partition
+            G = problem.batch_grad(X, range(N))
         else:   # X and X_prev as one stack of 2M rows, each block alone
+            size = int(cfg.inner_batch_fn(i, k))
+            idx = (np.stack([r.integers(n_local, size=size)
+                             for r in worker_rngs]) + offsets).ravel()
             both = problem.batch_grad(np.concatenate([X, X_prev]),
                                       np.concatenate([idx, idx]))
             G = both[:M] - both[M:]
@@ -241,12 +220,10 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
             raise AssertionError("replica divergence across workers")
         iterates.append(X[0].copy())
 
-        if log_points is None or t in log_points:
-            xo = X[0]
-            gap = fw_gap(problem.full_grad(xo), set_, xo) if nonconvex else None
-            trace.records.append(IterationRecord(
-                t=t, objective=problem.value(xo), fw_gap=gap,
-                cum_bits=ledger.total))
+        xo = X[0]
+        gap = fw_gap(problem.full_grad(xo), set_, xo) if nonconvex else None
+        trace.records.append(IterationRecord(
+            t=t, objective=problem.value(xo), fw_gap=gap, cum_bits=ledger.total))
     if nonconvex:
         idx = int(rng.child(_OUTPUT_STREAM).integers(len(iterates)))
         trace.output = iterates[idx]
@@ -259,7 +236,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     return trace, ledger
 
 
-def _run_fl(problem, set_, cfg, T, rng, log_points):
+def _run_fl(problem, set_, cfg, T):
     """Local-update heuristic: each worker takes one local FW step on its
     own components, then the master averages the models (no guarantee)."""
     N, M, d = problem.n, cfg.M, problem.dim
@@ -274,44 +251,8 @@ def _run_fl(problem, set_, cfg, T, rng, log_points):
         sent = np.stack([_send(x, UNQUANTIZED, None, ledger, t, "up") for x in X])
         avg = _send(ordered_means(sent)[0], UNQUANTIZED, None, ledger, t, "down")
         X = np.tile(avg, (M, 1))
-        if log_points is None or t in log_points:
-            trace.records.append(IterationRecord(
-                t=t, objective=problem.value(avg), cum_bits=ledger.total))
+        trace.records.append(IterationRecord(
+            t=t, objective=problem.value(avg), cum_bits=ledger.total))
     trace.output = X[0]
     return trace, ledger
 
-
-def run_snc_qfw(p: StochasticProblem, set_: FeasibleSet, cfg: QfwConfig,
-                T: int, n_surrogate: int, rng: RngStream, log_points=None):
-    """Stochastic non-convex wrapper: draw ``n_surrogate`` samples once,
-    build the finite-sum surrogate (1/n) sum f(x; z_i), and run the
-    finite-sum simulator on it with the nonconvex schedules.
-
-    The surrogate's oracles evaluate ``p`` on the samples ``idx`` names one
-    at a time, since a ``StochasticProblem`` has per-sample oracles only."""
-    if n_surrogate % cfg.M != 0:
-        raise ValueError("surrogate size must be divisible by worker count")
-    x0 = set_.lmo_min(np.zeros(p.dim))
-    srng = rng.child(0x5A)
-    samples = np.empty(n_surrogate, dtype=object)  # indexable like the arrays
-    for j in range(n_surrogate):
-        samples[j] = p.sample(x0, srng)
-
-    def values(x, idx):
-        return np.array([p.value(x, s) for s in samples[idx]])
-
-    def grads(x, idx):
-        picked = samples[idx]
-        points = np.broadcast_to(x, (len(picked), p.dim))
-        return np.array([p.grad(xi, s)
-                         for xi, s in zip(points, picked)]).reshape(-1, p.dim)
-
-    surrogate = FiniteSumProblem(p.dim, n_surrogate, values, grads)
-    trace, ledger = run_qfw(surrogate, set_, cfg, T, rng, log_points)
-    trace.meta["surrogate_n"] = n_surrogate
-    if trace.output is not None:
-        trace.meta["true_gap"] = fw_gap(p.exact_grad(trace.output), set_,
-                                        trace.output)
-        trace.meta["surrogate_gap"] = fw_gap(surrogate.full_grad(trace.output),
-                                             set_, trace.output)
-    return trace, ledger, surrogate

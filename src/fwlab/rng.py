@@ -133,9 +133,6 @@ class RngStream:
     def random(self, size=None):
         return self._generator().random(size=size)
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
 
 def check_finite(x: np.ndarray, what: str = "vector") -> np.ndarray:
     if type(x) is not np.ndarray or x.dtype != np.float64:

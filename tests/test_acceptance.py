@@ -309,8 +309,7 @@ def test_10_single_worker_reduces_to_sequential_reference():
     cfg = schedule_from_theorem("finite_convex", 20, 1, 5, T=T)
     cfg.s1_fn = lambda i, k: UNQUANTIZED
     cfg.s2_fn = lambda i, k: UNQUANTIZED
-    trace, _ = run_qfw(fs, set_, cfg, T, RngStream(101),
-                       log_points=set(range(1, T + 1)))
+    trace, _ = run_qfw(fs, set_, cfg, T, RngStream(101))
 
     # independent sequential recursive-anchor reference
     rng = RngStream(101)

@@ -363,12 +363,34 @@ def test_solver_algorithm_is_case_insensitive(tmp_path):
 
 
 def test_cli_runtime_failure_exit_3(tmp_path, capsys, monkeypatch):
-    # Only a seed can find this: the row count lives in the data file.
-    monkeypatch.chdir(ROOT)
-    rc = main(["distsim", "--config", "scripts/configs/distsim_logistic.ini",
-               "--out", str(tmp_path / "r"), "--override", "distsim.m=3"])
+    # Every seed raises: each failure is reported, and the run exits 3.
+    def failing_sample(self, x, rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Quadratic, "sample", failing_sample)
+    rc = main(["solve", "--config", _write(tmp_path, QUAD_INI), "--seeds", "0,1",
+               "--out", str(tmp_path / "r")])
     assert rc == 3
-    assert "component count 40 not divisible by M=3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "seed 0 failed: RuntimeError: boom" in err
+    assert "seed 1 failed: RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["constraint.kind=box", "constraint.lower=0 0 0", "constraint.upper=1 1 1"],
+    ["constraint.kind=nuclear", "constraint.rows=2", "constraint.cols=2"],
+])
+def test_cli_constraint_dimension_mismatch_exit_2(tmp_path, capsys, monkeypatch,
+                                                  overrides):
+    # quadratic.ini's problem has dimension 6; these sets have 3 and 4.
+    monkeypatch.chdir(ROOT)
+    args = ["solve", "--config", "scripts/configs/quadratic.ini",
+            "--out", str(tmp_path / "r")]
+    for ov in overrides:
+        args += ["--override", ov]
+    assert main(args) == 2
+    assert "for a problem of dimension 6" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
 
 
 @pytest.mark.parametrize("override", [
@@ -485,6 +507,7 @@ def test_cli_distsim_unquantized_charges_raw_floats(tmp_path, capsys):
     "distsim.t=oops",
     "distsim.m=0",
     "distsim.m=1.5",
+    "distsim.m=3",  # does not divide the 8 rows; checked at build, before any seed
 ])
 def test_cli_distsim_rejects_at_load(tmp_path, capsys, override):
     path = _distsim_ini(tmp_path)

@@ -10,7 +10,6 @@ from fwlab.distsim import (
     UNQUANTIZED,
     _round_schedule,
     run_qfw,
-    run_snc_qfw,
     schedule_from_theorem,
 )
 from fwlab.problems import FiniteSumProblem, LogisticL1, Quadratic, Sample
@@ -192,7 +191,6 @@ def test_theorem_schedule_finite_convex_hand_values():
     assert cfg.period_fn(3) == 4
     assert cfg.inner_batch_fn(3, 2) == 1
     assert cfg.eta_fn(3, 2, 0) == pytest.approx(2.0 / 6.0)
-    assert cfg.anchor_batch_fn(3) is None  # anchors use all local components
     # level formulas, rounded up
     assert cfg.s1_fn(3, 1) == math.ceil(math.sqrt(6 * 16 / 4))
     assert cfg.s2_fn(3, 1) == math.ceil(math.sqrt(6 * 16))
@@ -214,9 +212,6 @@ def test_theorem_schedule_m1_degenerate():
 
 
 def test_partition_mismatch_rejected():
-    with pytest.raises(ValueError):
-        schedule_from_theorem("finite_convex", 41, 4, 6, T=10)
-    fs = _tiny_logistic(n=40)
     cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=10)
     fs3 = _tiny_logistic(n=39)
     with pytest.raises(ValueError):
@@ -251,8 +246,7 @@ def test_m1_matches_sequential_reference():
     set_ = L1Ball(2.0, 5)
     T = 15
     cfg = _unquantize(schedule_from_theorem("finite_convex", 20, 1, 5, T=T))
-    trace, ledger = run_qfw(fs, set_, cfg, T, RngStream(9),
-                            log_points=set(range(1, T + 1)))
+    trace, ledger = run_qfw(fs, set_, cfg, T, RngStream(9))
     ref = _reference_spider_fw(fs, set_, cfg, T, RngStream(9))
     assert np.allclose(trace.output, ref[-1], atol=1e-12)
     # intermediate objectives agree too
@@ -266,8 +260,7 @@ def test_anchor_exact_with_unquantized_links():
     cfg = _unquantize(schedule_from_theorem("finite_convex", 24, 4, 4, T=1))
     # a single anchor round: gbar must equal the exact full gradient at x0
     x0 = set_.lmo_min(np.zeros(4))
-    trace, _ = run_qfw(fs, set_, cfg, 1, RngStream(5),
-                       log_points={1})
+    trace, _ = run_qfw(fs, set_, cfg, 1, RngStream(5))
     g = fs.full_grad(x0)
     v = set_.lmo_min(g)
     eta = float(cfg.eta_fn(1, 1, 1))
@@ -377,17 +370,6 @@ def test_fl_steps_follow_the_quantized_schedule(setting):
         assert steps["fl"][1][1] < steps["fl"][0][1] == 1.0
 
 
-def test_snc_qfw_zero_noise_matches_surrogate():
-    p = Quadratic(np.full(4, 0.2), noise_sigma=0.0)
-    set_ = L1Ball(1.0, 4)
-    cfg = schedule_from_theorem("finite_nonconvex", 16, 4, 4, T=12)
-    trace, ledger, surrogate = run_snc_qfw(p, set_, cfg, 12, 16, RngStream(5))
-    # zero noise: surrogate components all equal the true objective
-    x = trace.output
-    assert np.allclose(surrogate.full_grad(x), p.exact_grad(x), atol=1e-12)
-    assert trace.meta["surrogate_gap"] == pytest.approx(trace.meta["true_gap"], abs=1e-9)
-
-
 def test_unquantized_mode_sends_raw_vectors():
     cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=10,
                                 mode="unquantized")
@@ -401,11 +383,10 @@ def test_unquantized_mode_sends_raw_vectors():
 def test_config_validation():
     with pytest.raises(ValueError):
         QfwConfig(M=0, setting="finite_convex", period_fn=None,
-                  anchor_batch_fn=None, inner_batch_fn=None, eta_fn=None,
-                  s1_fn=None, s2_fn=None)
-    with pytest.raises(ValueError):
-        QfwConfig(M=2, setting="bogus", period_fn=None, anchor_batch_fn=None,
                   inner_batch_fn=None, eta_fn=None, s1_fn=None, s2_fn=None)
+    with pytest.raises(ValueError):
+        QfwConfig(M=2, setting="bogus", period_fn=None, inner_batch_fn=None,
+                  eta_fn=None, s1_fn=None, s2_fn=None)
 
 
 def test_empty_period_rejected():

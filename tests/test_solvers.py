@@ -54,7 +54,7 @@ def test_fw_gap_examples():
 
 def test_fw_gap_nonnegative_random():
     rng = RngStream(1)
-    sets = [L1Ball(1.5, 5), Box.unit(5), Simplex(2.0, 5),
+    sets = [L1Ball(1.5, 5), Box(np.zeros(5), np.ones(5)), Simplex(2.0, 5),
             PartitionMatroidPolytope([[0, 1, 2], [3, 4]], [1, 1], 5)]
     for s in sets:
         for _ in range(250):
