@@ -204,6 +204,12 @@ def _check_pairings(cfg: RunConfig):
     # A [distsim] config has an empty [solver], whose defaults break no rule.
     algo = _read("solver", cfg.solver, "algorithm")
     multilinear = kind.startswith("multilinear_")
+    enumerated = 0  # the dimension of a multilinear problem evaluated exactly
+    if multilinear and algo != "dbg":  # dbg only samples f
+        weights = (_read("problem", cfg.problem, "weights")
+                   if kind == "multilinear_modular" else None)
+        enumerated = (len(weights) if weights is not None
+                      else _read("problem", cfg.problem, "dim"))
     budgets = sizes = ()
     if constraint == "matroid":
         budgets = _read("constraint", cfg.constraint, "budgets")
@@ -230,6 +236,18 @@ def _check_pairings(cfg: RunConfig):
     for broken, why in [
         (cfg.distsim is not None and kind != "logistic_csv",
          "distsim drives logistic_csv problems only"),
+        # The exact multilinear oracles tabulate f on all 2^d subsets.
+        (enumerated > P.ENUM_MAX_D,
+         f"{algo} evaluates the multilinear extension exactly, over all 2^d "
+         f"subsets: d={enumerated} exceeds the enumeration budget {P.ENUM_MAX_D} "
+         "(dbg, which only samples f, takes any d)"),
+        # deterministic_fw steps toward lmo_min; it reads no mode.
+        (algo == "deterministic_fw"
+         and _read("solver", cfg.solver, "mode") == "dr_submodular_max",
+         "deterministic_fw minimizes: it cannot run solver.mode=dr_submodular_max"),
+        *((algo in ("deterministic_fw", "bcg", "dbg") and key in cfg.solver,
+           f"solver.{key} sets the step schedule of one_sfw, oblivious_sfw and "
+           f"scg; {algo} does not read it") for key in ("eta_c", "eta_a")),
         (algo == "oblivious_sfw" and multilinear,
          "oblivious_sfw needs an oblivious problem, not a multilinear one"),
         (algo in ("bcg", "dbg") and not multilinear,
@@ -447,8 +465,12 @@ def _run_one_seed(cfg: RunConfig, problem, setf, set_, seed: int):
                                 value_oracle=problem.exact_value)
     # bcg and dbg: load_config admits them only on a multilinear problem.
     if algo == "bcg":
-        out = bcg(lambda Y: P.multilinear_exact(setf, np.clip(Y, 0, 1)), set_,
-                  rng, T, s["delta"], s["batch"])
+        # clamps as np.clip(Y, 0, 1) does: a probe is never -0.0, the one
+        # input where they differ, as bcg shifts it by delta > 0
+        def value(Y):
+            return P.multilinear_exact(setf, np.minimum(np.maximum(Y, 0.0), 1.0))
+
+        out = bcg(value, set_, rng, T, s["delta"], s["batch"])
         return SolveTrace(output=out, meta={"objective": problem.exact_value(out)})
     members = dbg(setf, set_.matroid, T, s["delta"], s["l"], s["batch"], rng)
     return SolveTrace(output=members.astype(float),

@@ -149,8 +149,9 @@ def two_point_gradient(value_oracle, x: np.ndarray, delta: float,
     d = x.size
     U = sample_unit_sphere(rng, d, size=batch)
     probes = np.empty((2 * batch, d))
-    probes[0::2] = x + delta * U
-    probes[1::2] = x - delta * U
+    step = delta * U
+    probes[0::2] = x + step
+    probes[1::2] = x - step
     vals = np.asarray(value_oracle(probes), dtype=float)
     # the terms are added in row order, as a loop from zeros adds them; + 0.0
     # turns a −0.0 sum into the +0.0 that such a loop gives

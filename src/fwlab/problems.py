@@ -390,6 +390,11 @@ class SetFunction:
         defines this or ``__call__``, which each default computes by the other."""
         return np.array([self(m) for m in masks])
 
+    def table(self) -> np.ndarray:
+        """f on all 2^d subsets, subset S at index Σ_{i∈S} 2^i: ``batch`` on
+        every mask.  A kind may build it another way, bit for bit the same."""
+        return self.batch(_all_masks(self.ground_size))
+
     @property
     def bound(self) -> float:
         raise NotImplementedError
@@ -425,6 +430,18 @@ class FacilityLocation(SetFunction):
         scores = np.where(masks[:, None, :], self.W[None, :, :], 0.0)
         return scores.max(axis=2).sum(axis=1)
 
+    def table(self):
+        """``batch``'s table by subset doubling, in O(2^d k): row S holds each
+        client's maximum over S from zeros, and coordinate i appends the rows
+        S ∪ {i}.  A maximum of weights >= 0 does not round, so the rows are
+        batch's, and so is the sum over clients."""
+        best = np.empty((2**self.ground_size, self.W.shape[0]))
+        best[0] = 0.0
+        for i in range(self.ground_size):
+            n = 1 << i
+            np.maximum(best[:n], self.W[:, i], out=best[n:2 * n])
+        return best.sum(axis=1)
+
     @property
     def bound(self):
         return float(np.sum(np.max(self.W, axis=1)))
@@ -444,6 +461,19 @@ class Coverage(SetFunction):
         masks = np.asarray(masks, dtype=bool)
         factors = np.where(masks[:, :, None], 1.0 - self.P[None, :, :], 1.0)
         return np.sum(1.0 - factors.prod(axis=1), axis=1)
+
+    def table(self):
+        """``batch``'s table by subset doubling, in O(2^d k): row S holds each
+        topic's product of (1 − P[a]) over a ∈ S in coordinate order, from
+        ones, and coordinate i appends the rows S ∪ {i}.  batch multiplies
+        the same factors in the same order, its 1.0s changing nothing."""
+        miss = np.empty((2**self.ground_size, self.P.shape[1]))
+        miss[0] = 1.0
+        keep = 1.0 - self.P
+        for i in range(self.ground_size):
+            n = 1 << i
+            np.multiply(miss[:n], keep[i], out=miss[n:2 * n])
+        return np.sum(np.subtract(1.0, miss, out=miss), axis=1)
 
     @property
     def bound(self):
@@ -533,7 +563,7 @@ def _all_values(f: SetFunction) -> np.ndarray:
             raise EnumerationBudgetError(
                 f"d={f.ground_size} exceeds enumeration budget {ENUM_MAX_D}"
             )
-        vals = f.batch(_all_masks(f.ground_size))
+        vals = f.table()
         f._enum_vals = vals
     return vals
 
@@ -579,7 +609,10 @@ def multilinear_exact(f: SetFunction, x: np.ndarray):
         raise ValueError(f"dimension mismatch: need (d,) or (k, d) with d={d}, "
                          f"got {x.shape}")
     X = x.reshape(-1, d)
-    F = _multilinear_rows(_all_values(f), np.stack([1.0 - X, X], axis=-1))
+    pairs = np.empty(X.shape + (2,))
+    np.subtract(1.0, X, out=pairs[..., 0])
+    pairs[..., 1] = X
+    F = _multilinear_rows(_all_values(f), pairs)
     return float(F[0]) if x.ndim == 1 else F
 
 
@@ -670,41 +703,37 @@ class MultilinearProblem(StochasticProblem):
     def hess_vec(self, x, s, u):
         return np.zeros(self.dim)
 
-    @staticmethod
-    def _score(q, z):
-        """∇log p(z; x) from the clamped probabilities q."""
-        return np.where(z, 1.0 / q, -1.0 / (1.0 - q))
-
-    @staticmethod
-    def _score_hess_diag(q, z):
-        """The diagonal of ∇²log p(z; x), which is a diagonal matrix."""
-        return np.where(z, -1.0 / q**2, -1.0 / (1.0 - q) ** 2)
+    def _signed_probs(self, x, s):
+        """q_i where z_i, else q_i − 1, from the clamped probabilities q(x):
+        ∇log p(z; x) is 1 / qz, and the diagonal of ∇²log p, a diagonal
+        matrix, is −1 / qz².  In round-to-nearest fl(q − 1) = −fl(1 − q),
+        so these have the bits of 1/q, −1/(1 − q) and their −1/(·)²."""
+        q = self._probs_for(x, s)
+        return np.where(np.asarray(s.z, dtype=bool), q, q - 1.0)
 
     def logp_grad(self, x, s):
-        return self._score(self._probs_for(x, s), np.asarray(s.z, dtype=bool))
+        return 1.0 / self._signed_probs(x, s)
 
     def logp_hess_vec(self, x, s, u):
-        diag = self._score_hess_diag(self._probs_for(x, s), np.asarray(s.z, dtype=bool))
-        return diag * np.asarray(u, dtype=float)
+        qz = self._signed_probs(x, s)
+        return (-1.0 / (qz * qz)) * np.asarray(u, dtype=float)
 
     def hessian_estimate(self, x, s, u):
         """The five-term estimate without its three zero terms (those built
         from ∇F̃ and ∇²F̃): f(z) (⟨∇log p, u⟩ ∇log p + ∇²log p u).  The
         trailing + 0.0 gives the +0.0 that adding the zero terms gives where
         both remaining terms are zero, so results are bit-identical."""
-        q = self._probs_for(x, s)
-        z = np.asarray(s.z, dtype=bool)
+        qz = self._signed_probs(x, s)
         val = self.value(x, s)
-        lg = self._score(q, z)
+        lg = 1.0 / qz
         lg_u = float(lg @ u)
-        return val * lg_u * lg + val * (self._score_hess_diag(q, z) * u) + 0.0
+        return val * lg_u * lg + val * ((-1.0 / (qz * qz)) * u) + 0.0
 
     def one_sample_grad(self, x, s):
         """f(z) ∇log p(z; x): the generic ∇F̃ + F̃ ∇log p with ∇F̃ = 0.  The
         trailing + 0.0 gives the +0.0 that adding the zero gradient gives
         where f(z) ∇log p is −0.0, so results are bit-identical."""
-        z = np.asarray(s.z, dtype=bool)
-        return self.value(x, s) * self._score(self._probs_for(x, s), z) + 0.0
+        return self.value(x, s) * self.logp_grad(x, s) + 0.0
 
     def exact_value(self, x):
         return multilinear_exact(self.f, x)

@@ -614,6 +614,86 @@ def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message
     assert not (tmp_path / "r").exists()  # nothing ran
 
 
+FACILITY_21_INI = """\
+[experiment]
+name = facility21
+seeds = 0..1
+[problem]
+kind = multilinear_facility
+dim = 21
+[constraint]
+kind = matroid
+blocks = 0 1 2 3 4 5 6 7 8 9 | 10 11 12 13 14 15 16 17 18 19 20
+budgets = 1 2
+[solver]
+algorithm = one_sfw
+mode = dr_submodular_max
+option = exact_hessian
+t = 5
+"""
+
+
+@pytest.mark.parametrize("overrides", [
+    [], ["solver.algorithm=scg"], ["solver.algorithm=bcg"],
+    ["solver.algorithm=deterministic_fw", "solver.mode=convex_min"],
+    ["problem.kind=multilinear_modular", "problem.dim=2",
+     "problem.weights=" + " ".join(["1"] * 21)],
+], ids=["one_sfw", "scg", "bcg", "deterministic_fw", "modular-weights"])
+def test_cli_multilinear_above_enumeration_budget_rejected_at_load(tmp_path, capsys,
+                                                                   overrides):
+    # Every seed once failed with "EnumerationBudgetError: d=21 exceeds
+    # enumeration budget 20" (exit 3, a report left in --out).
+    args = ["solve", "--config", _write(tmp_path, FACILITY_21_INI),
+            "--out", str(tmp_path / "r")]
+    for ov in overrides:
+        args += ["--override", ov]
+    assert main(args) == 2
+    assert "d=21 exceeds the enumeration budget 20" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+def test_cli_dbg_runs_above_enumeration_budget(tmp_path, capsys):
+    # dbg only samples f, so it takes a ground set past the budget.
+    out = tmp_path / "r"
+    assert main(["dbg", "--config", _write(tmp_path, FACILITY_21_INI),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(list(out.glob("facility21-*-s1.json"))) == 1
+
+
+def test_cli_deterministic_fw_under_dr_max_rejected_at_load(tmp_path, capsys,
+                                                            monkeypatch):
+    # deterministic_fw reads no mode: under submax it once minimized, ending
+    # at 0.0 with the trace bytes of the convex_min run.
+    monkeypatch.chdir(ROOT)
+    assert main(["submax", "--config", "scripts/configs/submax_facility.ini",
+                 "--out", str(tmp_path / "r"),
+                 "--override", "solver.algorithm=deterministic_fw"]) == 2
+    assert ("deterministic_fw minimizes: it cannot run "
+            "solver.mode=dr_submodular_max") in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("ini, algo, key", [
+    ("quadratic.ini", "deterministic_fw", "eta_c"),
+    ("quadratic.ini", "deterministic_fw", "eta_a"),
+    ("bcg_coverage.ini", "bcg", "eta_c"),
+    ("submax_facility.ini", "dbg", "eta_a"),
+])
+def test_cli_eta_keys_unread_by_algorithm_rejected_at_load(tmp_path, capsys,
+                                                           monkeypatch, ini, algo, key):
+    # these algorithms take no step schedule; the keys were once checked and
+    # then ignored, the trace bytes the same with and without them
+    monkeypatch.chdir(ROOT)
+    assert main(["solve", "--config", f"scripts/configs/{ini}",
+                 "--out", str(tmp_path / "r"),
+                 "--override", f"solver.algorithm={algo}",
+                 "--override", f"solver.{key}=0.5"]) == 2
+    assert (f"solver.{key} sets the step schedule of one_sfw, oblivious_sfw and "
+            f"scg; {algo} does not read it") in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # nothing ran
+
+
 @pytest.mark.parametrize("command, budgets", [("bcg", "2 1"), ("dbg", "0 0")])
 def test_cli_bcg_dbg_run_on_full_and_empty_budgets(tmp_path, capsys, command, budgets):
     # bcg on a full budget (block 0 1) once failed every seed with
@@ -833,6 +913,12 @@ def _table_config(section, group):
     if section == "constraint" and group == "simplex":
         # DR maximization starts at 0, which a simplex never holds
         cfg["solver"]["mode"] = "convex_min"
+    algo = cfg.get("solver", {}).get("algorithm")
+    if algo in ("deterministic_fw", "bcg", "dbg"):
+        # they take no step schedule, and deterministic_fw only minimizes
+        del cfg["solver"]["eta_c"], cfg["solver"]["eta_a"]
+        if algo == "deterministic_fw":
+            cfg["solver"]["mode"] = "convex_min"
     return cfg
 
 

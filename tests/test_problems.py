@@ -609,6 +609,25 @@ def test_enumeration_budget():
     assert abs(v - 10.5) < 0.5
 
 
+_TABLE_KINDS = {
+    "facility": lambda d, rng: make_facility_location(d, 6, rng),
+    "coverage": lambda d, rng: make_coverage(d, 8, rng),
+    "concave-over-modular": lambda d, rng: make_concave_over_modular(d, 4, rng),
+    "logdet": make_logdet,
+    "modular": lambda d, rng: Modular(rng.uniform(0.0, 1.0, size=d)),
+    "table": make_random_bounded,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_KINDS))
+@pytest.mark.parametrize("d", [1, 6, 10, 12])
+def test_every_table_keeps_its_bits(kind, d):
+    # the cached 2^d table is batch on every mask, in its order and its bits,
+    # however the kind builds it (facility and coverage double subsets)
+    f = _TABLE_KINDS[kind](d, RngStream(70 + d))
+    assert _all_values(f).tobytes() == f.batch(_all_masks(d)).tobytes()
+
+
 def test_table_set_function_batch():
     f = TableSetFunction(np.arange(8, dtype=float))
     masks = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
