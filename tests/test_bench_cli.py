@@ -596,12 +596,16 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     (SUBMAX_INI, ["constraint.kind=simplex"], "starts at 0"),
     (SUBMAX_INI, ["constraint.kind=box", "constraint.lower=0.3",
                   "constraint.upper=0.7"], "starts at 0"),
+    # deterministic_fw reads no mode: under submax it once minimized, ending
+    # at 0.0 with the trace bytes of the convex_min run
+    (SUBMAX_INI, ["solver.algorithm=deterministic_fw"],
+     "deterministic_fw minimizes: it cannot run solver.mode=dr_submodular_max"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
         "dbg-zero-budget", "dbg-full-budget", "one_sfw-multilinear-l1ball",
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
-        "dr-simplex", "dr-box-without-origin"])
+        "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr"])
 def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
@@ -659,19 +663,6 @@ def test_cli_dbg_runs_above_enumeration_budget(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(list(out.glob("facility21-*-s1.json"))) == 1
-
-
-def test_cli_deterministic_fw_under_dr_max_rejected_at_load(tmp_path, capsys,
-                                                            monkeypatch):
-    # deterministic_fw reads no mode: under submax it once minimized, ending
-    # at 0.0 with the trace bytes of the convex_min run.
-    monkeypatch.chdir(ROOT)
-    assert main(["submax", "--config", "scripts/configs/submax_facility.ini",
-                 "--out", str(tmp_path / "r"),
-                 "--override", "solver.algorithm=deterministic_fw"]) == 2
-    assert ("deterministic_fw minimizes: it cannot run "
-            "solver.mode=dr_submodular_max") in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()  # nothing ran
 
 
 @pytest.mark.parametrize("ini, algo, key", [
