@@ -203,6 +203,7 @@ def _check_pairings(cfg: RunConfig):
     constraint = _read("constraint", cfg.constraint, "kind")
     # A [distsim] config has an empty [solver], whose defaults break no rule.
     algo = _read("solver", cfg.solver, "algorithm")
+    mode = _read("solver", cfg.solver, "mode")
     multilinear = kind.startswith("multilinear_")
     enumerated = 0  # the dimension of a multilinear problem evaluated exactly
     if multilinear and algo != "dbg":  # dbg only samples f
@@ -242,8 +243,7 @@ def _check_pairings(cfg: RunConfig):
          f"subsets: d={enumerated} exceeds the enumeration budget {P.ENUM_MAX_D} "
          "(dbg, which only samples f, takes any d)"),
         # deterministic_fw steps toward lmo_min; it reads no mode.
-        (algo == "deterministic_fw"
-         and _read("solver", cfg.solver, "mode") == "dr_submodular_max",
+        (algo == "deterministic_fw" and mode == "dr_submodular_max",
          "deterministic_fw minimizes: it cannot run solver.mode=dr_submodular_max"),
         *((algo in ("deterministic_fw", "bcg", "dbg") and key in cfg.solver,
            f"solver.{key} sets the step schedule of one_sfw, oblivious_sfw and "
@@ -256,6 +256,11 @@ def _check_pairings(cfg: RunConfig):
         (algo == "bcg" and constraint not in ("box", "matroid"),
          "bcg needs a box or matroid constraint"),
         (algo == "dbg" and constraint != "matroid", "dbg needs a matroid constraint"),
+        # bcg and dbg always maximize; they read no mode either.
+        (algo in ("bcg", "dbg") and "mode" in cfg.solver
+         and mode != "dr_submodular_max",
+         f"{algo} maximizes: it cannot run solver.mode={mode}; set "
+         "dr_submodular_max or leave solver.mode unset"),
         # The shrunk set K' leaves no room in a block with a zero budget, and
         # pipage rounding needs block sums equal to the budgets, which a
         # budget above |block|(1 - delta) misses: its shrunk cap is the
@@ -275,11 +280,10 @@ def _check_pairings(cfg: RunConfig):
         (algo in ("one_sfw", "scg") and multilinear and not in_unit_box,
          f"{algo} on a multilinear problem needs a matroid, a box within "
          "[0, 1] or a simplex of scale <= 1"),
-        # The momentum solvers start DR maximization at 0 (bcg and dbg read
-        # no mode).
+        # The momentum solvers start DR maximization at 0 (bcg and dbg
+        # maximize under any admitted mode text).
         (algo in ("one_sfw", "oblivious_sfw", "scg")
-         and _read("solver", cfg.solver, "mode") == "dr_submodular_max"
-         and not holds_origin,
+         and mode == "dr_submodular_max" and not holds_origin,
          f"{algo} under solver.mode=dr_submodular_max starts at 0, which the "
          "constraint must hold (a box needs lower <= 0 <= upper; a simplex "
          "never holds 0)"),

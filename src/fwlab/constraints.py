@@ -77,15 +77,16 @@ class L1Ball(FeasibleSet):
     def lmo_min(self, g):
         g = _check_dim(self, g)
         v = np.zeros(self.dim)
-        i = int(np.argmax(np.abs(g)))  # argmax returns first max: smallest index
+        i = int(np.abs(g).argmax())  # the first max: smallest index
         if g[i] == 0.0:
             v[0] = -self.radius  # lexicographically smallest vertex
         else:
-            v[i] = -self.radius * np.sign(g[i])
+            v[i] = -self.radius if g[i] > 0.0 else self.radius  # -radius sign(g_i)
         return v
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return float(np.sum(np.abs(x))) <= self.radius + tol
+        # add.reduce is the reduction np.sum calls, without its Python wrapper
+        return float(np.add.reduce(np.abs(x), axis=None)) <= self.radius + tol
 
 
 class Box(FeasibleSet):
@@ -277,13 +278,14 @@ class BudgetBoxPolytope(FeasibleSet):
         if bounds is None:
             bounds = self._shifted[tol] = (self.upper + tol, self.caps + tol)
         upper, caps = bounds
-        # the least coordinate answers as the per-coordinate test does
-        if np.minimum.reduce(x, initial=np.inf) < -tol or (x > upper).any():
+        # the least coordinate answers as the per-coordinate test does;
+        # count_nonzero answers .any() and .all() in one C call
+        if np.minimum.reduce(x, initial=np.inf) < -tol or np.count_nonzero(x > upper):
             return False
         seg = np.zeros(self.dim + self.caps.size)
         seg[self._slot] = x
         sums = np.add.reduceat(seg, self._seg_starts)
-        return bool((sums <= caps).all())
+        return np.count_nonzero(sums <= caps) == caps.size
 
 
 class PartitionMatroidPolytope(BudgetBoxPolytope):

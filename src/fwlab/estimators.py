@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class VariationEstimate:
     delta_tilde: np.ndarray
     grad: np.ndarray  # the one-sample gradient at x_t, from the estimate's sample
@@ -50,7 +50,11 @@ def momentum_update(d: np.ndarray, delta_tilde: np.ndarray,
     """d_t = (1 - rho)(d_{t-1} + Delta_t) + rho g_t."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho={rho} outside [0,1]")
-    d = (1.0 - rho) * (d + delta_tilde) + rho * g_new
+    # in place after the first add, in the same order: (d + Delta)(1 - rho)
+    # has the bits of (1 - rho)(d + Delta), as IEEE products commute
+    d = d + delta_tilde
+    d *= 1.0 - rho
+    d += rho * g_new
     return check_finite(d, "momentum estimate")
 
 
@@ -58,8 +62,9 @@ def _sample_between(p: StochasticProblem, x_t, x_prev, it: RngStream):
     """x(a) = a x_t + (1-a) x_prev with a ~ U[0,1] from ``it.child(0)``, and
     z ~ p(.;x(a)) from ``it.child(1)``."""
     # a's stream is a temporary, gone before the sample stream draws, so the
-    # pooled generator has no state to save for it
-    a = float(it.child(0).uniform())
+    # pooled generator has no state to save for it.  random() is uniform()'s
+    # draw: numpy's uniform(0, 1) is 0 + 1 * next_double, at the same position
+    a = float(it.child(0).random())
     xa = a * x_t + (1.0 - a) * x_prev
     return xa, p.sample(xa, it.child(1))
 
@@ -76,7 +81,7 @@ def variation_exact_hessian(p: StochasticProblem, x_t, x_prev,
     xa, sample = _sample_between(p, x_t, x_prev, it)
     g_t = p.one_sample_grad(x_t, sample)
     u = x_t - x_prev
-    if not u.any():
+    if not np.count_nonzero(u):
         return VariationEstimate(np.zeros(p.dim), g_t)
     return VariationEstimate(
         check_finite(p.hessian_estimate(xa, sample, u), "hessian estimate"), g_t)
@@ -101,7 +106,7 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
     xa, sample = _sample_between(p, x_t, x_prev, it)
     g_t = p.one_sample_grad(x_t, sample)
     u = x_t - x_prev
-    if not u.any():
+    if not np.count_nonzero(u):
         return VariationEstimate(np.zeros(p.dim), g_t)
 
     xp, xm = xa + delta * u, xa - delta * u

@@ -674,6 +674,7 @@ class MultilinearProblem(StochasticProblem):
         super().__init__()
         self.f = f
         self.dim = f.ground_size
+        self._pows = 1 << np.arange(self.dim)   # z @ _pows: z's index in the table
 
     def _probs(self, x):
         # the least and greatest coordinate answer as the per-coordinate
@@ -693,8 +694,9 @@ class MultilinearProblem(StochasticProblem):
         return s.q if x is s.x else self._probs(x)
 
     def value(self, x, s):
+        """f(z), read from the 2^d table of the exact oracles."""
         if s.fz is None:
-            s.fz = float(self.f(s.z))
+            s.fz = float(_all_values(self.f)[s.z @ self._pows])
         return s.fz
 
     def grad(self, x, s):

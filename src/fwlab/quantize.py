@@ -47,9 +47,12 @@ class QuantizedMessage:
             raise ValueError("signs and levels length mismatch")
         if self.inf_norm < 0:
             raise ValueError("negative inf_norm")
-        if self.inf_norm == 0 and self.levels.any():
+        # count_nonzero, one C call each, where .any()/.min()/.max() each pass
+        # through numpy's Python reduction wrapper
+        levels = self.levels
+        if self.inf_norm == 0 and np.count_nonzero(levels):
             raise ValueError("zero vector must have all-zero levels")
-        if d and (self.levels.min() < 0 or self.levels.max() > self.s):
+        if np.count_nonzero((levels < 0) | (levels > self.s)):
             raise ValueError("level outside [0, s]")
 
     @property

@@ -97,6 +97,9 @@ class RngStream:
         statistically independent streams (distinct Philox keys).
     """
 
+    # __weakref__: the pool holds a weak reference to the stream drawing
+    __slots__ = ("seed", "stream_id", "_gen", "_state", "__weakref__")
+
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
@@ -104,8 +107,14 @@ class RngStream:
         self._state = None   # Philox state saved when the pool was taken away
 
     def child(self, label: int) -> "RngStream":
-        """Split off an independent stream identified by an integer label."""
-        return RngStream(self.seed, _mix64(self.stream_id, int(label)))
+        """Split off an independent stream identified by an integer label:
+        ``RngStream(seed, _mix64(stream_id, label))``, built without
+        ``__init__``'s normalisation, as ``_mix64`` returns 64 bits."""
+        c = object.__new__(RngStream)
+        c.seed = self.seed
+        c.stream_id = _mix64(self.stream_id, int(label))
+        c._gen = c._state = None
+        return c
 
     def _generator(self) -> np.random.Generator:
         gen = self._gen
@@ -137,7 +146,8 @@ class RngStream:
 def check_finite(x: np.ndarray, what: str = "vector") -> np.ndarray:
     if type(x) is not np.ndarray or x.dtype != np.float64:
         x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    # one C call: ndarray.all() passes through numpy's Python wrapper
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NumericsError(f"non-finite values in {what}")
     return x
 

@@ -600,12 +600,19 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     # at 0.0 with the trace bytes of the convex_min run
     (SUBMAX_INI, ["solver.algorithm=deterministic_fw"],
      "deterministic_fw minimizes: it cannot run solver.mode=dr_submodular_max"),
+    # bcg and dbg always maximize: `fwlab bcg --override solver.mode=convex_min`
+    # once wrote the trace and report bytes of the dr_submodular_max run
+    (SUBMAX_INI, ["solver.algorithm=bcg", "solver.mode=convex_min"],
+     "bcg maximizes: it cannot run solver.mode=convex_min"),
+    (SUBMAX_INI, ["solver.algorithm=dbg", "solver.mode=nonconvex_min"],
+     "dbg maximizes: it cannot run solver.mode=nonconvex_min"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
         "dbg-zero-budget", "dbg-full-budget", "one_sfw-multilinear-l1ball",
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
-        "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr"])
+        "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr",
+        "bcg-convex_min", "dbg-nonconvex_min"])
 def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):

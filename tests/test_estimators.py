@@ -163,8 +163,8 @@ def _five_term_bits(p, xa, s, u, delta):
 
 
 class _Fixed:
-    """A stream whose every child draws ``a`` as its uniform and ``r`` as
-    its uniform vector."""
+    """A stream whose every child draws ``a`` as its scalar uniform and ``r``
+    as its uniform vector."""
 
     def __init__(self, a, r):
         self.a, self.r = a, r
@@ -172,11 +172,8 @@ class _Fixed:
     def child(self, label):
         return self
 
-    def uniform(self):
-        return self.a
-
-    def random(self, d):
-        return self.r
+    def random(self, size=None):
+        return self.a if size is None else self.r
 
 
 def test_grad_diff_equals_five_term_composition_bitwise():

@@ -558,20 +558,34 @@ def test_multilinear_hessian_estimate_away_from_sampling_point():
         p.hessian_estimate(np.full(6, 1.1), p.sample(np.full(6, 0.5), rng), np.ones(6))
 
 
-def test_multilinear_sample_evaluates_f_once():
-    calls = []
+def test_multilinear_sample_evaluates_f_once(monkeypatch):
+    # f(z) is read once per draw from the 2^d table, which is built once;
+    # f itself is never called on z
+    reads, calls = [], []
+    all_values = problems._all_values
+
+    def counted_all_values(f):
+        reads.append(1)
+        return all_values(f)
 
     class Counted(Modular):
         def __call__(self, members):
-            calls.append(1)
+            calls.append("call")
             return super().__call__(members)
 
+        def batch(self, masks):
+            calls.append(len(masks))
+            return super().batch(masks)
+
+    monkeypatch.setattr(problems, "_all_values", counted_all_values)
     p = MultilinearProblem(Counted(np.array([1.0, 2.0, 3.0])))
     x = np.full(3, 0.5)
-    s = p.sample(x, RngStream(16))
-    assert s.x is x and np.array_equal(s.q, x)
-    p.value(x, s), p.one_sample_grad(x, s), p.hessian_estimate(x * 0.5, s, np.ones(3))
-    assert len(calls) == 1 and s.fz == p.f(s.z)
+    for seed in (16, 17):
+        s = p.sample(x, RngStream(seed))
+        assert s.x is x and np.array_equal(s.q, x)
+        p.value(x, s), p.one_sample_grad(x, s), p.hessian_estimate(x * 0.5, s, np.ones(3))
+        assert s.fz == float(s.z @ p.f.w)
+    assert len(reads) == 2 and calls == [8]
 
 
 def test_multilinear_exact_value_grad_matches_separate_calls():
@@ -626,6 +640,33 @@ def test_every_table_keeps_its_bits(kind, d):
     # however the kind builds it (facility and coverage double subsets)
     f = _TABLE_KINDS[kind](d, RngStream(70 + d))
     assert _all_values(f).tobytes() == f.batch(_all_masks(d)).tobytes()
+
+
+#: kinds whose table is f's ``__call__`` bit for bit; the modular and
+#: concave-over-modular tables are a matrix product, which can round apart
+_TABLE_IS_CALL = ("coverage", "facility", "logdet", "table")
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_KINDS) + ["modular-signed-zeros"])
+@pytest.mark.parametrize("d", [1, 6, 10])
+def test_sampled_f_is_the_table_entry(kind, d):
+    # the one-sample f(z) is the cached table's entry at z's index, on every
+    # subset and on drawn ones, bit for bit
+    rng = RngStream(80 + d)
+    if kind == "modular-signed-zeros":
+        f = Modular(np.resize([-0.0, 0.0, 1.0, -0.0, -2.0], d))
+    else:
+        f = _TABLE_KINDS[kind](d, rng.child(0))
+    p = MultilinearProblem(f)
+    table = _all_values(f)
+    drawn = [p.sample(rng.uniform(0.0, 1.0, size=d), rng).z for _ in range(20)]
+    cases = list(enumerate(_all_masks(d)))
+    cases += [(sum(1 << i for i in np.flatnonzero(z)), z) for z in drawn]
+    for index, z in cases:
+        fz = p.value(None, Sample(z=z))
+        assert fz.hex() == float(table[index]).hex()
+        if kind in _TABLE_IS_CALL:
+            assert fz.hex() == f(z).hex()
 
 
 def test_table_set_function_batch():

@@ -53,6 +53,13 @@ UNREACHED = {
     "problems.StochasticProblem.exact_value": _ABSTRACT,
     "problems.StochasticProblem.exact_grad": _ABSTRACT,
     "problems.SetFunction.bound": _ABSTRACT,
+    "problems.Modular.__call__": (
+        _NO_RUN + "fwlab oracle and dbg on multilinear_modular evaluate f(S) "
+        "through it; a one-sample f(z) reads the 2^d table (ROADMAP item 1)"),
+    "problems.Coverage.batch": (
+        _NO_RUN + "dbg on multilinear_coverage samples f through it; the runs "
+        "read the 2^d table, which test_every_table_keeps_its_bits checks "
+        "against it (ROADMAP item 1)"),
     "problems.Modular.bound": _GRAD_DIFF_BOUND,
     "problems.FacilityLocation.bound": _GRAD_DIFF_BOUND + "; test_01 scales by it",
     "problems.ConcaveOverModular.bound": _GRAD_DIFF_BOUND,

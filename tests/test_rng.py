@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fwlab.rng import (
     NumericsError,
     RngStream,
+    _mix64,
     check_finite,
     sample_unit_ball,
     sample_unit_sphere,
@@ -81,6 +82,52 @@ def test_check_finite_rejects_nan():
         check_finite(np.array([1.0, np.nan]))
     with pytest.raises(NumericsError):
         check_finite(np.array([np.inf]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_check_finite_raises_at_every_position(bad, where):
+    x = np.linspace(-1.0, 1.0, 7)
+    x[where] = bad
+    with pytest.raises(NumericsError, match="non-finite values in probe"):
+        check_finite(x, "probe")
+    with pytest.raises(NumericsError):
+        check_finite(x.reshape(7, 1))
+    with pytest.raises(NumericsError):
+        check_finite(x.astype(np.float32))
+
+
+def test_check_finite_passes_empty_and_converts_other_dtypes():
+    empty = np.zeros(0)
+    assert check_finite(empty) is empty
+    assert check_finite(np.zeros((0, 3))).shape == (0, 3)
+    x = np.array([1.0, -0.0, 2.5])
+    assert check_finite(x) is x                  # float64: returned as it is
+    for other in ([1, 2, 3], np.arange(3), np.arange(3, dtype=np.float32), 4):
+        y = check_finite(other)
+        assert type(y) is np.ndarray and y.dtype == np.float64
+        assert np.array_equal(y, np.asarray(other, dtype=float))
+
+
+@pytest.mark.parametrize("label", [0, 1, 2**64 - 1, -1])
+def test_child_is_the_stream_keyed_by_mix64(label):
+    for parent in (RngStream(5, 9), RngStream(-1, 2**64 + 3), RngStream(7).child(2)):
+        child = parent.child(label)
+        ref = RngStream(parent.seed, _mix64(parent.stream_id, label))
+        assert (child.seed, child.stream_id) == (ref.seed, ref.stream_id)
+        assert 0 <= child.stream_id < 2**64
+        assert child.random(4).tobytes() == ref.random(4).tobytes()
+        assert child.child(3).normal(size=3).tobytes() == ref.child(3).normal(size=3).tobytes()
+
+
+def test_random_is_the_unit_uniform_draw():
+    # the variation estimators draw a ~ U[0, 1] with random(): numpy's
+    # uniform(0, 1) is 0 + 1 * next_double, the same double at the same
+    # position of the stream
+    for label in range(50):
+        a, b = RngStream(11).child(label), RngStream(11).child(label)
+        assert a.random().hex() == b.uniform().hex()
+        assert a.random(3).tobytes() == b.random(3).tobytes()
 
 
 # --- pooled streams against private generators ------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fwlab import problems
 from fwlab.constraints import (
     Box,
     L1Ball,
@@ -123,16 +124,26 @@ def test_one_sample_accounting():
 
 
 def test_one_sfw_evaluates_each_oracle_once_per_iteration(monkeypatch):
-    # Outside log points an exact_hessian iteration evaluates f once (the
-    # sample's f(z)) and the clamped probabilities twice: at the
-    # interpolation point it samples from (reused by the Hessian estimate)
-    # and at x_t for the one-sample gradient.
-    rows, probs = [], []
+    # Outside log points an exact_hessian iteration reads f once (the
+    # sample's f(z), from the 2^d table, which is built once and never by
+    # calling f) and the clamped probabilities twice: at the interpolation
+    # point it samples from (reused by the Hessian estimate) and at x_t for
+    # the one-sample gradient.
+    reads, tables, probs = [], [], []
 
     class Counted(FacilityLocation):
         def batch(self, masks):
-            rows.append(len(masks))
-            return super().batch(masks)
+            raise AssertionError("f evaluated outside its table")
+
+        def table(self):
+            tables.append(1)
+            return super().table()
+
+    all_values = problems._all_values
+
+    def counted_all_values(f):
+        reads.append(1)
+        return all_values(f)
 
     probs_of = MultilinearProblem._probs
 
@@ -140,6 +151,7 @@ def test_one_sfw_evaluates_each_oracle_once_per_iteration(monkeypatch):
         probs.append(1)
         return probs_of(self, x)
 
+    monkeypatch.setattr(problems, "_all_values", counted_all_values)
     monkeypatch.setattr(MultilinearProblem, "_probs", counted_probs)
     f = Counted(make_facility_location(6, 4, RngStream(40)).W)
     p = MultilinearProblem(f)
@@ -147,7 +159,7 @@ def test_one_sfw_evaluates_each_oracle_once_per_iteration(monkeypatch):
     T = 50
     one_sfw(p, poly, Schedule.preset("dr_submodular_max", T), "exact_hessian",
             RngStream(41), log_points=[])
-    assert rows == [1] * T     # one f(z) per iteration
+    assert len(reads) == T and tables == [1]    # one f(z) per iteration
     assert len(probs) == 2 * T - 1   # t = 1 samples and differentiates at x_1
 
 
