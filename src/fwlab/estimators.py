@@ -6,9 +6,10 @@ Momentum averaging with an additive variation correction:
 
 where Delta_t estimates the gradient variation grad F(x_t) - grad F(x_{t-1}).
 Three variation estimators are provided: the one-sample Hessian estimator
-(exact Hessian-vector products plus score-function terms), its
-gradient-difference approximation (no second-order oracle needed), and the
-oblivious same-sample gradient difference.  Each returns a
+in the problem family's own form (grad^2 F(x;z) u on an oblivious problem,
+f(z)(<grad log p, u> grad log p + grad^2 log p u) on a multilinear one),
+its gradient-difference approximation (no second-order oracle needed), and
+the oblivious same-sample gradient difference.  Each returns a
 :class:`VariationEstimate` holding Delta_t and g_t, the one-sample gradient
 at x_t, both from the iteration's single sample z_t.  The first two take the
 iteration's stream and draw that sample themselves: a ~ U[0,1] from its
@@ -114,7 +115,8 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
     clamped = bool(np.any(cp != xp) or np.any(cm != xm))
     phi_lp = (p.logp_grad(cp, sample) - p.logp_grad(cm, sample)) / (2.0 * delta)
     val, lg = p.value(xa, sample), p.logp_grad(xa, sample)
-    # + 0.0: the +0.0 that the five-term estimate's zero terms (∇F̃ = 0) add
+    # + 0.0 turns a −0.0 entry into +0.0, as MultilinearProblem.hessian_estimate
+    # does: the bits the run pins were made with
     dt = val * float(lg @ u) * lg + val * phi_lp + 0.0
     return VariationEstimate(check_finite(dt, "grad-diff estimate"), g_t, clamped)
 

@@ -1,11 +1,13 @@
 """Benchmark problems and their stochastic oracle bundles.
 
-Two oracle modes exist.  Oblivious problems draw z from a fixed law (a
-data-row index, a noise vector); the gradient sample ∇F̃(x;z) is unbiased
-for ∇F(x) directly.  Non-oblivious problems draw z from p(z;x): here only
-the multilinear family, where z is a random subset with independent
-inclusion probabilities x_i, F̃(x;z) = f(z) is x-free, and all gradient
-information flows through the log-density derivatives.
+Each family computes its own one-sample estimates.  Oblivious problems draw
+z from a fixed law (a data-row index, a noise vector): the one-sample
+gradient is ∇F̃(x;z) and the Hessian estimate ∇²F̃(x;z)u, unbiased for
+∇F(x) and ∇²F(x)u directly.  The one non-oblivious family is the
+multilinear extension, which draws z from p(z;x), a random subset with
+independent inclusion probabilities x_i.  Its F̃(x;z) = f(z) is x-free, so
+the score ∇log p carries everything: the gradient is f(z)∇log p and the
+Hessian estimate f(z)(⟨∇log p, u⟩∇log p + ∇²log p u).
 
 Small-d exact oracles (full subset enumeration) back every estimator test.
 """
@@ -74,6 +76,10 @@ class Sample:
 class StochasticProblem:
     """Oracle bundle; subclasses fill in the per-sample and exact oracles.
 
+    ``grad`` and ``hess_vec`` give ∇F̃(x;z) and ∇²F̃(x;z)u, which on an
+    oblivious problem are the one-sample estimates; the multilinear family
+    overrides both estimates with its own forms.
+
     ``samples_drawn`` counts calls to :meth:`sample`, giving the one-sample
     accounting of the momentum driver, which zeroes it as a run starts.
     """
@@ -93,46 +99,19 @@ class StochasticProblem:
         raise NotImplementedError
 
     # --- per-sample oracles -------------------------------------------
-    def value(self, x: np.ndarray, s: Sample) -> float:
-        raise NotImplementedError
-
     def grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
         raise NotImplementedError
 
     def hess_vec(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def logp_grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
-        if self.mode == "oblivious":
-            return np.zeros(self.dim)
-        raise NotImplementedError
-
-    def logp_hess_vec(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
-        if self.mode == "oblivious":
-            return np.zeros(self.dim)
-        raise NotImplementedError
-
     def hessian_estimate(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
-        """One-sample estimate of ∇²F(x) u from z ∼ p(·;x), the five terms
-
-        F̃ ⟨∇log p, u⟩ ∇log p + ∇²F̃ u + ⟨∇log p, u⟩ ∇F̃ + F̃ ∇²log p u
-        + ⟨∇F̃, u⟩ ∇log p
-
-        of the sample's oracles at x.  Its expectation is ∇²F(x) u because
-        the second derivative of the density satisfies
-        ∇²p = p (∇log p ∇log pᵀ + ∇²log p).
-        """
-        val, grad, lg = self.value(x, s), self.grad(x, s), self.logp_grad(x, s)
-        lg_u = float(lg @ u)
-        return (val * lg_u * lg + self.hess_vec(x, s, u) + lg_u * grad
-                + val * self.logp_hess_vec(x, s, u) + float(grad @ u) * lg)
+        """One-sample estimate of ∇²F(x) u: ∇²F̃(x;z) u."""
+        return self.hess_vec(x, s, u)
 
     def one_sample_grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
-        """Unbiased one-sample gradient: ∇F̃(x;z) + F̃(x;z)∇log p(z;x)."""
-        g = self.grad(x, s)
-        if self.mode == "nonoblivious":
-            g = g + self.value(x, s) * self.logp_grad(x, s)
-        return g
+        """Unbiased one-sample gradient: ∇F̃(x;z)."""
+        return self.grad(x, s)
 
     # --- exact reference (tests / logging) ----------------------------
     def exact_value(self, x: np.ndarray) -> float:
@@ -165,9 +144,6 @@ class Quadratic(StochasticProblem):
         if self.noise_sigma == 0.0:
             return Sample(z=np.zeros(self.dim))
         return Sample(z=self.noise_sigma * rng.normal(size=self.dim))
-
-    def value(self, x, s):
-        return 0.5 * float(np.sum((x - self.target) ** 2)) + float(s.z @ x)
 
     def grad(self, x, s):
         return (x - self.target) + s.z
@@ -210,9 +186,6 @@ class NQP(StochasticProblem):
         if self.noise_sigma == 0.0:
             return Sample(z=np.zeros(self.dim))
         return Sample(z=self.noise_sigma * rng.normal(size=self.dim))
-
-    def value(self, x, s):
-        return self.exact_value(x) + float(s.z @ x)
 
     def grad(self, x, s):
         return self.exact_grad(x) + s.z
@@ -310,9 +283,11 @@ class RobustLRMR(StochasticProblem):
         super().__init__()
         self.rows, self.cols = int(rows), int(cols)
         self.dim = self.rows * self.cols
-        obs = np.asarray(observed, dtype=float)
+        obs = check_finite(observed, "observations")
         if obs.ndim != 2 or obs.shape[1] != 3:
             raise ValueError("observed must be (k,3) rows of (i, j, rating)")
+        if np.any(obs[:, :2] != np.round(obs[:, :2])):
+            raise ValueError("observation indices must be integers")
         self.idx = (obs[:, 0].astype(int) * self.cols + obs[:, 1].astype(int))
         if np.any(self.idx < 0) or np.any(self.idx >= self.dim):
             raise ValueError("observation index out of range")
@@ -663,9 +638,11 @@ class MultilinearProblem(StochasticProblem):
     """Non-oblivious oracle for a multilinear extension.
 
     z is a subset drawn with independent inclusion probabilities x_i
-    (clamped into [ε, 1−ε]).  F̃(x;z) = f(z) does not depend on x, so the
-    gradient and Hessian of F̃ vanish and the score-function terms carry
-    everything.
+    (clamped into [ε, 1−ε]).  F̃(x;z) = f(z) does not depend on x, so its
+    gradient and Hessian vanish and the score ∇log p(z;x) carries
+    everything: the one-sample gradient is f(z)∇log p and the Hessian
+    estimate f(z)(⟨∇log p, u⟩∇log p + ∇²log p u), whose expectation is
+    ∇²F(x)u because ∇²p = p (∇log p ∇log pᵀ + ∇²log p).
     """
 
     mode = "nonoblivious"
@@ -699,12 +676,6 @@ class MultilinearProblem(StochasticProblem):
             s.fz = float(_all_values(self.f)[s.z @ self._pows])
         return s.fz
 
-    def grad(self, x, s):
-        return np.zeros(self.dim)
-
-    def hess_vec(self, x, s, u):
-        return np.zeros(self.dim)
-
     def _signed_probs(self, x, s):
         """q_i where z_i, else q_i − 1, from the clamped probabilities q(x):
         ∇log p(z; x) is 1 / qz, and the diagonal of ∇²log p, a diagonal
@@ -716,15 +687,10 @@ class MultilinearProblem(StochasticProblem):
     def logp_grad(self, x, s):
         return 1.0 / self._signed_probs(x, s)
 
-    def logp_hess_vec(self, x, s, u):
-        qz = self._signed_probs(x, s)
-        return (-1.0 / (qz * qz)) * np.asarray(u, dtype=float)
-
     def hessian_estimate(self, x, s, u):
-        """The five-term estimate without its three zero terms (those built
-        from ∇F̃ and ∇²F̃): f(z) (⟨∇log p, u⟩ ∇log p + ∇²log p u).  The
-        trailing + 0.0 gives the +0.0 that adding the zero terms gives where
-        both remaining terms are zero, so results are bit-identical."""
+        """f(z) (⟨∇log p, u⟩ ∇log p + ∇²log p u).  The trailing + 0.0
+        turns a −0.0 entry into +0.0: the bits the run pins were made with,
+        by a sum that also added the zero ∇F̃ and ∇²F̃ u terms."""
         qz = self._signed_probs(x, s)
         val = self.value(x, s)
         lg = 1.0 / qz
@@ -732,9 +698,9 @@ class MultilinearProblem(StochasticProblem):
         return val * lg_u * lg + val * ((-1.0 / (qz * qz)) * u) + 0.0
 
     def one_sample_grad(self, x, s):
-        """f(z) ∇log p(z; x): the generic ∇F̃ + F̃ ∇log p with ∇F̃ = 0.  The
-        trailing + 0.0 gives the +0.0 that adding the zero gradient gives
-        where f(z) ∇log p is −0.0, so results are bit-identical."""
+        """f(z) ∇log p(z; x).  The trailing + 0.0 turns a −0.0 entry into
+        +0.0: the bits the run pins were made with, by a sum that also added
+        the zero ∇F̃."""
         return self.value(x, s) * self.logp_grad(x, s) + 0.0
 
     def exact_value(self, x):

@@ -796,17 +796,33 @@ def test_cli_dr_ascent_on_box_leaves_the_origin(tmp_path, capsys, monkeypatch):
     assert len(rows) == 10 and all(r["final_objective"] > 0 for r in rows)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+_LOGISTIC_BLOCKS = ("kind = logistic_csv\n", "kind = l1ball\n")
+_LRMR_BLOCKS = ("kind = lrmr_csv\nrows = 2\ncols = 2\n",
+                "kind = nuclear\nrows = 2\ncols = 2\n")
+#: data file -> (problem and constraint blocks, its rows, the refusal)
+_BAD_DATA = {
+    "nan": (_LOGISTIC_BLOCKS, "1,0.5,nan\n-1,0.25,0.75\n1,-0.5,0.1\n-1,1.0,0.2\n",
+            "non-finite values in feature matrix"),
+    "inf": (_LOGISTIC_BLOCKS, "1,0.5,inf\n-1,0.25,0.75\n1,-0.5,0.1\n-1,1.0,0.2\n",
+            "non-finite values in feature matrix"),
+    "lrmr-nan-rating": (_LRMR_BLOCKS, "0,0,1.0\n1,1,nan\n0,1,-0.5\n",
+                        "non-finite values in observations"),
+    "lrmr-fractional-index": (_LRMR_BLOCKS, "0,0,1.0\n1.7,0,2.0\n0,1,-0.5\n",
+                              "observation indices must be integers"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_DATA))
 def test_cli_non_finite_features_exit_2(tmp_path, capsys, bad):
+    (problem, constraint), rows, refusal = _BAD_DATA[bad]
     data = tmp_path / "data.csv"
-    data.write_text(f"1,0.5,{bad}\n-1,0.25,0.75\n1,-0.5,0.1\n-1,1.0,0.2\n")
-    ini = (f"[problem]\nkind = logistic_csv\npath = {data}\n"
-           "[constraint]\nkind = l1ball\n[solver]\nalgorithm = oblivious_sfw\nt = 5\n")
+    data.write_text(rows)
+    ini = (f"[problem]\n{problem}path = {data}\n[constraint]\n{constraint}"
+           "[solver]\nalgorithm = oblivious_sfw\nt = 5\n")
     out = tmp_path / "r"
     assert main(["solve", "--config", _write(tmp_path, ini), "--seeds", "0..2",
                  "--out", str(out)]) == 2
-    assert ("config error: bad problem block: non-finite values in feature matrix"
-            in capsys.readouterr().err)
+    assert f"config error: bad problem block: {refusal}" in capsys.readouterr().err
     assert not out.exists()
 
 

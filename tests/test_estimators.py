@@ -19,6 +19,7 @@ from fwlab.problems import (
     MultilinearProblem,
     Quadratic,
     Sample,
+    TableSetFunction,
     make_facility_location,
     multilinear_grad_hess,
     _all_masks,
@@ -150,13 +151,14 @@ def test_grad_diff_refuses_an_oblivious_problem():
 
 
 def _five_term_bits(p, xa, s, u, delta):
-    """The generic five-term composition of grad_diff's terms: ∇²F̃ u and
+    """The general five-term composition of grad_diff's terms: ∇²F̃ u and
     ∇²log p u replaced by central differences of the probes clipped into
-    [0, 1]^d."""
+    [0, 1]^d, and ∇F̃ and its difference phi_F the zero arrays of the
+    x-free F̃ = f(z)."""
     xp, xm = np.clip(xa + delta * u, 0.0, 1.0), np.clip(xa - delta * u, 0.0, 1.0)
-    phi_F = (p.grad(xp, s) - p.grad(xm, s)) / (2.0 * delta)
+    grad = phi_F = np.zeros(p.dim)
     phi_lp = (p.logp_grad(xp, s) - p.logp_grad(xm, s)) / (2.0 * delta)
-    val, grad, lg = p.value(xa, s), p.grad(xa, s), p.logp_grad(xa, s)
+    val, lg = p.value(xa, s), p.logp_grad(xa, s)
     lg_u = float(lg @ u)
     dt = val * lg_u * lg + phi_F + lg_u * grad + val * phi_lp + float(grad @ u) * lg
     return dt.tobytes()
@@ -183,8 +185,10 @@ def test_grad_diff_equals_five_term_composition_bitwise():
     rng = RngStream(21)
     d = 6
     facility = MultilinearProblem(make_facility_location(d, 4, rng.child(0)))
-    signed = MultilinearProblem(Modular(np.array([-0.0, 0.0, 1.0, -2.0, -0.0, 0.5])))
-    n_clamped = 0
+    values = rng.child(1).uniform(-1.0, 1.0, size=2**d)
+    values[[0, 1]] = [0.0, -0.0]                       # f(∅) = 0, f({0}) = -0.0
+    signed = MultilinearProblem(TableSetFunction(values))
+    n_clamped = n_negative_zero = 0
     for k in range(60):
         p = signed if k % 2 else facility
         x_prev = rng.uniform(0.0, 1.0, size=d)
@@ -200,7 +204,9 @@ def test_grad_diff_equals_five_term_composition_bitwise():
         xa, s = _sample_between(p, x_t, x_prev, it)
         assert est.delta_tilde.tobytes() == _five_term_bits(p, xa, s, x_t - x_prev, delta)
         n_clamped += est.clamped
+        n_negative_zero += s.fz == 0.0 and np.signbit(s.fz)
     assert 0 < n_clamped < 60
+    assert n_negative_zero > 0
 
 
 def test_oblivious_variation_exact_expectation():

@@ -21,7 +21,6 @@ from fwlab.problems import (
     Quadratic,
     RobustLRMR,
     Sample,
-    StochasticProblem,
     TableSetFunction,
     make_coverage,
     make_concave_over_modular,
@@ -473,29 +472,40 @@ def test_logp_grad_matches_fd():
         return float(np.sum(z * np.log(y) + (1 - z) * np.log(1 - y)))
 
     assert np.allclose(_fd_grad(logp, x), p.logp_grad(x, s), atol=1e-6)
-    # hessian of logp is diagonal
-    u = rng.normal(size=4)
-    diag = np.where(s.z, -1.0 / x**2, -1.0 / (1 - x) ** 2)
-    assert np.allclose(p.logp_hess_vec(x, s, u), diag * u)
-
-
-def test_logp_hess_scalar_example():
-    p = MultilinearProblem(Modular(np.ones(1)))
-    s = Sample(z=np.array([True]))
-    assert p.logp_hess_vec(np.array([0.5]), s, np.array([1.0]))[0] == pytest.approx(-4.0)
 
 
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _five_terms(p, x, s, u):
+    """The general one-sample Hessian estimate of a multilinear sample,
+
+    F̃ ⟨∇log p, u⟩ ∇log p + ∇²F̃ u + ⟨∇log p, u⟩ ∇F̃ + F̃ ∇²log p u
+    + ⟨∇F̃, u⟩ ∇log p,
+
+    summed in that order, with ∇F̃ and ∇²F̃ u the zero arrays of the x-free
+    F̃ = f(z) and ∇²log p the diagonal −1 / qz²."""
+    grad = hess_u = np.zeros(p.dim)
+    qz = p._signed_probs(x, s)
+    val, lg, logp_hess_u = p.value(x, s), p.logp_grad(x, s), (-1.0 / (qz * qz)) * u
+    lg_u = float(lg @ u)
+    return (val * lg_u * lg + hess_u + lg_u * grad + val * logp_hess_u
+            + float(grad @ u) * lg)
+
+
+def _generic_grad(p, x, s):
+    """The general one-sample gradient ∇F̃ + F̃ ∇log p of a multilinear
+    sample, with ∇F̃ the zero array of the x-free F̃ = f(z)."""
+    return np.zeros(p.dim) + p.value(x, s) * p.logp_grad(x, s)
+
+
 def test_multilinear_hessian_estimate_equals_five_terms():
-    # The fused method against the generic five-term formula it overrides,
-    # bit for bit (signed zeros included).
+    # The family's own form against the general five-term formula with its
+    # zero terms written out, bit for bit (signed zeros included).
     rng = RngStream(13)
     f = make_facility_location(10, 6, rng.child(0))
     p = MultilinearProblem(f)
-    generic = StochasticProblem.hessian_estimate
     xs = [rng.uniform(0.0, 1.0, size=10) for _ in range(20)]
     clipped = rng.uniform(0.0, 1.0, size=10)
     clipped[[0, 3, 7]] = [0.0, 1.0, 1.0 + 5e-7]  # clamped into [eps, 1 - eps]
@@ -510,7 +520,7 @@ def test_multilinear_hessian_estimate_equals_five_terms():
               (x, cases[0][1], np.zeros(10)), (x, empty, np.zeros(10)),
               (clipped, Sample(z=np.ones(10, dtype=bool)), u_signs)]
     for x, s, u in cases:
-        assert _bits(p.hessian_estimate(x, s, u)) == _bits(generic(p, x, s, u))
+        assert _bits(p.hessian_estimate(x, s, u)) == _bits(_five_terms(p, x, s, u))
 
 
 def _signed_zero_cases(p, rng):
@@ -526,20 +536,19 @@ def _signed_zero_cases(p, rng):
 
 
 def test_multilinear_one_sample_grad_equals_generic():
-    # The fused f(z) ∇log p(z; x) + 0.0 against the generic
-    # ∇F̃ + F̃ ∇log p it overrides, bit for bit, at the sampling point and
-    # away from it.
+    # The family's own f(z) ∇log p(z; x) + 0.0 against the general
+    # ∇F̃ + F̃ ∇log p with ∇F̃ = 0 written out, bit for bit, at the sampling
+    # point and away from it.
     rng = RngStream(14)
     d = 5
     values = rng.uniform(-1.0, 1.0, size=2**d)
     values[[0, 1, 2]] = [0.0, -0.0, 0.0]   # f(∅) = 0, f({0}) = −0.0, f({1}) = 0
     for f in (TableSetFunction(values), make_facility_location(d, 4, rng.child(1))):
         p = MultilinearProblem(f)
-        generic = StochasticProblem.one_sample_grad
         for x, s in _signed_zero_cases(p, rng):
             other = rng.uniform(0.0, 1.0, size=d)
             for y in (x, x.copy(), other):
-                assert _bits(p.one_sample_grad(y, s)) == _bits(generic(p, y, s))
+                assert _bits(p.one_sample_grad(y, s)) == _bits(_generic_grad(p, y, s))
 
 
 def test_multilinear_hessian_estimate_away_from_sampling_point():
@@ -548,12 +557,11 @@ def test_multilinear_hessian_estimate_away_from_sampling_point():
     rng = RngStream(15)
     f = make_facility_location(6, 4, rng.child(0))
     p = MultilinearProblem(f)
-    generic = StochasticProblem.hessian_estimate
     for x, s in _signed_zero_cases(p, rng):
         u = rng.normal(size=6)
         u[[1, 4]] = [0.0, -0.0]
         for y in (x, x.copy(), rng.uniform(0.0, 1.0, size=6), np.full(6, 1.0 + 5e-7)):
-            assert _bits(p.hessian_estimate(y, s, u)) == _bits(generic(p, y, s, u))
+            assert _bits(p.hessian_estimate(y, s, u)) == _bits(_five_terms(p, y, s, u))
     with pytest.raises(ValueError, match="outside"):
         p.hessian_estimate(np.full(6, 1.1), p.sample(np.full(6, 0.5), rng), np.ones(6))
 

@@ -31,8 +31,6 @@ _NO_RUN = "admitted path with no run yet: "
 _GRAD_DIFF_BOUND = (_NO_RUN + "solver.option=grad_diff on a box reads it through "
                     "MultilinearProblem.domain_constants (ROADMAP item 1)")
 _LRMR = _NO_RUN + "problem.kind=lrmr_csv (ROADMAP item 5)"
-_FIVE_TERMS = ("bitwise reference: the generic hessian_estimate reads it in "
-               "test_multilinear_hessian_estimate_equals_five_terms")
 _TEST_07 = "guarantee test test_07 (quantizer variance law) compares with it"
 
 #: "<module>.<qualname>" -> why no run reaches it
@@ -47,9 +45,9 @@ UNREACHED = {
         _NO_RUN + "solver.mode=dr_submodular_max on an l1 or nuclear ball, "
         "which inherit it (ROADMAP item 1); test_simplex_lmo checks it"),
     "problems.StochasticProblem._sample": _ABSTRACT,
-    "problems.StochasticProblem.value": _ABSTRACT,
-    "problems.StochasticProblem.grad": _ABSTRACT,
-    "problems.StochasticProblem.hess_vec": _ABSTRACT,
+    **{f"problems.StochasticProblem.{name}": "abstract base method; every "
+       "oblivious class overrides it, and MultilinearProblem's own estimates "
+       "read none" for name in ("grad", "hess_vec")},
     "problems.StochasticProblem.exact_value": _ABSTRACT,
     "problems.StochasticProblem.exact_grad": _ABSTRACT,
     "problems.SetFunction.bound": _ABSTRACT,
@@ -64,9 +62,8 @@ UNREACHED = {
     "problems.FacilityLocation.bound": _GRAD_DIFF_BOUND + "; test_01 scales by it",
     "problems.ConcaveOverModular.bound": _GRAD_DIFF_BOUND,
     "problems.LogDet.bound": _GRAD_DIFF_BOUND,
-    "problems.MultilinearProblem.grad": _FIVE_TERMS,
-    "problems.MultilinearProblem.hess_vec": _FIVE_TERMS,
-    "problems.MultilinearProblem.logp_hess_vec": _FIVE_TERMS,
+    "problems.LogisticL1.value": "test_distsim checks FiniteSumProblem.value "
+                                 "against it bit for bit",
     **{f"problems.RobustLRMR.{name}": _LRMR
        for name in ("__init__", "from_csv", "_psi", "_psi_d1", "_psi_d2", "_sample",
                     "value", "grad", "hess_vec", "exact_value", "exact_grad")},
