@@ -226,6 +226,10 @@ def _check_pairings(cfg: RunConfig):
         holds_origin = bool(lower.max() <= 0 <= upper.min())
     elif constraint == "simplex":
         in_unit_box = _read("constraint", cfg.constraint, "scale") <= 1
+    matrix = ball = ""  # an lrmr_csv problem's rows x cols, and its nuclear ball's
+    if kind == "lrmr_csv" and constraint == "nuclear":
+        matrix, ball = (f"{_read(s, b, 'rows')}x{_read(s, b, 'cols')}" for s, b in
+                        (("problem", cfg.problem), ("constraint", cfg.constraint)))
     capped = False
     if algo == "dbg":
         # shrink_translate's arithmetic, where every upper bound of the
@@ -248,6 +252,9 @@ def _check_pairings(cfg: RunConfig):
         *((algo in ("deterministic_fw", "bcg", "dbg") and key in cfg.solver,
            f"solver.{key} sets the step schedule of one_sfw, oblivious_sfw and "
            f"scg; {algo} does not read it") for key in ("eta_c", "eta_a")),
+        # build_constraint compares rows·cols only, which a transpose matches
+        (matrix != ball, f"an lrmr_csv problem of {matrix} matrices on a nuclear "
+                         f"ball of {ball} matrices"),
         (algo == "oblivious_sfw" and multilinear,
          "oblivious_sfw needs an oblivious problem, not a multilinear one"),
         (algo in ("bcg", "dbg") and not multilinear,
@@ -536,6 +543,28 @@ def run_experiment(cfg: RunConfig) -> dict:
     return report
 
 
+def _quantile(arr: np.ndarray, q: float) -> float:
+    """``np.quantile(arr, q)`` of a 1-d float array, to the bit: numpy's
+    default linear rule, step by step as numpy 2 takes it.  np.quantile
+    itself would import numpy.ma (through np.unique), which no run needs."""
+    n = arr.size
+    v = n * q + (1 + q * (1 - 1 - 1)) - 1  # the virtual index, alpha = beta = 1
+    if v >= n - 1:  # clipped to the last element, with numpy's weight
+        lo = hi = -1
+        t = v + 1
+    else:
+        lo = math.floor(v)
+        hi, t = lo + 1, v - lo
+    part = arr.copy()
+    # numpy's kth values: where ties of -0.0 and 0.0 land depends on them
+    part.partition(np.array(sorted({0, -1, lo, hi})))
+    if math.isnan(part[-1]):  # a NaN sorts last, and numpy returns it
+        return float(part[-1])
+    a, b = part[lo], part[hi]
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 def _aggregate(rows, failures):
     objs = [r["final_objective"] for r in rows if r["final_objective"] is not None]
     agg = {}
@@ -543,9 +572,9 @@ def _aggregate(rows, failures):
         arr = np.array(objs, dtype=float)
         agg = {"mean": float(arr.mean()),
                "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-               "q25": float(np.quantile(arr, 0.25)),
-               "q50": float(np.quantile(arr, 0.50)),
-               "q75": float(np.quantile(arr, 0.75))}
+               "q25": _quantile(arr, 0.25),
+               "q50": _quantile(arr, 0.50),
+               "q75": _quantile(arr, 0.75)}
     return {"rows": rows, "failures": failures, "aggregate": agg,
             "n_ok": len(rows), "n_failed": len(failures)}
 

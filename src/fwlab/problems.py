@@ -288,9 +288,11 @@ class RobustLRMR(StochasticProblem):
             raise ValueError("observed must be (k,3) rows of (i, j, rating)")
         if np.any(obs[:, :2] != np.round(obs[:, :2])):
             raise ValueError("observation indices must be integers")
-        self.idx = (obs[:, 0].astype(int) * self.cols + obs[:, 1].astype(int))
-        if np.any(self.idx < 0) or np.any(self.idx >= self.dim):
-            raise ValueError("observation index out of range")
+        i, j = obs[:, 0].astype(int), obs[:, 1].astype(int)
+        for what, index, size in (("row", i, self.rows), ("column", j, self.cols)):
+            if np.any(index < 0) or np.any(index >= size):
+                raise ValueError(f"observation {what} index outside 0..{size - 1}")
+        self.idx = i * self.cols + j
         self.ratings = obs[:, 2]
         self.sigma = float(sigma)
         if self.sigma <= 0:

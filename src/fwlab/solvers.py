@@ -123,11 +123,12 @@ def fw_gap(grad: np.ndarray, set_: FeasibleSet, x: np.ndarray) -> float:
 
 
 def _default_log_points(T: int):
-    """Every t for a short run, else _LOG_POINTS geometrically spaced t and T."""
+    """Every t for a short run, else _LOG_POINTS geometrically spaced t and T.
+
+    A Python set dedupes them: np.unique would import numpy.ma."""
     if T <= _LOG_POINTS:
         return set(range(1, T + 1))
-    pts = np.unique(np.geomspace(1, T, num=_LOG_POINTS).astype(int))
-    return set(pts.tolist()) | {T}
+    return set(np.geomspace(1, T, num=_LOG_POINTS).astype(int).tolist()) | {T}
 
 
 def _assert_member(set_: FeasibleSet, x, what: str):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,27 @@ def test_brute_force_guard():
     m = PartitionMatroid([list(range(30))], [15], 30)
     with pytest.raises(ValueError, match="exceeds"):
         brute_force_opt(f, m)
+
+
+def _quantile_inputs():
+    """Arrays of 1..60 values: ties, -0.0 beside 0.0, negatives, and
+    magnitudes from subnormal to 1e300; and one with a NaN."""
+    rng = np.random.default_rng(20)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1.0, 1.0,
+                     2.5, 2.5, -7.25, 1e300, -1e300])
+    for n in range(1, 61):
+        yield rng.choice([0.0, -0.0], size=n)
+        yield rng.choice(pool, size=n)
+        yield rng.integers(-2, 3, size=n) * rng.choice([1.0, -0.0], size=n)
+        yield rng.standard_normal(n) * 10.0 ** rng.integers(-320, 301, size=n)
+    yield np.array([1.0, np.nan, -0.0])  # numpy returns the NaN, sorted last
+
+
+def test_report_quantiles_match_numpy_bitwise():
+    for arr in _quantile_inputs():
+        for q in (0.25, 0.5, 0.75):
+            want = float(np.quantile(arr, q)).hex()
+            assert bench._quantile(arr, q).hex() == want, (arr.tolist(), q)
 
 
 # --- run_experiment ---------------------------------------------------------
@@ -606,13 +630,18 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
      "bcg maximizes: it cannot run solver.mode=convex_min"),
     (SUBMAX_INI, ["solver.algorithm=dbg", "solver.mode=nonconvex_min"],
      "dbg maximizes: it cannot run solver.mode=nonconvex_min"),
+    # rows·cols agree, so the build once ran on the transposed ball
+    (QUAD_INI, ["problem.kind=lrmr_csv", "problem.path=ratings.csv",
+                "problem.rows=2", "problem.cols=3", "constraint.kind=nuclear",
+                "constraint.rows=3", "constraint.cols=2"],
+     "an lrmr_csv problem of 2x3 matrices on a nuclear ball of 3x2 matrices"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
         "dbg-zero-budget", "dbg-full-budget", "one_sfw-multilinear-l1ball",
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
         "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr",
-        "bcg-convex_min", "dbg-nonconvex_min"])
+        "bcg-convex_min", "dbg-nonconvex_min", "lrmr-transposed-nuclear"])
 def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
@@ -809,6 +838,12 @@ _BAD_DATA = {
                         "non-finite values in observations"),
     "lrmr-fractional-index": (_LRMR_BLOCKS, "0,0,1.0\n1.7,0,2.0\n0,1,-0.5\n",
                               "observation indices must be integers"),
+    # each flat index i·cols + j lies in 0..3: once read as entries (1, 1)
+    # and (1, 0)
+    "lrmr-column-index": (_LRMR_BLOCKS, "0,0,1.0\n0,3,2.0\n0,1,-0.5\n",
+                          "observation column index outside 0..1"),
+    "lrmr-row-index": (_LRMR_BLOCKS, "0,0,1.0\n2,-2,2.0\n0,1,-0.5\n",
+                       "observation row index outside 0..1"),
 }
 
 
@@ -863,6 +898,41 @@ def test_shipped_config_loads_and_builds(ini, monkeypatch, tmp_path, capsys):
                  "--out", str(tmp_path / "r"), "--override", f"{section}.t=3"]) == 0
     capsys.readouterr()
     assert len(list((tmp_path / "r").glob("*-s0.csv"))) == 1
+
+
+_CONFIGS = "scripts/configs/"
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique checks its input with np.ma.is_masked, which imports
+    # numpy.ma, and np.quantile calls np.unique.  One fresh process runs
+    # every command; t = 100 > 64 takes the geometric log points.
+    runs = [
+        ["solve", "--config", _CONFIGS + "quadratic.ini", "--seeds", "0..2",
+         "--override", "solver.t=100"],
+        ["submax", "--config", _CONFIGS + "submax_facility.ini", "--seed", "0",
+         "--override", "solver.t=5"],
+        ["bcg", "--config", _CONFIGS + "bcg_coverage.ini", "--seeds", "0..1",
+         "--override", "solver.t=3"],
+        ["dbg", "--config", _CONFIGS + "submax_facility.ini", "--seed", "0",
+         "--override", "solver.t=3"],
+        ["distsim", "--config", _CONFIGS + "distsim_logistic.ini",
+         "--override", "distsim.t=3"],
+        ["oracle", "--config", _CONFIGS + "submax_facility.ini"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+    runs.append(["report", "--out", str(tmp_path / "solve")])
+    code = ("import json, sys\n"
+            "from fwlab.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "sys.exit(f'exit codes {codes}' if any(codes) else\n"
+            "         'a run imported numpy.ma' if 'numpy.ma' in sys.modules else 0)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # --- the config table -------------------------------------------------------
