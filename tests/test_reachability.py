@@ -28,8 +28,6 @@ SRC = ROOT / "src" / "fwlab"
 _ABSTRACT = "abstract base method; every concrete class overrides it"
 _IMPORT = "runs at import, before any hook is set"
 _NO_RUN = "admitted path with no run yet: "
-_GRAD_DIFF_BOUND = (_NO_RUN + "solver.option=grad_diff on a box reads it through "
-                    "MultilinearProblem.domain_constants (ROADMAP item 1)")
 _LRMR = _NO_RUN + "problem.kind=lrmr_csv (ROADMAP item 5)"
 _TEST_07 = "guarantee test test_07 (quantizer variance law) compares with it"
 
@@ -41,9 +39,6 @@ UNREACHED = {
     "rng._Pool.__init__": _IMPORT,
     "constraints.FeasibleSet.lmo_min": _ABSTRACT,
     "constraints.FeasibleSet.contains": _ABSTRACT,
-    "constraints.FeasibleSet.lmo_max": (
-        _NO_RUN + "solver.mode=dr_submodular_max on an l1 or nuclear ball, "
-        "which inherit it (ROADMAP item 1); test_simplex_lmo checks it"),
     "problems.StochasticProblem._sample": _ABSTRACT,
     **{f"problems.StochasticProblem.{name}": "abstract base method; every "
        "oblivious class overrides it, and MultilinearProblem's own estimates "
@@ -58,10 +53,6 @@ UNREACHED = {
         _NO_RUN + "dbg on multilinear_coverage samples f through it; the runs "
         "read the 2^d table, which test_every_table_keeps_its_bits checks "
         "against it (ROADMAP item 1)"),
-    "problems.Modular.bound": _GRAD_DIFF_BOUND,
-    "problems.FacilityLocation.bound": _GRAD_DIFF_BOUND + "; test_01 scales by it",
-    "problems.ConcaveOverModular.bound": _GRAD_DIFF_BOUND,
-    "problems.LogDet.bound": _GRAD_DIFF_BOUND,
     "problems.LogisticL1.value": "test_distsim checks FiniteSumProblem.value "
                                  "against it bit for bit",
     **{f"problems.RobustLRMR.{name}": _LRMR

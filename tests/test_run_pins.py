@@ -32,12 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("run_pins.json")
 SEED = 3
 
-COVERAGE_BOX = """\
-[problem]
-kind = multilinear_coverage
-dim = 6
-n_topics = 5
-instance_seed = 2
+GRAD_DIFF_BOX = """\
 [constraint]
 kind = box
 lower = 0.3
@@ -47,6 +42,16 @@ algorithm = one_sfw
 option = grad_diff
 t = 30
 """
+
+
+def _grad_diff_box(kind: str, extra: str = "") -> str:
+    """One_sfw grad_diff on the box [0.3, 0.7]^6, for ``multilinear_<kind>``;
+    ``extra`` holds the kind's own problem keys."""
+    return (f"[problem]\nkind = multilinear_{kind}\ndim = 6\n{extra}"
+            "instance_seed = 2\n" + GRAD_DIFF_BOX)
+
+
+COVERAGE_BOX = _grad_diff_box("coverage", "n_topics = 5\n")
 
 MATROID_DR = """\
 [constraint]
@@ -131,6 +136,10 @@ RUNS = {
     "one_sfw-grad_diff-box-convex": ("solve", COVERAGE_BOX, ["solver.mode=convex_min"]),
     "one_sfw-grad_diff-box-nonconvex": (
         "solve", COVERAGE_BOX, ["solver.mode=nonconvex_min"]),
+    **{f"one_sfw-grad_diff-{kind}-box-nonconvex": (
+        "solve", _grad_diff_box(kind, extra), ["solver.mode=nonconvex_min"])
+       for kind, extra in (("facility", "n_clients = 4\n"), ("modular", ""),
+                           ("concave_modular", "n_users = 3\n"), ("logdet", ""))},
     "one_sfw-grad_diff-box-dr": (
         "submax", COVERAGE_BOX, ["constraint.lower=0", "constraint.upper=0.6"]),
     "one_sfw-exact_hessian-matroid-dr": ("submax", FACILITY_MATROID, []),
@@ -153,6 +162,11 @@ RUNS = {
         "solve", QUADRATIC, ["problem.dim=6", "constraint.kind=nuclear",
                              "constraint.radius=1", "constraint.rows=2",
                              "constraint.cols=3"]),
+    "oblivious_sfw-quadratic-nuclear-dr": (
+        "submax", QUADRATIC, ["problem.dim=6", "constraint.kind=nuclear",
+                              "constraint.radius=1", "constraint.rows=2",
+                              "constraint.cols=3"]),
+    "scg-quadratic-l1ball-dr": ("submax", QUADRATIC, ["solver.algorithm=scg"]),
     "scg-nqp-box-dr": ("submax", NQP_BOX, []),
     "one_sfw-nqp-box-dr": ("submax", NQP_BOX, ["solver.algorithm=one_sfw"]),
     "deterministic_fw-quadratic-simplex": (
