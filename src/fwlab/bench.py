@@ -238,6 +238,13 @@ def _check_pairings(cfg: RunConfig):
         shrunk = 1.0 - delta - delta
         capped = any(C.shrunk_cap(b, np.full(n, shrunk), delta)[1]
                      for b, n in zip(budgets, sizes))
+    box_lo = box_hi = 0.0  # bcg's shrunk box: its largest lower, smallest upper bound
+    if algo == "bcg" and constraint == "box":
+        # shrink_translate's arithmetic: the box becomes
+        # [max(lower - delta, 0), min(upper, 1 - delta) - delta]
+        delta = _read("solver", cfg.solver, "delta")
+        box_lo = max(float(lower.max()) - delta, 0.0)
+        box_hi = min(float(upper.min()), 1.0 - delta) - delta
     for broken, why in [
         (cfg.distsim is not None and kind != "logistic_csv",
          "distsim drives logistic_csv problems only"),
@@ -273,6 +280,13 @@ def _check_pairings(cfg: RunConfig):
         # budget above |block|(1 - delta) misses: its shrunk cap is the
         # block's box mass, 1 - 2 delta per coordinate.
         (algo == "bcg" and zero, "bcg needs every matroid budget >= 1"),
+        # bcg starts at 0 of the shrunk box.  With 0 in it, every coordinate
+        # starts at 0, so box_hi < 0 empties it.
+        (box_lo > 0, "bcg starts at 0 of the box shrunk by solver.delta, which "
+                     "needs every lower bound <= solver.delta"),
+        (box_hi < box_lo - C.MEMBERSHIP_TOL,
+         "bcg needs every upper bound >= solver.delta: the box shrunk by "
+         "solver.delta is empty"),
         (algo == "dbg" and zero and any(budgets),
          "dbg needs every matroid budget >= 1, or all of them 0"),
         (capped, "dbg needs every matroid budget below its block size by at least "

@@ -3,7 +3,7 @@
 All drivers share the skeleton: estimate a gradient, call the constraint
 set's linear oracle, move toward (minimization: x + eta (v - x)) or along
 (monotone maximization: x + eta v) the returned vertex.  The momentum
-solvers consume exactly one stochastic sample per iteration.
+solvers and bcg run one loop; a one-sample step draws exactly one sample.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Schedule:
     Modes: ``convex_min`` (rho_t = 1/(t-1), eta_t = 1/t, last iterate),
     ``nonconvex_min`` (rho_t = (t-1)^{-2/3}, eta_t = T^{-2/3}, uniform
     random iterate), ``dr_submodular_max`` (rho_t = 1/(t-1), eta_t = 1/T,
-    start at 0, additive update).
+    start at 0, additive update), each with rho_1 = 1: from d_0 = 0, d_1 = g_1.
     """
 
     T: int
@@ -63,25 +63,28 @@ class Schedule:
 
     MODES = ("convex_min", "nonconvex_min", "dr_submodular_max")
 
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValueError("T must be >= 1")
+
     @classmethod
     def preset(cls, mode: str, T: int) -> "Schedule":
         if mode not in cls.MODES:
             raise ValueError(f"unknown schedule mode {mode!r}")
         T = int(T)
-        if T < 1:
-            raise ValueError("T must be >= 1")
         if mode == "convex_min":
-            return cls(T, mode, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / t)
+            return cls(T, mode, lambda t: max(t - 1.0, 1.0) ** -1.0,
+                       lambda t: 1.0 / t)
         if mode == "nonconvex_min":
-            return cls(T, mode, lambda t: (t - 1.0) ** (-2.0 / 3.0),
+            return cls(T, mode, lambda t: max(t - 1.0, 1.0) ** (-2.0 / 3.0),
                        lambda t: T ** (-2.0 / 3.0))
-        return cls(T, mode, lambda t: (t - 1.0) ** -1.0, lambda t: 1.0 / T)
+        return cls(T, mode, lambda t: max(t - 1.0, 1.0) ** -1.0, lambda t: 1.0 / T)
 
     def rho(self, t: int) -> float:
         r = float(self.rho_fn(t))
-        if t >= 2 and not 0.0 < r <= 1.0:
+        if not 0.0 < r <= 1.0:
             raise ValueError(f"rho_{t}={r} outside (0,1]")
-        return min(r, 1.0)
+        return r
 
     def eta(self, t: int) -> float:
         e = float(self.eta_fn(t))
@@ -144,9 +147,7 @@ def _start_point(set_: FeasibleSet, mode: str):
     return set_.lmo_min(np.zeros(set_.dim))
 
 
-def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
-    if t not in log_points:
-        return
+def _log(trace, t, p, set_, x, d, sched, t0, keep_snapshots):
     value, g = p.exact_value_grad(x)
     gap = None if sched.mode == "dr_submodular_max" else fw_gap(g, set_, x)
     trace.records.append(IterationRecord(
@@ -158,33 +159,35 @@ def _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots):
         trace.snapshots[t] = (x.copy(), d.copy())
 
 
-def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
+def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule,
                  rng: RngStream, variation, log_points=None,
                  keep_snapshots=False) -> SolveTrace:
-    """Shared driver: ``variation(t, x_t, x_prev, it_rng)`` draws iteration
-    t's one sample from ``it_rng`` and returns a :class:`VariationEstimate`:
-    Delta_t and the one-sample gradient g_t at x_t, both from that sample.
-    Plain momentum returns Delta = 0."""
+    """The one momentum loop: from d_0 = 0 it runs every t = 1..T alike, with
+    x_prev = x_1 at t = 1.  ``variation(t, x_t, x_prev, it_rng)`` draws
+    iteration t's sample from ``it_rng`` and returns a :class:`VariationEstimate`
+    of Delta_t and g_t at x_t, both from that sample (plain momentum: Delta =
+    0).  ``p``, None for bcg, is read only for the sample count and the log."""
     T = sched.T
     log_points = _default_log_points(T) if log_points is None else set(log_points)
     t0 = time.perf_counter()
     trace = SolveTrace(meta={"mode": sched.mode, "T": T})
-    p.samples_drawn = 0
+    if p is not None:
+        p.samples_drawn = 0
 
     dr = sched.mode == "dr_submodular_max"
     x = _start_point(set_, sched.mode)
     iterates = [x.copy()] if sched.mode == "nonconvex_min" else None
     vertex_sum = np.zeros(set_.dim)
 
-    d = p.one_sample_grad(x, p.sample(x, rng.child(1).child(1)))
-    x_prev = None
+    d = np.zeros(set_.dim)
+    x_prev = x
     for t in range(1, T + 1):
-        if t >= 2:
-            est = variation(t, x, x_prev, rng.child(t))
-            d = momentum_update(d, est.delta_tilde, est.grad, sched.rho(t))
-        if p.samples_drawn != t:
+        est = variation(t, x, x_prev, rng.child(t))
+        d = momentum_update(d, est.delta_tilde, est.grad, sched.rho(t))
+        if p is not None and p.samples_drawn != t:
             raise RuntimeError("one-sample accounting violated")
-        _log(trace, t, p, set_, x, d, sched, log_points, t0, keep_snapshots)
+        if t in log_points:
+            _log(trace, t, p, set_, x, d, sched, t0, keep_snapshots)
         v = set_.lmo_max(d) if dr else set_.lmo_min(d)
         eta = sched.eta(t)
         x_prev = x
@@ -194,7 +197,8 @@ def _momentum_fw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         if iterates is not None:
             iterates.append(x.copy())
 
-    trace.meta["oracle_calls"] = p.samples_drawn
+    if p is not None:
+        trace.meta["oracle_calls"] = p.samples_drawn
     if sched.mode == "nonconvex_min":
         idx = int(rng.child(_OUTPUT_STREAM).integers(1, T + 2))
         trace.output = iterates[idx - 1]
@@ -215,7 +219,7 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
 
     ``option`` picks the variation estimator: "exact_hessian" uses the
     one-sample Hessian estimate, "grad_diff" its finite-difference
-    approximation with radius delta_t = sqrt(3) eta_{t-1} Lbar / (D L2 (1+B)),
+    approximation with radius sqrt(3) eta_{max(t-1,1)} Lbar / (D L2 (1+B)),
     whose constants B, G, L, L2 a multilinear problem derives from the box
     ``set_`` (:meth:`MultilinearProblem.domain_constants`).
     """
@@ -229,7 +233,7 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
     def variation(t, x, x_prev, it):
         if option == "exact_hessian":
             return variation_exact_hessian(p, x, x_prev, it)
-        delta = grad_diff_delta(sched.eta(t - 1), constants, D)
+        delta = grad_diff_delta(sched.eta(max(t - 1, 1)), constants, D)
         return variation_grad_diff(p, x, x_prev, delta, it)
 
     return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
@@ -284,36 +288,31 @@ def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
 
 
 def bcg(value_oracle, set_: FeasibleSet, rng: RngStream, T: int, delta: float,
-        batch: int, log_fn=None) -> np.ndarray:
+        batch: int) -> np.ndarray:
     """Zeroth-order continuous greedy for monotone DR maximization.
 
-    Works on the shrunk-translated set K' = (X'_delta intersect K) - delta 1
-    so every two-point probe delta 1 + x_t +/- delta u stays inside the
-    function's domain [0, 1]^d.  rho_t = 2/(t+3)^{2/3}; the update x += v/T
-    averages T vertices of K'; the output is shifted back by delta 1.
-    ``value_oracle`` maps a (k, d) array of points to their (k,) values;
-    each iteration makes one call, on all 2·batch probes.  ``T`` stays the
-    fourth positional argument: perfbench's tracer reads it there.
+    Runs :func:`_momentum_fw`, unlogged, on the shrunk-translated set
+    K' = (X'_delta intersect K) - delta 1, so every two-point probe
+    delta 1 + x_t +/- delta u stays inside the function's domain [0, 1]^d.
+    g_t is the two-point gradient, Delta_t = 0, rho_t = 2/(t+3)^{2/3} and
+    eta_t = 1/T, so x averages T vertices of K'; the output is shifted back
+    by delta 1.  ``value_oracle`` maps a (k, d) array of points to their (k,)
+    values; each iteration makes one call, on all 2·batch probes.  ``T``
+    stays the fourth positional argument: perfbench's tracer reads it there.
     """
     if not 0 < delta:
         raise ValueError("delta must be positive")
     T = int(T)
-    kp = shrink_translate(set_, delta)
     shift = delta * np.ones(set_.dim)
-    x = np.zeros(set_.dim)
-    gbar = np.zeros(set_.dim)
-    for t in range(1, T + 1):
-        rho = 2.0 / (t + 3.0) ** (2.0 / 3.0)
-        g = two_point_gradient(lambda Y: value_oracle(Y + shift), x, delta,
-                               batch, rng.child(t))
-        gbar = (1.0 - rho) * gbar + rho * g
-        v = kp.lmo_max(gbar)
-        x = x + v / T
-        if not kp.contains(x, tol=1e-8):
-            raise AssertionError("BCG iterate left the shrunk set")
-        if log_fn is not None:
-            log_fn(t, x, gbar)
-    out = x + shift
+
+    def variation(t, x, x_prev, it):
+        return VariationEstimate(0.0, two_point_gradient(
+            lambda Y: value_oracle(Y + shift), x, delta, batch, it))
+
+    sched = Schedule(T, "dr_submodular_max",
+                     lambda t: 2.0 / (t + 3.0) ** (2.0 / 3.0), lambda t: 1.0 / T)
+    out = _momentum_fw(None, shrink_translate(set_, delta), sched, rng, variation,
+                       log_points=()).output + shift
     _assert_member(set_, out, "BCG output")
     return out
 

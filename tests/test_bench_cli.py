@@ -601,6 +601,14 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
      "dbg needs every matroid budget >= 1"),
     (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.budgets=2 1"],
      "below its block size"),
+    # bcg starts at 0 of the box shrunk by delta, which the first box does not
+    # hold and the second leaves empty; once every seed exited 3
+    (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.kind=box",
+                  "constraint.lower=0.3", "constraint.upper=0.7"],
+     "bcg starts at 0 of the box shrunk by solver.delta"),
+    (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.kind=box",
+                  "constraint.lower=0", "constraint.upper=0.01"],
+     "bcg needs every upper bound >= solver.delta"),
     # a multilinear problem samples at the iterates, which must lie in
     # [0, 1]^d; once every seed exited 3
     (SUBMAX_INI, ["constraint.kind=l1ball", "solver.mode=convex_min"],
@@ -637,7 +645,8 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
      "an lrmr_csv problem of 2x3 matrices on a nuclear ball of 3x2 matrices"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
-        "dbg-zero-budget", "dbg-full-budget", "one_sfw-multilinear-l1ball",
+        "dbg-zero-budget", "dbg-full-budget", "bcg-box-without-origin",
+        "bcg-box-empty", "one_sfw-multilinear-l1ball",
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
         "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr",

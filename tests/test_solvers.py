@@ -43,6 +43,21 @@ def test_schedule_presets():
     assert s3.eta(3) == pytest.approx(0.2)
     with pytest.raises(ValueError):
         Schedule.preset("bogus", 5)
+    # T >= 1 holds for a schedule built directly too, as bcg builds its own
+    for T in (0, -1):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            Schedule(T, "dr_submodular_max", lambda t: 1.0, lambda t: 1.0)
+    # the recursion's first step from d_0 = 0 takes rho_1 = 1: d_1 = g_1
+    assert [Schedule.preset(m, 5).rho(1) for m in Schedule.MODES] == [1.0] * 3
+    # a custom rho_1 outside (0, 1] raises at t = 1, in the driver too
+    p, ball = Quadratic(np.zeros(2)), L1Ball(1.0, 2)
+    for rho_1 in (0.0, 1.5):
+        s4 = Schedule(5, "convex_min", lambda t: rho_1 if t == 1 else 0.5,
+                      lambda t: 0.5)
+        for run in (lambda: s4.rho(1),
+                    lambda: scg_baseline(p, ball, s4, RngStream(0))):
+            with pytest.raises(ValueError, match="rho_1="):
+                run()
 
 
 def test_fw_gap_examples():
@@ -160,7 +175,7 @@ def test_one_sfw_evaluates_each_oracle_once_per_iteration(monkeypatch):
     one_sfw(p, poly, Schedule.preset("dr_submodular_max", T), "exact_hessian",
             RngStream(41), log_points=[])
     assert len(reads) == T and tables == [1]    # one f(z) per iteration
-    assert len(probs) == 2 * T - 1   # t = 1 samples and differentiates at x_1
+    assert len(probs) == 2 * T   # t = 1 too, with x_prev = x_1
 
 
 def test_oblivious_sfw_two_gradients_per_iteration(monkeypatch):
@@ -175,7 +190,7 @@ def test_oblivious_sfw_two_gradients_per_iteration(monkeypatch):
     T = 40
     oblivious_sfw(Quadratic(np.full(3, 0.2), noise_sigma=1.0), L1Ball(1.0, 3),
                   Schedule.preset("convex_min", T), RngStream(42), log_points=[])
-    assert len(calls) == 1 + 2 * (T - 1)
+    assert len(calls) == 2 * T   # t = 1 too, with x_prev = x_1
 
 
 def _pinned_record_values(tr):
@@ -352,15 +367,26 @@ def test_bcg_single_step_is_shifted_vertex():
     assert np.sum(out) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_bcg_iterates_stay_in_shrunk_domain():
+def test_bcg_iterates_stay_in_shrunk_domain(monkeypatch):
+    # The driver checks each iterate's membership; the spy records them.
+    import fwlab.solvers as solvers
+
+    seen = []
+    check = solvers._assert_member
+
+    def spy(set_, x, what):
+        if what.startswith("iterate"):
+            seen.append(x.copy())
+        check(set_, x, what)
+
+    monkeypatch.setattr(solvers, "_assert_member", spy)
     rng = RngStream(12)
     f = make_coverage(4, 3, rng)
     poly = PartitionMatroidPolytope([[0, 1], [2, 3]], [1, 1], 4)
     delta = 0.05
-    seen = []
     out = bcg(lambda Y: multilinear_exact(f, np.clip(Y, 0, 1)), poly,
-              RngStream(13), 50, delta, 4,
-              log_fn=lambda t, x, g: seen.append(x.copy()))
+              RngStream(13), 50, delta, 4)
+    assert len(seen) == 50
     for x in seen:
         assert np.all(x >= -1e-9) and np.all(x <= 1 - 2 * delta + 1e-9)
         assert poly.contains(x + delta, tol=1e-8)
