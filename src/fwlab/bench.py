@@ -457,7 +457,7 @@ def write_trace(path: Path, trace: SolveTrace):
                         "" if r.est_error is None else repr(r.est_error),
                         r.oracle_calls,
                         "" if r.cum_bits is None else r.cum_bits,
-                        ""])  # wall_ms omitted: trace files are byte-reproducible
+                        ""])  # wall_ms stays blank: trace files are byte-reproducible
 
 
 def _run_one_seed(cfg: RunConfig, problem, setf, set_, seed: int):

@@ -27,8 +27,9 @@ from . import constraints as C
 
 def _add_common(sp):
     sp.add_argument("--config", required=True, help="INI config path")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--seeds", default=None, help="range A..B or list")
+    seeds = sp.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None)
+    seeds.add_argument("--seeds", default=None, help="range A..B or list")
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--override", action="append", default=[],
                     metavar="SECTION.KEY=VALUE")

@@ -9,12 +9,13 @@ Three variation estimators are provided: the one-sample Hessian estimator
 in the problem family's own form (grad^2 F(x;z) u on an oblivious problem,
 f(z)(<grad log p, u> grad log p + grad^2 log p u) on a multilinear one),
 its gradient-difference approximation (no second-order oracle needed), and
-the oblivious same-sample gradient difference.  Each returns a
+the oblivious same-sample gradient difference.  Each takes the iteration's
+stream, draws the iteration's single sample z_t from it, and returns a
 :class:`VariationEstimate` holding Delta_t and g_t, the one-sample gradient
-at x_t, both from the iteration's single sample z_t.  The first two take the
-iteration's stream and draw that sample themselves: a ~ U[0,1] from its
-child 0, then z_t ~ p(.;x(a)) from its child 1.  The two-point sphere
-estimator serves the purely zeroth-order solvers.
+at x_t, both from z_t.  The first two draw a ~ U[0,1] from the stream's
+child 0, then z_t ~ p(.;x(a)) from its child 1; the third draws z_t from
+child 1 alone.  The two-point sphere estimator serves the purely
+zeroth-order solvers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Sample, StochasticProblem
+from .problems import StochasticProblem
 from .rng import RngStream, check_finite, sample_unit_ball, sample_unit_sphere
 
 __all__ = [
@@ -41,12 +42,12 @@ __all__ = [
 
 @dataclass(slots=True)
 class VariationEstimate:
-    delta_tilde: np.ndarray
+    delta_tilde: np.ndarray | float  # 0.0 where a solver runs plain momentum
     grad: np.ndarray  # the one-sample gradient at x_t, from the estimate's sample
     clamped: bool = False  # a grad-diff probe was clipped into the domain
 
 
-def momentum_update(d: np.ndarray, delta_tilde: np.ndarray,
+def momentum_update(d: np.ndarray, delta_tilde: np.ndarray | float,
                     g_new: np.ndarray, rho: float) -> np.ndarray:
     """d_t = (1 - rho)(d_{t-1} + Delta_t) + rho g_t."""
     if not 0.0 <= rho <= 1.0:
@@ -122,8 +123,9 @@ def variation_grad_diff(p: StochasticProblem, x_t, x_prev, delta: float,
 
 
 def variation_oblivious(p: StochasticProblem, x_t, x_prev,
-                        sample: Sample) -> VariationEstimate:
-    """Delta_t = grad F(x_t; z) - grad F(x_prev; z) at a shared sample.
+                        it: RngStream) -> VariationEstimate:
+    """Delta_t = grad F(x_t; z) - grad F(x_prev; z) at one shared sample z,
+    drawn from ``it.child(1)``.
 
     Only valid for oblivious problems: when the sample law depends on x the
     shared-z difference is biased.  The result carries grad F(x_t; z), which
@@ -131,8 +133,9 @@ def variation_oblivious(p: StochasticProblem, x_t, x_prev,
     """
     if p.mode != "oblivious":
         raise ValueError("same-sample gradient difference requires an oblivious problem")
-    g_t = p.grad(np.asarray(x_t, float), sample)
-    dt = g_t - p.grad(np.asarray(x_prev, float), sample)
+    sample = p.sample(x_t, it.child(1))
+    g_t = p.one_sample_grad(np.asarray(x_t, float), sample)
+    dt = g_t - p.one_sample_grad(np.asarray(x_prev, float), sample)
     return VariationEstimate(check_finite(dt, "oblivious difference"), g_t)
 
 

@@ -76,9 +76,9 @@ class Sample:
 class StochasticProblem:
     """Oracle bundle; subclasses fill in the per-sample and exact oracles.
 
-    ``grad`` and ``hess_vec`` give ∇F̃(x;z) and ∇²F̃(x;z)u, which on an
-    oblivious problem are the one-sample estimates; the multilinear family
-    overrides both estimates with its own forms.
+    ``one_sample_grad`` and ``hessian_estimate`` are the one-sample
+    estimates of ∇F(x) and ∇²F(x)u: ∇F̃(x;z) and ∇²F̃(x;z)u on an oblivious
+    problem, the score-function forms on the multilinear family.
 
     ``samples_drawn`` counts calls to :meth:`sample`, giving the one-sample
     accounting of the momentum driver, which zeroes it as a run starts.
@@ -99,19 +99,13 @@ class StochasticProblem:
         raise NotImplementedError
 
     # --- per-sample oracles -------------------------------------------
-    def grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess_vec(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
+    def one_sample_grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
+        """Unbiased one-sample estimate of ∇F(x)."""
         raise NotImplementedError
 
     def hessian_estimate(self, x: np.ndarray, s: Sample, u: np.ndarray) -> np.ndarray:
-        """One-sample estimate of ∇²F(x) u: ∇²F̃(x;z) u."""
-        return self.hess_vec(x, s, u)
-
-    def one_sample_grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
-        """Unbiased one-sample gradient: ∇F̃(x;z)."""
-        return self.grad(x, s)
+        """Unbiased one-sample estimate of ∇²F(x) u."""
+        raise NotImplementedError
 
     # --- exact reference (tests / logging) ----------------------------
     def exact_value(self, x: np.ndarray) -> float:
@@ -145,10 +139,10 @@ class Quadratic(StochasticProblem):
             return Sample(z=np.zeros(self.dim))
         return Sample(z=self.noise_sigma * rng.normal(size=self.dim))
 
-    def grad(self, x, s):
+    def one_sample_grad(self, x, s):
         return (x - self.target) + s.z
 
-    def hess_vec(self, x, s, u):
+    def hessian_estimate(self, x, s, u):
         return np.asarray(u, dtype=float).copy()
 
     def exact_value(self, x):
@@ -187,10 +181,10 @@ class NQP(StochasticProblem):
             return Sample(z=np.zeros(self.dim))
         return Sample(z=self.noise_sigma * rng.normal(size=self.dim))
 
-    def grad(self, x, s):
+    def one_sample_grad(self, x, s):
         return self.exact_grad(x) + s.z
 
-    def hess_vec(self, x, s, u):
+    def hessian_estimate(self, x, s, u):
         return self.Hsym @ np.asarray(u, dtype=float)
 
     def exact_value(self, x):
@@ -250,12 +244,12 @@ class LogisticL1(StochasticProblem):
     def value(self, x, s):
         return float(_softplus(self._margin(x, s.z)))
 
-    def grad(self, x, s):
+    def one_sample_grad(self, x, s):
         i = s.z
         sig = _sigmoid(np.array([self._margin(x, i)]))[0]
         return -self.y[i] * sig * self.A[i]
 
-    def hess_vec(self, x, s, u):
+    def hessian_estimate(self, x, s, u):
         i = s.z
         sig = _sigmoid(np.array([self._margin(x, i)]))[0]
         return sig * (1 - sig) * float(self.A[i] @ u) * self.A[i]
@@ -324,13 +318,13 @@ class RobustLRMR(StochasticProblem):
         r = x[self.idx[s.z]] - self.ratings[s.z]
         return float(self._psi(r))
 
-    def grad(self, x, s):
+    def one_sample_grad(self, x, s):
         k = s.z
         g = np.zeros(self.dim)
         g[self.idx[k]] = self._psi_d1(x[self.idx[k]] - self.ratings[k])
         return g
 
-    def hess_vec(self, x, s, u):
+    def hessian_estimate(self, x, s, u):
         k = s.z
         out = np.zeros(self.dim)
         out[self.idx[k]] = self._psi_d2(x[self.idx[k]] - self.ratings[k]) * u[self.idx[k]]

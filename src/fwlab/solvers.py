@@ -8,7 +8,6 @@ solvers and bcg run one loop; a one-sample step draws exactly one sample.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +100,6 @@ class IterationRecord:
     est_error: float | None = None
     oracle_calls: int = 0
     cum_bits: int | None = None
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -109,7 +107,6 @@ class SolveTrace:
     records: list = field(default_factory=list)
     output: np.ndarray | None = None
     output_rule: str = "last"
-    snapshots: dict = field(default_factory=dict)  # t -> (x_t, d_t)
     meta: dict = field(default_factory=dict)
 
 
@@ -147,29 +144,26 @@ def _start_point(set_: FeasibleSet, mode: str):
     return set_.lmo_min(np.zeros(set_.dim))
 
 
-def _log(trace, t, p, set_, x, d, sched, t0, keep_snapshots):
+def _log(trace, t, p, set_, x, d, sched):
     value, g = p.exact_value_grad(x)
     gap = None if sched.mode == "dr_submodular_max" else fw_gap(g, set_, x)
     trace.records.append(IterationRecord(
         t=t, objective=value, fw_gap=gap,
         est_error=float(np.sum((g - d) ** 2)),
-        oracle_calls=p.samples_drawn,
-        wall_ms=1000.0 * (time.perf_counter() - t0)))
-    if keep_snapshots:
-        trace.snapshots[t] = (x.copy(), d.copy())
+        oracle_calls=p.samples_drawn))
 
 
 def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule,
-                 rng: RngStream, variation, log_points=None,
-                 keep_snapshots=False) -> SolveTrace:
+                 rng: RngStream, variation, log_points=None) -> SolveTrace:
     """The one momentum loop: from d_0 = 0 it runs every t = 1..T alike, with
     x_prev = x_1 at t = 1.  ``variation(t, x_t, x_prev, it_rng)`` draws
     iteration t's sample from ``it_rng`` and returns a :class:`VariationEstimate`
     of Delta_t and g_t at x_t, both from that sample (plain momentum: Delta =
-    0).  ``p``, None for bcg, is read only for the sample count and the log."""
+    0.0).  ``p``, None for bcg, is read only for the sample count and the log.
+    In DR mode with eta_t = 1/T (the preset's, and bcg's) x_{T+1} =
+    sum_t (1/T) v_t from 0: the output is the vertex average."""
     T = sched.T
     log_points = _default_log_points(T) if log_points is None else set(log_points)
-    t0 = time.perf_counter()
     trace = SolveTrace(meta={"mode": sched.mode, "T": T})
     if p is not None:
         p.samples_drawn = 0
@@ -177,7 +171,6 @@ def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule
     dr = sched.mode == "dr_submodular_max"
     x = _start_point(set_, sched.mode)
     iterates = [x.copy()] if sched.mode == "nonconvex_min" else None
-    vertex_sum = np.zeros(set_.dim)
 
     d = np.zeros(set_.dim)
     x_prev = x
@@ -187,12 +180,11 @@ def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule
         if p is not None and p.samples_drawn != t:
             raise RuntimeError("one-sample accounting violated")
         if t in log_points:
-            _log(trace, t, p, set_, x, d, sched, t0, keep_snapshots)
+            _log(trace, t, p, set_, x, d, sched)
         v = set_.lmo_max(d) if dr else set_.lmo_min(d)
         eta = sched.eta(t)
         x_prev = x
         x = x + eta * v if dr else x + eta * (v - x)
-        vertex_sum += v
         _assert_member(set_, x, f"iterate {t + 1}")
         if iterates is not None:
             iterates.append(x.copy())
@@ -207,14 +199,11 @@ def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule
     else:
         trace.output = x
         trace.output_rule = "last"
-    if dr:
-        trace.meta["vertex_average"] = vertex_sum / T
     return trace
 
 
 def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-            option: str, rng: RngStream, log_points=None,
-            keep_snapshots=False) -> SolveTrace:
+            option: str, rng: RngStream, log_points=None) -> SolveTrace:
     """Momentum Frank-Wolfe with one stochastic sample per iteration.
 
     ``option`` picks the variation estimator: "exact_hessian" uses the
@@ -236,51 +225,45 @@ def one_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
         delta = grad_diff_delta(sched.eta(max(t - 1, 1)), constants, D)
         return variation_grad_diff(p, x, x_prev, delta, it)
 
-    return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
+    return _momentum_fw(p, set_, sched, rng, variation, log_points)
 
 
 def oblivious_sfw(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-                  rng: RngStream, log_points=None,
-                  keep_snapshots=False) -> SolveTrace:
+                  rng: RngStream, log_points=None) -> SolveTrace:
     """Momentum Frank-Wolfe with the same-sample gradient difference
     (valid only when the sample law does not depend on x)."""
     if p.mode != "oblivious":
         raise ValueError("oblivious_sfw requires an oblivious problem")
 
     def variation(t, x, x_prev, it):
-        return variation_oblivious(p, x, x_prev, p.sample(x, it.child(1)))
+        return variation_oblivious(p, x, x_prev, it)
 
-    return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
+    return _momentum_fw(p, set_, sched, rng, variation, log_points)
 
 
 def scg_baseline(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
-                 rng: RngStream, log_points=None,
-                 keep_snapshots=False) -> SolveTrace:
+                 rng: RngStream, log_points=None) -> SolveTrace:
     """Momentum-only baseline: d_t = (1-rho_t) d_{t-1} + rho_t g_t."""
 
     def variation(t, x, x_prev, it):
-        return VariationEstimate(np.zeros(p.dim),
-                                 p.one_sample_grad(x, p.sample(x, it.child(1))))
+        return VariationEstimate(0.0, p.one_sample_grad(x, p.sample(x, it.child(1))))
 
-    return _momentum_fw(p, set_, sched, rng, variation, log_points, keep_snapshots)
+    return _momentum_fw(p, set_, sched, rng, variation, log_points)
 
 
 def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
-                     value_oracle=None) -> SolveTrace:
-    """Classical Frank-Wolfe with an exact gradient oracle and step
+                     value_oracle) -> SolveTrace:
+    """Classical Frank-Wolfe with exact gradient and value oracles and step
     2/(k+2), from the vertex lmo_min(0)."""
     x = set_.lmo_min(np.zeros(set_.dim))
     _assert_member(set_, x, "start point")
     trace = SolveTrace(meta={"mode": "deterministic"})
-    t0 = time.perf_counter()
     for k in range(1, int(T) + 1):
         g = grad_oracle(x)
         v = set_.lmo_min(g)
         eta = 2.0 / (k + 2.0)
-        obj = None if value_oracle is None else float(value_oracle(x))
         trace.records.append(IterationRecord(
-            t=k, objective=obj, fw_gap=fw_gap(g, set_, x),
-            wall_ms=1000.0 * (time.perf_counter() - t0)))
+            t=k, objective=float(value_oracle(x)), fw_gap=fw_gap(g, set_, x)))
         x = x + eta * (v - x)
         _assert_member(set_, x, f"iterate {k + 1}")
     trace.output = x

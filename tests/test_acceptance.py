@@ -83,6 +83,33 @@ def _enum_expectation(p, x, fn):
     return acc
 
 
+def _spy_iterates(monkeypatch):
+    """A list that collects x_t from each one_sfw exact_hessian variation
+    call, in order: iteration t's x_t is its item t - 1."""
+    import fwlab.solvers as solvers
+
+    iterates, variation = [], solvers.variation_exact_hessian
+
+    def spy(p, x_t, x_prev, it):
+        iterates.append(x_t.copy())
+        return variation(p, x_t, x_prev, it)
+
+    monkeypatch.setattr(solvers, "variation_exact_hessian", spy)
+    return iterates
+
+
+def _spy_vertices(monkeypatch, set_):
+    """A list that collects each vertex ``set_.lmo_max`` returns."""
+    vertices, lmo_max = [], set_.lmo_max
+
+    def spy(g):
+        vertices.append(lmo_max(g))
+        return vertices[-1]
+
+    monkeypatch.setattr(set_, "lmo_max", spy)
+    return vertices
+
+
 def _log_log_slope(ts, ys):
     A = np.vstack([np.log(ts), np.ones(len(ts))]).T
     slope, _ = np.linalg.lstsq(A, np.log(ys), rcond=None)[0]
@@ -112,7 +139,7 @@ def test_01_momentum_estimator_error_decays():
     assert slope <= -0.5, f"decay slope {slope:.3f} > -0.5"
 
 
-def test_02_grad_diff_matches_exact_hessian_variant():
+def test_02_grad_diff_matches_exact_hessian_variant(monkeypatch):
     s_exact = _decay_slope("exact_hessian")
     s_gd = _decay_slope("grad_diff")
     assert abs(s_gd - s_exact) <= 0.1, f"slopes {s_gd:.3f} vs {s_exact:.3f}"
@@ -125,12 +152,13 @@ def test_02_grad_diff_matches_exact_hessian_variant():
     D = box.diameter()
     T = 200
     sched = Schedule.preset("nonconvex_min", T)
+    iterates = _spy_iterates(monkeypatch)
     for seed in range(5):
-        tr = one_sfw(p, box, sched, "exact_hessian", RngStream(seed),
-                     log_points=range(1, T + 1), keep_snapshots=True)
+        iterates.clear()
+        one_sfw(p, box, sched, "exact_hessian", RngStream(seed), log_points=())
+        assert len(iterates) == T
         for t in range(2, T + 1):
-            x_t, _ = tr.snapshots[t]
-            x_p, _ = tr.snapshots[t - 1]
+            x_t, x_p = iterates[t - 1], iterates[t - 2]
             it = RngStream(seed).child(t)
             e1 = variation_exact_hessian(p, x_t, x_p, it)
             it = RngStream(seed).child(t)
@@ -411,19 +439,22 @@ def test_14_multilinear_derivative_norm_bounds():
             assert np.linalg.norm(H, 2) <= 4 * M * math.sqrt(d * (d - 1)) + 1e-9
 
 
-def test_15_structural_invariants(tmp_path):
+def test_15_structural_invariants(tmp_path, monkeypatch):
     # feasibility of every iterate + one-sample accounting + fw_gap >= 0
     f = _normalized_facility(6, 4, 15)
     p = MultilinearProblem(f)
     poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [1, 1], 6)
     T = 64
+    iterates = _spy_iterates(monkeypatch)
+    vertices = _spy_vertices(monkeypatch, poly)
     tr = one_sfw(p, poly, Schedule.preset("dr_submodular_max", T),
-                 "exact_hessian", RngStream(150),
-                 log_points=range(1, T + 1), keep_snapshots=True)
+                 "exact_hessian", RngStream(150), log_points=range(1, T + 1))
     assert tr.meta["oracle_calls"] == T
-    for t, (x, _) in tr.snapshots.items():
+    assert len(iterates) == T
+    for x in iterates:
         assert poly.contains(x, tol=1e-8)
-    assert np.allclose(tr.output, tr.meta["vertex_average"], atol=1e-12)
+    assert len(vertices) == T
+    assert np.allclose(tr.output, np.mean(vertices, axis=0), rtol=0.0, atol=1e-12)
 
     q = Quadratic(np.full(4, 0.2), noise_sigma=1.0)
     ball = L1Ball(1.0, 4)

@@ -400,6 +400,19 @@ def test_cli_runtime_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert "seed 1 failed: RuntimeError: boom" in err
 
 
+def test_cli_seed_and_seeds_exit_2(tmp_path, capsys, monkeypatch):
+    # --seed and --seeds both set experiment.seeds: given together, the
+    # command line is refused before anything runs or is written.
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as e:
+        main(["solve", "--config", _CONFIGS + "quadratic.ini", "--seed", "3",
+              "--seeds", "0..1", "--out", str(out)])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [
     ["constraint.kind=box", "constraint.lower=0 0 0", "constraint.upper=1 1 1"],
     ["constraint.kind=nuclear", "constraint.rows=2", "constraint.cols=2"],

@@ -47,7 +47,7 @@ def test_logistic_finite_sum_equals_per_sample_loop(d):
     y = np.where(rng.normal(size=n) < 0, -1.0, 1.0)
     p = LogisticL1(A, y)
     fs = FiniteSumProblem.from_logistic(p)
-    grad_fns = [lambda x, i=i: p.grad(x, Sample(z=i)) for i in range(n)]
+    grad_fns = [lambda x, i=i: p.one_sample_grad(x, Sample(z=i)) for i in range(n)]
     for _ in range(3):
         x = rng.normal(size=d)
         for name, idx in _index_cases(n, rng).items():
@@ -96,7 +96,7 @@ def _logistic_parts(n, d, rng, zero_col):
         y[:] = 1.0
     p = LogisticL1(A, y)
     return (FiniteSumProblem.from_logistic(p),
-            [lambda x, i=i: p.grad(x, Sample(z=i)) for i in range(n)])
+            [lambda x, i=i: p.one_sample_grad(x, Sample(z=i)) for i in range(n)])
 
 
 def _quadratic_parts(n, d, rng, zero_col):

@@ -209,6 +209,19 @@ def test_grad_diff_equals_five_term_composition_bitwise():
     assert n_negative_zero > 0
 
 
+class _Row:
+    """A stream whose every child draws row ``i`` as its integer."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def child(self, label):
+        return self
+
+    def integers(self, n):
+        return self.i
+
+
 def test_oblivious_variation_exact_expectation():
     rng = RngStream(7)
     A = rng.normal(size=(2, 3))
@@ -217,7 +230,7 @@ def test_oblivious_variation_exact_expectation():
     x_t = np.array([0.2, -0.1, 0.3])
     x_p = np.zeros(3)
     exp = np.mean([
-        variation_oblivious(p, x_t, x_p, Sample(z=i)).delta_tilde for i in range(2)
+        variation_oblivious(p, x_t, x_p, _Row(i)).delta_tilde for i in range(2)
     ], axis=0)
     assert np.allclose(exp, p.exact_grad(x_t) - p.exact_grad(x_p), atol=1e-12)
 
@@ -225,8 +238,7 @@ def test_oblivious_variation_exact_expectation():
 def test_oblivious_variation_rejects_nonoblivious():
     p = MultilinearProblem(Modular(np.ones(2)))
     with pytest.raises(ValueError):
-        variation_oblivious(p, np.full(2, 0.5), np.full(2, 0.4),
-                            Sample(z=np.array([True, False])))
+        variation_oblivious(p, np.full(2, 0.5), np.full(2, 0.4), _Row(0))
 
 
 # --- zeroth-order ----------------------------------------------------------

@@ -50,10 +50,10 @@ def test_quadratic_gradient_unbiased():
     p = Quadratic(np.array([1.0, -1.0]), noise_sigma=0.5)
     rng = RngStream(0)
     x = np.array([0.3, 0.3])
-    g = np.mean([p.grad(x, p.sample(x, rng)) for _ in range(20000)], axis=0)
+    g = np.mean([p.one_sample_grad(x, p.sample(x, rng)) for _ in range(20000)], axis=0)
     assert np.allclose(g, x - p.target, atol=0.02)
     s0 = Sample(z=np.zeros(2))
-    assert np.allclose(p.grad(p.target, s0), 0.0)
+    assert np.allclose(p.one_sample_grad(p.target, s0), 0.0)
 
 
 def test_nqp_structure():
@@ -75,7 +75,8 @@ def test_logistic_grad_matches_fd():
     p = LogisticL1(A, y)
     x = np.array([0.4, -0.2])
     s = Sample(z=3)
-    assert np.allclose(_fd_grad(lambda w: p.value(w, s), x), p.grad(x, s), atol=1e-6)
+    assert np.allclose(_fd_grad(lambda w: p.value(w, s), x), p.one_sample_grad(x, s),
+                       atol=1e-6)
     assert np.allclose(_fd_grad(p.exact_value, x), p.exact_grad(x), atol=1e-6)
 
 
@@ -140,7 +141,8 @@ def test_lrmr_loss_shape():
     x = RngStream(5).normal(size=4)
     assert np.allclose(_fd_grad(p.exact_value, x), p.exact_grad(x), atol=1e-6)
     s = Sample(z=1)
-    assert np.allclose(_fd_grad(lambda w: p.value(w, s), x), p.grad(x, s), atol=1e-6)
+    assert np.allclose(_fd_grad(lambda w: p.value(w, s), x), p.one_sample_grad(x, s),
+                       atol=1e-6)
 
 
 # --- multilinear family ----------------------------------------------------

@@ -40,24 +40,17 @@ UNREACHED = {
     "constraints.FeasibleSet.lmo_min": _ABSTRACT,
     "constraints.FeasibleSet.contains": _ABSTRACT,
     "problems.StochasticProblem._sample": _ABSTRACT,
-    **{f"problems.StochasticProblem.{name}": "abstract base method; every "
-       "oblivious class overrides it, and MultilinearProblem's own estimates "
-       "read none" for name in ("grad", "hess_vec")},
+    "problems.StochasticProblem.one_sample_grad": _ABSTRACT,
+    "problems.StochasticProblem.hessian_estimate": _ABSTRACT,
     "problems.StochasticProblem.exact_value": _ABSTRACT,
     "problems.StochasticProblem.exact_grad": _ABSTRACT,
     "problems.SetFunction.bound": _ABSTRACT,
-    "problems.Modular.__call__": (
-        _NO_RUN + "fwlab oracle and dbg on multilinear_modular evaluate f(S) "
-        "through it; a one-sample f(z) reads the 2^d table (ROADMAP item 1)"),
-    "problems.Coverage.batch": (
-        _NO_RUN + "dbg on multilinear_coverage samples f through it; the runs "
-        "read the 2^d table, which test_every_table_keeps_its_bits checks "
-        "against it (ROADMAP item 1)"),
     "problems.LogisticL1.value": "test_distsim checks FiniteSumProblem.value "
                                  "against it bit for bit",
     **{f"problems.RobustLRMR.{name}": _LRMR
        for name in ("__init__", "from_csv", "_psi", "_psi_d1", "_psi_d2", "_sample",
-                    "value", "grad", "hess_vec", "exact_value", "exact_grad")},
+                    "value", "one_sample_grad", "hessian_estimate", "exact_value",
+                    "exact_grad")},
     **{f"problems.TableSetFunction.{name}": "guarantee test test_14 draws its "
        "functions from make_random_bounded" for name in ("__init__", "batch", "bound")},
     "problems.make_random_bounded": "guarantee test test_14 draws its functions "

@@ -175,9 +175,11 @@ RUNS = {
     "bcg-coverage-matroid": (
         "bcg", FACILITY_MATROID.replace("facility", "coverage").replace(
             "n_clients", "n_topics"), ["solver.delta=0.05", "solver.batch=4"]),
-    "dbg-facility-matroid": (
-        "dbg", FACILITY_MATROID, ["solver.delta=0.05", "solver.batch=2",
-                                  "solver.l=5"]),
+    **{f"dbg-{kind}-matroid": (
+        "dbg", text, ["solver.delta=0.05", "solver.batch=2", "solver.l=5"])
+       for kind, text in (("facility", FACILITY_MATROID),
+                          ("coverage", _multilinear("coverage", "n_topics = 5\n")),
+                          ("modular", _multilinear("modular")))},
     **{f"distsim-{mode}-{setting}-m1": (
         "distsim", LOGISTIC, [f"distsim.mode={mode}", f"distsim.setting={setting}"])
        for mode in ("quantized", "unquantized", "fl")

@@ -105,14 +105,14 @@ def test_deterministic_fw_simplex_quadratic():
 def test_deterministic_fw_linear_one_step():
     s = Simplex(1.0, 3)
     c = np.array([3.0, 1.0, 2.0])
-    tr = deterministic_fw(lambda x: c, s, 1)
+    tr = deterministic_fw(lambda x: c, s, 1, lambda x: float(c @ x))
     x1, v = s.lmo_min(np.zeros(3)), s.lmo_min(c)
     assert np.array_equal(tr.output, x1 + 2.0 / 3.0 * (v - x1))
 
 
 def test_deterministic_fw_t0_returns_start():
     s = Simplex(1.0, 3)
-    tr = deterministic_fw(lambda x: x, s, 0)
+    tr = deterministic_fw(lambda x: x, s, 0, lambda x: 0.5 * float(x @ x))
     assert np.array_equal(tr.output, s.lmo_min(np.zeros(3)))
 
 
@@ -180,13 +180,13 @@ def test_one_sfw_evaluates_each_oracle_once_per_iteration(monkeypatch):
 
 def test_oblivious_sfw_two_gradients_per_iteration(monkeypatch):
     calls = []
-    grad = Quadratic.grad
+    grad = Quadratic.one_sample_grad
 
     def counted_grad(self, x, s):
         calls.append(1)
         return grad(self, x, s)
 
-    monkeypatch.setattr(Quadratic, "grad", counted_grad)
+    monkeypatch.setattr(Quadratic, "one_sample_grad", counted_grad)
     T = 40
     oblivious_sfw(Quadratic(np.full(3, 0.2), noise_sigma=1.0), L1Ball(1.0, 3),
                   Schedule.preset("convex_min", T), RngStream(42), log_points=[])
@@ -298,14 +298,22 @@ def test_one_sfw_exact_hessian_nqp_pinned_at_seed():
     ]
 
 
-def test_dr_mode_output_is_vertex_average():
+def test_dr_mode_output_is_vertex_average(monkeypatch):
     # cardinality function: every base is optimal with F = sum of budgets
     pm = MultilinearProblem(Modular(np.ones(4)))
     poly = PartitionMatroidPolytope([[0, 1], [2, 3]], [1, 1], 4)
     T = 100
+    vertices, lmo_max = [], poly.lmo_max
+
+    def spy(g):
+        vertices.append(lmo_max(g))
+        return vertices[-1]
+
+    monkeypatch.setattr(poly, "lmo_max", spy)
     tr = one_sfw(pm, poly, Schedule.preset("dr_submodular_max", T),
                  "exact_hessian", RngStream(5))
-    assert np.allclose(tr.output, tr.meta["vertex_average"], atol=1e-12)
+    assert len(vertices) == T
+    assert np.allclose(tr.output, np.mean(vertices, axis=0), rtol=0.0, atol=1e-12)
     assert multilinear_exact(pm.f, tr.output) == pytest.approx(2.0, abs=1e-9)
 
 
