@@ -32,6 +32,7 @@ from .solvers import (
     bcg,
     dbg,
     deterministic_fw,
+    holds_origin,
     oblivious_sfw,
     one_sfw,
     scg_baseline,
@@ -197,120 +198,94 @@ def _values(section: str, block: dict, dim=None) -> dict:
     return {key: _read(section, block, key, dim) for key in [*groups[None], *selected]}
 
 
-def _check_pairings(cfg: RunConfig):
-    """The rules that join keys of different sections (ValueError)."""
-    kind = _read("problem", cfg.problem, "kind")
-    constraint = _read("constraint", cfg.constraint, "kind")
-    # A [distsim] config has an empty [solver], whose defaults break no rule.
-    algo = _read("solver", cfg.solver, "algorithm")
-    mode = _read("solver", cfg.solver, "mode")
-    multilinear = kind.startswith("multilinear_")
-    enumerated = 0  # the dimension of a multilinear problem evaluated exactly
-    if multilinear and algo != "dbg":  # dbg only samples f
-        weights = (_read("problem", cfg.problem, "weights")
-                   if kind == "multilinear_modular" else None)
-        enumerated = (len(weights) if weights is not None
-                      else _read("problem", cfg.problem, "dim"))
-    budgets = sizes = ()
-    if constraint == "matroid":
-        budgets = _read("constraint", cfg.constraint, "budgets")
-        sizes = [len(b) for b in _read("constraint", cfg.constraint, "blocks")]
-    zero = any(b == 0 < n for b, n in zip(budgets, sizes))
-    in_unit_box = constraint == "matroid"
-    # l1 balls, matroids and nuclear balls hold 0, and a simplex never does
-    holds_origin = constraint != "simplex"
-    if constraint == "box":
-        lower = _read("constraint", cfg.constraint, "lower")
-        upper = _read("constraint", cfg.constraint, "upper")
-        in_unit_box = bool(lower.min() >= 0 and upper.max() <= 1)
-        holds_origin = bool(lower.max() <= 0 <= upper.min())
-    elif constraint == "simplex":
-        in_unit_box = _read("constraint", cfg.constraint, "scale") <= 1
-    matrix = ball = ""  # an lrmr_csv problem's rows x cols, and its nuclear ball's
-    if kind == "lrmr_csv" and constraint == "nuclear":
-        matrix, ball = (f"{_read(s, b, 'rows')}x{_read(s, b, 'cols')}" for s, b in
-                        (("problem", cfg.problem), ("constraint", cfg.constraint)))
-    capped = False
-    if algo == "dbg":
-        # shrink_translate's arithmetic, where every upper bound of the
-        # shrunk set is 1 - delta - delta
-        delta = _read("solver", cfg.solver, "delta")
-        shrunk = 1.0 - delta - delta
-        capped = any(C.shrunk_cap(b, np.full(n, shrunk), delta)[1]
-                     for b, n in zip(budgets, sizes))
-    box_lo = box_hi = 0.0  # bcg's shrunk box: its largest lower, smallest upper bound
-    if algo == "bcg" and constraint == "box":
-        # shrink_translate's arithmetic: the box becomes
-        # [max(lower - delta, 0), min(upper, 1 - delta) - delta]
-        delta = _read("solver", cfg.solver, "delta")
-        box_lo = max(float(lower.max()) - delta, 0.0)
-        box_hi = min(float(upper.min()), 1.0 - delta) - delta
-    for broken, why in [
-        (cfg.distsim is not None and kind != "logistic_csv",
-         "distsim drives logistic_csv problems only"),
-        # The exact multilinear oracles tabulate f on all 2^d subsets.
-        (enumerated > P.ENUM_MAX_D,
-         f"{algo} evaluates the multilinear extension exactly, over all 2^d "
-         f"subsets: d={enumerated} exceeds the enumeration budget {P.ENUM_MAX_D} "
-         "(dbg, which only samples f, takes any d)"),
-        # deterministic_fw steps toward lmo_min; it reads no mode.
-        (algo == "deterministic_fw" and mode == "dr_submodular_max",
-         "deterministic_fw minimizes: it cannot run solver.mode=dr_submodular_max"),
-        *((algo in ("deterministic_fw", "bcg", "dbg") and key in cfg.solver,
-           f"solver.{key} sets the step schedule of one_sfw, oblivious_sfw and "
-           f"scg; {algo} does not read it") for key in ("eta_c", "eta_a")),
-        # build_constraint compares rows·cols only, which a transpose matches
-        (matrix != ball, f"an lrmr_csv problem of {matrix} matrices on a nuclear "
-                         f"ball of {ball} matrices"),
-        (algo == "oblivious_sfw" and multilinear,
-         "oblivious_sfw needs an oblivious problem, not a multilinear one"),
-        (algo in ("bcg", "dbg") and not multilinear,
-         f"{algo} needs a multilinear problem"),
+def _check_pairings(cfg: RunConfig, problem, setf, set_: C.FeasibleSet):
+    """The rules that join sections (ValueError), each asked of the built
+    object that decides its fact: the problem, its set function (None unless
+    the problem is multilinear) or the set.  A rule is asked only once the
+    rules before it hold."""
+    if cfg.distsim is not None:  # a [distsim] config reads no [solver]
+        if not isinstance(problem, P.LogisticL1):
+            raise ValueError("distsim drives logistic_csv problems only")
+        m = _read("distsim", cfg.distsim, "m")
+        if problem.n % m:
+            raise ValueError(f"distsim.m={m} does not divide the {problem.n} "
+                             "rows of the problem's data")
+        return
+    algo, mode = (_read("solver", cfg.solver, key) for key in ("algorithm", "mode"))
+    multilinear = setf is not None
+    # The exact multilinear oracles tabulate f on all 2^d subsets.
+    if multilinear and algo != "dbg" and problem.dim > P.ENUM_MAX_D:
+        raise ValueError(
+            f"{algo} evaluates the multilinear extension exactly, over all 2^d "
+            f"subsets: d={problem.dim} exceeds the enumeration budget "
+            f"{P.ENUM_MAX_D} (dbg, which only samples f, takes any d)")
+    # deterministic_fw steps 2/(k + 2) to its last iterate; it reads no mode.
+    if algo == "deterministic_fw" and mode != "convex_min":
+        raise ValueError(f"deterministic_fw minimizes: it cannot run "
+                         f"solver.mode={mode}; it runs convex_min only, with step "
+                         "2/(k + 2)")
+    for key in ("eta_c", "eta_a"):
+        if algo in ("deterministic_fw", "bcg", "dbg") and key in cfg.solver:
+            raise ValueError(f"solver.{key} sets the step schedule of one_sfw, "
+                             f"oblivious_sfw and scg; {algo} does not read it")
+    # build_constraint compares rows·cols only, which a transpose matches
+    if (isinstance(problem, P.RobustLRMR) and isinstance(set_, C.NuclearNormBall)
+            and (problem.rows, problem.cols) != (set_.rows, set_.cols)):
+        raise ValueError(f"an lrmr_csv problem of {problem.rows}x{problem.cols} "
+                         f"matrices on a nuclear ball of {set_.rows}x{set_.cols} "
+                         "matrices")
+    if algo == "oblivious_sfw" and problem.mode != "oblivious":
+        raise ValueError("oblivious_sfw needs an oblivious problem, not a "
+                         "multilinear one")
+    if algo in ("bcg", "dbg"):
+        if not multilinear:
+            raise ValueError(f"{algo} needs a multilinear problem")
         # bcg shrinks the constraint inside the unit box (shrink_translate).
-        (algo == "bcg" and constraint not in ("box", "matroid"),
-         "bcg needs a box or matroid constraint"),
-        (algo == "dbg" and constraint != "matroid", "dbg needs a matroid constraint"),
+        if algo == "bcg" and not isinstance(set_, (C.Box, C.PartitionMatroidPolytope)):
+            raise ValueError("bcg needs a box or matroid constraint")
+        if algo == "dbg" and not isinstance(set_, C.PartitionMatroidPolytope):
+            raise ValueError("dbg needs a matroid constraint")
         # bcg and dbg always maximize; they read no mode either.
-        (algo in ("bcg", "dbg") and "mode" in cfg.solver
-         and mode != "dr_submodular_max",
-         f"{algo} maximizes: it cannot run solver.mode={mode}; set "
-         "dr_submodular_max or leave solver.mode unset"),
-        # The shrunk set K' leaves no room in a block with a zero budget, and
-        # pipage rounding needs block sums equal to the budgets, which a
-        # budget above |block|(1 - delta) misses: its shrunk cap is the
-        # block's box mass, 1 - 2 delta per coordinate.
-        (algo == "bcg" and zero, "bcg needs every matroid budget >= 1"),
-        # bcg starts at 0 of the shrunk box.  With 0 in it, every coordinate
-        # starts at 0, so box_hi < 0 empties it.
-        (box_lo > 0, "bcg starts at 0 of the box shrunk by solver.delta, which "
-                     "needs every lower bound <= solver.delta"),
-        (box_hi < box_lo - C.MEMBERSHIP_TOL,
-         "bcg needs every upper bound >= solver.delta: the box shrunk by "
-         "solver.delta is empty"),
-        (algo == "dbg" and zero and any(budgets),
-         "dbg needs every matroid budget >= 1, or all of them 0"),
-        (capped, "dbg needs every matroid budget below its block size by at least "
-                 "|block|·solver.delta"),
-        # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
-        # problem derives them, from a box (MultilinearProblem.domain_constants).
-        (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"
-         and not (multilinear and constraint == "box"),
-         "solver.option=grad_diff needs a multilinear problem on a box constraint"),
-        # A multilinear problem samples z ~ p(.; x) at the iterates, a law
-        # defined for x in [0, 1]^d only.
-        (algo in ("one_sfw", "scg") and multilinear and not in_unit_box,
-         f"{algo} on a multilinear problem needs a matroid, a box within "
-         "[0, 1] or a simplex of scale <= 1"),
-        # The momentum solvers start DR maximization at 0 (bcg and dbg
-        # maximize under any admitted mode text).
-        (algo in ("one_sfw", "oblivious_sfw", "scg")
-         and mode == "dr_submodular_max" and not holds_origin,
-         f"{algo} under solver.mode=dr_submodular_max starts at 0, which the "
-         "constraint must hold (a box needs lower <= 0 <= upper; a simplex "
-         "never holds 0)"),
-    ]:
-        if broken:
-            raise ValueError(why)
+        if "mode" in cfg.solver and mode != "dr_submodular_max":
+            raise ValueError(f"{algo} maximizes: it cannot run solver.mode={mode}; set "
+                             "dr_submodular_max or leave solver.mode unset")
+        if algo == "bcg" or any(set_.budgets):  # dbg rounds all-zero budgets alone
+            delta = _read("solver", cfg.solver, "delta")
+            try:
+                shrunk = C.shrink_translate(set_, delta)
+            except C.InfeasibleShrinkError as e:
+                raise ValueError(f"solver.delta={delta:g} leaves {algo} no set to "
+                                 f"run on: {e}") from e
+            # bcg runs from 0 of the shrunk set; only a box can miss it.
+            if not holds_origin(shrunk):
+                raise ValueError("bcg starts at 0 of the box shrunk by solver.delta, "
+                                 "which needs every lower bound <= solver.delta")
+            # dbg's pipage rounding needs block sums equal to the budgets, which
+            # a budget above |block|(1 - delta) misses: its shrunk cap is the
+            # block's box mass instead.
+            if algo == "dbg" and any(C.shrunk_cap(b, shrunk.upper[blk], delta)[1]
+                                     for blk, b in zip(shrunk.blocks, set_.budgets)):
+                raise ValueError("dbg needs every matroid budget below its block size "
+                                 "by at least |block|·solver.delta")
+        return  # no rule below concerns bcg or dbg
+    # grad_diff's radius needs constants (B, G, L, L2); only a multilinear
+    # problem derives them, from a box (MultilinearProblem.domain_constants).
+    if (algo == "one_sfw" and _read("solver", cfg.solver, "option") == "grad_diff"
+            and not (multilinear and isinstance(set_, C.Box))):
+        raise ValueError("solver.option=grad_diff needs a multilinear problem "
+                         "on a box constraint")
+    # A multilinear problem samples z ~ p(.; x) at the iterates, a law defined
+    # for x in [0, 1]^d only: the set's least and greatest value along each
+    # coordinate, from its linear oracles, must lie there.
+    if algo in ("one_sfw", "scg") and multilinear and not all(
+            set_.lmo_min(e) @ e >= 0 and set_.lmo_max(e) @ e <= 1
+            for e in np.eye(set_.dim)):
+        raise ValueError(f"{algo} on a multilinear problem needs a matroid, a box "
+                         "within [0, 1] or a simplex of scale <= 1")
+    if mode == "dr_submodular_max" and not holds_origin(set_):
+        raise ValueError(f"{algo} under solver.mode=dr_submodular_max starts at 0, "
+                         "which the constraint must hold (a box needs lower <= 0 <= "
+                         "upper; a simplex never holds 0)")
 
 
 @dataclass
@@ -334,9 +309,9 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
-    """Read a config, apply overrides, and check each key a run of it reads
-    and each rule across sections: a config that loads fails only on data."""
+def load_config(path, overrides=(), out_dir=None) -> RunConfig:
+    """Read a config, apply overrides, and check each key a run of it reads;
+    :func:`run_experiment` checks the rules across sections on what it builds."""
     cp = configparser.ConfigParser()
     if not cp.read(str(path)):
         raise ConfigError(f"config file not found: {path}")
@@ -369,11 +344,10 @@ def load_config(path, overrides=(), out_dir=None, seeds=None) -> RunConfig:
         exp = _values("experiment", text["experiment"])
         cfg = RunConfig(
             name=exp["name"] or Path(str(path)).stem,
-            seeds=exp["seeds"] if seeds is None else seeds,
+            seeds=exp["seeds"],
             out=exp["out"] if out_dir is None else Path(out_dir),
             problem=text["problem"], constraint=text["constraint"],
             solver=text["solver"], distsim=text["distsim"] if distsim else None)
-        _check_pairings(cfg)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return cfg
@@ -427,8 +401,13 @@ def build_problem(block: dict):
         elif kind == "multilinear_logdet":
             f = P.make_logdet(v["dim"], inst)
         else:  # multilinear_modular
-            f = P.Modular(v["weights"] if v["weights"] is not None
-                          else inst.uniform(0.0, 1.0, size=v["dim"]))
+            w = v["weights"]
+            if w is None:
+                w = inst.uniform(0.0, 1.0, size=v["dim"])
+            elif v["dim"] not in (None, w.size):
+                raise ValueError(f"problem.dim={v['dim']} is not the number of "
+                                 f"problem.weights ({w.size})")
+            f = P.Modular(w)
         return P.MultilinearProblem(f), f
     except (ValueError, NumericsError) as e:
         raise ConfigError(f"bad problem block: {e}") from e
@@ -464,7 +443,7 @@ def _run_one_seed(cfg: RunConfig, problem, setf, set_, seed: int):
     """One seed's solver run on the problem, set function and set that
     every seed of the run shares."""
     rng = RngStream(seed, 0)
-    if cfg.distsim is not None:  # load_config admits only logistic_csv here
+    if cfg.distsim is not None:  # _check_pairings admits only logistic_csv here
         ds = _values("distsim", cfg.distsim)
         fs = P.FiniteSumProblem.from_logistic(problem)
         qcfg = schedule_from_theorem(ds["setting"], fs.n, ds["m"], problem.dim,
@@ -488,7 +467,7 @@ def _run_one_seed(cfg: RunConfig, problem, setf, set_, seed: int):
     if algo == "deterministic_fw":
         return deterministic_fw(problem.exact_grad, set_, T,
                                 value_oracle=problem.exact_value)
-    # bcg and dbg: load_config admits them only on a multilinear problem.
+    # bcg and dbg: _check_pairings admits them only on a multilinear problem.
     if algo == "bcg":
         # clamps as np.clip(Y, 0, 1) does: a probe is never -0.0, the one
         # input where they differ, as bcg shifts it by delta > 0
@@ -507,17 +486,16 @@ def run_experiment(cfg: RunConfig) -> dict:
     (isolated failures), write traces, return the report.
 
     A build error is a ConfigError, raised before the output directory is
-    created, so it leaves nothing behind; so is a worker count that does
-    not divide the rows of the simulator's data.
+    created, so it leaves nothing behind; so is a pairing of sections that
+    the built objects refuse (:func:`_check_pairings`).
     """
     digest = cfg.digest()
     problem, setf = build_problem(cfg.problem)
     set_ = build_constraint(cfg.constraint, problem.dim)
-    if cfg.distsim is not None:  # load_config admits only logistic_csv here
-        m = _read("distsim", cfg.distsim, "m")
-        if problem.n % m:
-            raise ConfigError(f"distsim.m={m} does not divide the {problem.n} "
-                              "rows of the problem's data")
+    try:
+        _check_pairings(cfg, problem, setf, set_)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     rows, failures = [], []
     for seed in cfg.seeds:
         tag = f"{cfg.name}-{digest}-s{seed}"

@@ -365,14 +365,16 @@ def shrink_translate(set_: FeasibleSet, delta: float) -> FeasibleSet:
         lo = np.maximum(set_.lower - delta, 0.0)
         hi = np.minimum(set_.upper, 1.0 - delta) - delta
         if np.any(hi < lo - MEMBERSHIP_TOL):
-            raise InfeasibleShrinkError("empty box after shrink")
+            raise InfeasibleShrinkError("empty box after shrink: an upper bound "
+                                        "below delta, or a lower bound above 1 - delta")
         return Box(lo, np.maximum(hi, lo))
     if isinstance(set_, PartitionMatroidPolytope):
         upper = np.full(set_.dim, 1.0 - delta - delta)
         caps = [shrunk_cap(b, upper[blk], delta)[0]
                 for blk, b in zip(set_.blocks, set_.budgets)]
         if any(c < 0 for c in caps):
-            raise InfeasibleShrinkError("block budget exhausted by shrink")
+            raise InfeasibleShrinkError("block budget exhausted by shrink: a budget "
+                                        "below delta·|block|")
         return BudgetBoxPolytope(upper, [b.tolist() for b in set_.blocks], caps)
     raise ValueError(f"shrink_translate does not support {type(set_).__name__}")
 

@@ -30,6 +30,7 @@ __all__ = [
     "IterationRecord",
     "SolveTrace",
     "fw_gap",
+    "holds_origin",
     "one_sfw",
     "oblivious_sfw",
     "scg_baseline",
@@ -136,11 +137,18 @@ def _assert_member(set_: FeasibleSet, x, what: str):
         raise ValueError(f"{what} left the feasible set")
 
 
+def holds_origin(set_: FeasibleSet) -> bool:
+    """Whether DR mode may start at 0 of ``set_``: 0 lies in it to the
+    tolerance every iterate is held to."""
+    return set_.contains(np.zeros(set_.dim), tol=MEMBERSHIP_TOL * 10)
+
+
 def _start_point(set_: FeasibleSet, mode: str):
     if mode == "dr_submodular_max":
-        x0 = np.zeros(set_.dim)
-        _assert_member(set_, x0, "origin start (DR mode needs 0 in the set)")
-        return x0
+        if not holds_origin(set_):
+            raise ValueError("origin start (DR mode needs 0 in the set) left the "
+                             "feasible set")
+        return np.zeros(set_.dim)
     return set_.lmo_min(np.zeros(set_.dim))
 
 

@@ -81,7 +81,7 @@ def test_seeds_range_and_list(tmp_path):
     assert load_config(path).seeds == [3, 4, 5, 6]
     path = _write(tmp_path, QUAD_INI.replace("seeds = 0", "seeds = 1, 9, 2"))
     assert load_config(path).seeds == [1, 9, 2]
-    assert load_config(path, seeds=[7]).seeds == [7]
+    assert load_config(path, ["experiment.seeds=7"]).seeds == [7]
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -609,9 +609,9 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     (SUBMAX_INI, ["solver.algorithm=oblivious_sfw"], "oblivious"),
     # a zero budget empties bcg's shrunk set; once every seed exited 3
     (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.budgets=0 1"],
-     "bcg needs every matroid budget >= 1"),
+     "leaves bcg no set to run on: block budget exhausted by shrink"),
     (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.budgets=0 1"],
-     "dbg needs every matroid budget >= 1"),
+     "leaves dbg no set to run on: block budget exhausted by shrink"),
     (SUBMAX_INI, ["solver.algorithm=dbg", "constraint.budgets=2 1"],
      "below its block size"),
     # bcg starts at 0 of the box shrunk by delta, which the first box does not
@@ -621,7 +621,7 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
      "bcg starts at 0 of the box shrunk by solver.delta"),
     (SUBMAX_INI, ["solver.algorithm=bcg", "constraint.kind=box",
                   "constraint.lower=0", "constraint.upper=0.01"],
-     "bcg needs every upper bound >= solver.delta"),
+     "leaves bcg no set to run on: empty box after shrink"),
     # a multilinear problem samples at the iterates, which must lie in
     # [0, 1]^d; once every seed exited 3
     (SUBMAX_INI, ["constraint.kind=l1ball", "solver.mode=convex_min"],
@@ -645,6 +645,9 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     # at 0.0 with the trace bytes of the convex_min run
     (SUBMAX_INI, ["solver.algorithm=deterministic_fw"],
      "deterministic_fw minimizes: it cannot run solver.mode=dr_submodular_max"),
+    # nor under nonconvex_min, which once wrote the convex_min run's bytes
+    (QUAD_INI, ["solver.algorithm=deterministic_fw", "solver.mode=nonconvex_min"],
+     "deterministic_fw minimizes: it cannot run solver.mode=nonconvex_min"),
     # bcg and dbg always maximize: `fwlab bcg --override solver.mode=convex_min`
     # once wrote the trace and report bytes of the dr_submodular_max run
     (SUBMAX_INI, ["solver.algorithm=bcg", "solver.mode=convex_min"],
@@ -663,11 +666,18 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
         "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr",
-        "bcg-convex_min", "dbg-nonconvex_min", "lrmr-transposed-nuclear"])
-def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
+        "deterministic_fw-nonconvex", "bcg-convex_min", "dbg-nonconvex_min",
+        "lrmr-transposed-nuclear"])
+def test_cli_pairings_rejected_at_load(tmp_path, capsys, monkeypatch, ini, overrides,
+                                       message):
+    # The rules ask the built problem and set, so the run refuses the pairing
+    # once it has built them, before any seed.  The lrmr case reads its
+    # ratings, a 2x3 matrix, from the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ratings.csv").write_text("0,0,1.0\n1,2,-0.5\n")
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
-        load_config(path, overrides)
+        run_experiment(load_config(path, overrides, out_dir=tmp_path / "r"))
     args = ["solve", "--config", path, "--out", str(tmp_path / "r")]
     for ov in overrides:
         args += ["--override", ov]
@@ -698,8 +708,7 @@ t = 5
 @pytest.mark.parametrize("overrides", [
     [], ["solver.algorithm=scg"], ["solver.algorithm=bcg"],
     ["solver.algorithm=deterministic_fw", "solver.mode=convex_min"],
-    ["problem.kind=multilinear_modular", "problem.dim=2",
-     "problem.weights=" + " ".join(["1"] * 21)],
+    ["problem.kind=multilinear_modular", "problem.weights=" + " ".join(["1"] * 21)],
 ], ids=["one_sfw", "scg", "bcg", "deterministic_fw", "modular-weights"])
 def test_cli_multilinear_above_enumeration_budget_rejected_at_load(tmp_path, capsys,
                                                                    overrides):
@@ -756,6 +765,37 @@ def test_cli_bcg_dbg_run_on_full_and_empty_budgets(tmp_path, capsys, command, bu
                  "--override", "solver.t=20"]) == 0
     capsys.readouterr()
     assert len(list(out.glob("sub-*-s0.json"))) == 1
+
+
+SHRINK_INI = """\
+[experiment]
+name = shrink
+seeds = 0..1
+[problem]
+kind = multilinear_coverage
+dim = 12
+[constraint]
+kind = matroid
+blocks = 0 1 2 3 4 5 6 7 8 9 10 11
+budgets = 1
+[solver]
+t = 5
+delta = 0.1
+batch = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["bcg", "dbg"])
+def test_cli_budget_below_shrink_rejected_at_build(tmp_path, capsys, command):
+    # Budget 1 < 0.1·12 leaves the block no room in the shrunk set: every
+    # seed once failed with "block budget exhausted by shrink" (exit 3, a
+    # report left in --out).
+    out = tmp_path / "r"
+    assert main([command, "--config", _write(tmp_path, SHRINK_INI),
+                 "--out", str(out)]) == 2
+    assert (f"config error: solver.delta=0.1 leaves {command} no set to run on: "
+            "block budget exhausted by shrink") in capsys.readouterr().err
+    assert not out.exists()  # nothing ran
 
 
 DBG_INI = """\
@@ -900,6 +940,17 @@ def test_cli_missing_dim_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 2
     assert "dim" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()  # refused at load, before any write
+
+
+def test_cli_modular_dim_other_than_weights_exit_2(tmp_path, capsys):
+    # dim 3 and dim 7 once ran the same 10 weights, trace for trace
+    out = tmp_path / "r"
+    assert main(["submax", "--config", _write(tmp_path, SUBMAX_INI), "--out", str(out),
+                 "--override", "problem.weights=" + " ".join(["1"] * 10),
+                 "--override", "problem.dim=3"]) == 2
+    assert ("config error: bad problem block: problem.dim=3 is not the number of "
+            "problem.weights (10)") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_modular_weights_need_no_dim():

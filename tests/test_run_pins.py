@@ -1,7 +1,7 @@
 """Byte pins of short CLI runs.
 
 Each entry of ``RUNS`` is one CLI run: a command, a config and its
-overrides, one seed and at most 30 iterations (rounds).  The test hashes
+overrides, one seed and at most 100 iterations (rounds).  The test hashes
 the files the run writes and compares the hashes with the table in
 ``run_pins.json``: the trace CSV, the seed's JSON sidecar, and the report
 JSON with its per-seed ``wall_s`` removed.  A change that moves any byte of
@@ -147,13 +147,21 @@ RUNS = {
         "submax", _multilinear("concave_modular", "n_users = 3\n"), []),
     "one_sfw-logdet-matroid-dr": ("submax", _multilinear("logdet"), []),
     "one_sfw-modular-matroid-dr": ("submax", _multilinear("modular"), []),
+    # d = 5: the odd coordinate of the multilinear contraction's high half
+    "one_sfw-facility-matroid-d5-dr": (
+        "submax", FACILITY_MATROID, ["problem.dim=5", "constraint.blocks=0 1 2 | 3 4"]),
     "one_sfw-facility-matroid-convex": (
         "solve", FACILITY_MATROID, ["solver.mode=convex_min"]),
     "deterministic_fw-facility-matroid": (
         "solve", FACILITY_MATROID, ["solver.algorithm=deterministic_fw",
                                     "solver.mode=convex_min"]),
     "oblivious_sfw-quadratic-l1ball": ("solve", QUADRATIC, []),
+    # t > 64: the geometric log points
+    "oblivious_sfw-quadratic-l1ball-t100": ("solve", QUADRATIC, ["solver.t=100"]),
     "one_sfw-quadratic-l1ball": ("solve", QUADRATIC, ["solver.algorithm=one_sfw"]),
+    "one_sfw-quadratic-l1ball-eta": (
+        "solve", QUADRATIC, ["solver.algorithm=one_sfw", "solver.eta_c=0.5",
+                             "solver.eta_a=0.75"]),
     "oblivious_sfw-logistic-l1ball": (
         "solve", LOGISTIC_SOLVE, ["solver.algorithm=oblivious_sfw"]),
     "one_sfw-logistic-l1ball": (
@@ -175,6 +183,8 @@ RUNS = {
     "bcg-coverage-matroid": (
         "bcg", FACILITY_MATROID.replace("facility", "coverage").replace(
             "n_clients", "n_topics"), ["solver.delta=0.05", "solver.batch=4"]),
+    "bcg-coverage-box": (
+        "bcg", COVERAGE_BOX, ["constraint.lower=0", "constraint.upper=0.6"]),
     **{f"dbg-{kind}-matroid": (
         "dbg", text, ["solver.delta=0.05", "solver.batch=2", "solver.l=5"])
        for kind, text in (("facility", FACILITY_MATROID),
