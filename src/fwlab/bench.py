@@ -275,9 +275,10 @@ def _check_pairings(cfg: RunConfig, problem, setf, set_: C.FeasibleSet):
         raise ValueError("solver.option=grad_diff needs a multilinear problem "
                          "on a box constraint")
     # A multilinear problem samples z ~ p(.; x) at the iterates, a law defined
-    # for x in [0, 1]^d only: the set's least and greatest value along each
-    # coordinate, from its linear oracles, must lie there.
-    if algo in ("one_sfw", "scg") and multilinear and not all(
+    # for x in [0, 1]^d only, and its exact polynomial extends f only there:
+    # the set's least and greatest value along each coordinate, from its
+    # linear oracles, must lie in [0, 1].
+    if algo in ("one_sfw", "scg", "deterministic_fw") and multilinear and not all(
             set_.lmo_min(e) @ e >= 0 and set_.lmo_max(e) @ e <= 1
             for e in np.eye(set_.dim)):
         raise ValueError(f"{algo} on a multilinear problem needs a matroid, a box "

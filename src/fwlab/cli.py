@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -35,6 +36,7 @@ def _add_common(sp):
                     metavar="SECTION.KEY=VALUE")
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="fwlab",
                                  description="projection-free stochastic "

@@ -195,7 +195,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     trace = SolveTrace(meta={"setting": cfg.setting, "M": M, "T": T,
                              "mode": cfg.mode})
     nonconvex = cfg.setting.endswith("nonconvex")
-    iterates = [x0.copy()]
+    iterates = [x0.copy()] if nonconvex else None
     for t, i, k in _round_schedule(cfg, T):
         s1, s2 = int(cfg.s1_fn(i, k)), int(cfg.s2_fn(i, k))
         if k == 1:   # every worker's whole partition
@@ -218,7 +218,8 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         X_prev, X = X, X + eta * (V - X)
         if not (_replicas_agree(X) and _replicas_agree(Gbar)):
             raise AssertionError("replica divergence across workers")
-        iterates.append(X[0].copy())
+        if nonconvex:
+            iterates.append(X[0].copy())
 
         xo = X[0]
         gap = fw_gap(problem.full_grad(xo), set_, xo) if nonconvex else None

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import os
 import subprocess
@@ -17,7 +19,7 @@ from fwlab.bench import (
     load_config,
     run_experiment,
 )
-from fwlab.cli import main
+from fwlab.cli import build_parser, main
 from fwlab.constraints import Box, L1Ball, PartitionMatroid, PartitionMatroidPolytope
 from fwlab.problems import Modular, MultilinearProblem, Quadratic
 
@@ -413,6 +415,79 @@ def test_cli_seed_and_seeds_exit_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # main() builds the argparse tree on its first call in a process and
+    # reuses it on every later call.
+    monkeypatch.chdir(ROOT)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    argv = ["solve", "--config", _CONFIGS + "quadratic.ini", "--seed", "0",
+            "--override", "solver.t=3", "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+    assert len(built) == 8  # fwlab and its 7 commands
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert len(built) == 8
+
+
+def _run_files(out: Path) -> dict:
+    """Each file a run wrote, by name: its bytes, except that the report
+    rows drop their ``wall_s``, a timing."""
+    files = {}
+    for p in sorted(out.iterdir()):
+        if p.name.endswith("-report.json"):
+            report = json.loads(p.read_text())
+            for row in report["rows"]:
+                row.pop("wall_s")
+            files[p.name] = report
+        elif p.name.endswith("-report.csv"):
+            with open(p) as fh:
+                files[p.name] = [{k: v for k, v in row.items() if k != "wall_s"}
+                                 for row in csv.DictReader(fh)]
+        else:
+            files[p.name] = p.read_bytes()
+    return files
+
+
+def test_cli_reused_parser_carries_no_state(tmp_path, capsys, monkeypatch):
+    # A second main() call in one process writes what the same command
+    # writes in a fresh process: neither the first call's --override nor its
+    # --seeds survives in the reused parser.
+    monkeypatch.chdir(ROOT)
+    solve = ["solve", "--config", _CONFIGS + "quadratic.ini"]
+    assert main(solve + ["--override", "solver.t=3", "--seeds", "0..1",
+                         "--out", str(tmp_path / "first")]) == 0
+    assert main(solve + ["--seed", "0", "--out", str(tmp_path / "reused")]) == 0
+    capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    # import builds no parser; main() builds it
+    code = ("import sys\n"
+            "from fwlab import cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = subprocess.run([sys.executable, "-c", code, *solve, "--seed", "0",
+                           "--out", str(tmp_path / "fresh")], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert _run_files(tmp_path / "reused") == _run_files(tmp_path / "fresh")
+    # the exclusive --seed/--seeds group is still checked on each call
+    out = tmp_path / "both"
+    with pytest.raises(SystemExit) as e:
+        main(solve + ["--seed", "0", "--seeds", "0..1", "--out", str(out)])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [
     ["constraint.kind=box", "constraint.lower=0 0 0", "constraint.upper=1 1 1"],
     ["constraint.kind=nuclear", "constraint.rows=2", "constraint.cols=2"],
@@ -636,6 +711,12 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
     (SUBMAX_INI, ["constraint.kind=nuclear", "constraint.rows=2",
                   "constraint.cols=2", "solver.mode=convex_min"],
      "one_sfw on a multilinear problem needs"),
+    # off the cube the exact polynomial is no extension of f: a facility
+    # function, >= 0 on every subset, once ran down to -5.12 on the l1 ball
+    ((ROOT / "scripts/configs/submax_facility.ini").read_text(),
+     ["solver.algorithm=deterministic_fw", "solver.mode=convex_min",
+      "constraint.kind=l1ball", "solver.t=5"],
+     "deterministic_fw on a multilinear problem needs"),
     # DR maximization starts at 0, which neither set holds; once every seed
     # exited 3
     (SUBMAX_INI, ["constraint.kind=simplex"], "starts at 0"),
@@ -665,6 +746,7 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
         "bcg-box-empty", "one_sfw-multilinear-l1ball",
         "scg-multilinear-box-above-1", "one_sfw-multilinear-box-below-0",
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
+        "deterministic_fw-multilinear-l1ball",
         "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr",
         "deterministic_fw-nonconvex", "bcg-convex_min", "dbg-nonconvex_min",
         "lrmr-transposed-nuclear"])
