@@ -180,12 +180,6 @@ def test_one_divergent_replica_is_caught(replica):
         run_qfw(fs, bad, cfg, 5, RngStream(6))
 
 
-def _unquantize(cfg):
-    cfg.s1_fn = lambda i, k: UNQUANTIZED
-    cfg.s2_fn = lambda i, k: UNQUANTIZED
-    return cfg
-
-
 def test_theorem_schedule_finite_convex_hand_values():
     cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=10)
     assert cfg.period_fn(3) == 4
@@ -245,7 +239,7 @@ def test_m1_matches_sequential_reference():
     fs = _tiny_logistic(n=20, d=5, seed=3)
     set_ = L1Ball(2.0, 5)
     T = 15
-    cfg = _unquantize(schedule_from_theorem("finite_convex", 20, 1, 5, T=T))
+    cfg = schedule_from_theorem("finite_convex", 20, 1, 5, T=T, mode="unquantized")
     trace, ledger = run_qfw(fs, set_, cfg, T, RngStream(9))
     ref = _reference_spider_fw(fs, set_, cfg, T, RngStream(9))
     assert np.allclose(trace.output, ref[-1], atol=1e-12)
@@ -257,7 +251,7 @@ def test_m1_matches_sequential_reference():
 def test_anchor_exact_with_unquantized_links():
     fs = _tiny_logistic(n=24, d=4, seed=4)
     set_ = L1Ball(1.5, 4)
-    cfg = _unquantize(schedule_from_theorem("finite_convex", 24, 4, 4, T=1))
+    cfg = schedule_from_theorem("finite_convex", 24, 4, 4, T=1, mode="unquantized")
     # a single anchor round: gbar must equal the exact full gradient at x0
     x0 = set_.lmo_min(np.zeros(4))
     trace, _ = run_qfw(fs, set_, cfg, 1, RngStream(5))
@@ -321,7 +315,7 @@ def test_unquantized_bits_are_raw_floats():
     fs = _tiny_logistic()
     set_ = L1Ball(2.0, 6)
     T = 10
-    cfg = _unquantize(schedule_from_theorem("finite_convex", 40, 4, 6, T=T))
+    cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=T, mode="unquantized")
     _, ledger = run_qfw(fs, set_, cfg, T, RngStream(8))
     assert ledger.total == T * (4 + 1) * 32 * 6
 
@@ -331,7 +325,7 @@ def test_quantized_tracks_unquantized():
     set_ = L1Ball(2.0, 6)
     T = 31
     cfg_q = schedule_from_theorem("finite_convex", 40, 4, 6, T=T)
-    cfg_u = _unquantize(schedule_from_theorem("finite_convex", 40, 4, 6, T=T))
+    cfg_u = schedule_from_theorem("finite_convex", 40, 4, 6, T=T, mode="unquantized")
     tq, lq = run_qfw(fs, set_, cfg_q, T, RngStream(3))
     tu, lu = run_qfw(fs, set_, cfg_u, T, RngStream(3))
     assert lq.total < lu.total

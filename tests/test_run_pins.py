@@ -8,7 +8,9 @@ JSON with its per-seed ``wall_s`` removed.  A change that moves any byte of
 a pinned run fails here.  Each entry also runs on the seeds ``SEED - 1``
 and ``SEED`` in one run, whose second seed must keep its trace and sidecar
 pins: a run builds its problem and constraint once for all its seeds.  The digests hold for one platform (Python 3.11,
-numpy 2.4), as the float-hex pins in ``test_solvers.py`` do.
+numpy 2.4, and the OpenBLAS kernels that an AVX-512 host picks), as the
+float-hex pins in ``test_solvers.py`` do: under ``OPENBLAS_CORETYPE=Haswell``
+(the AVX2 kernels) most of them fail.  ROADMAP item 12 is about that.
 
 To add a path, add an entry to ``RUNS`` and regenerate its pin; a change
 that moves a digest on purpose says which and why.  Regenerate the named

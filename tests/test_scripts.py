@@ -11,23 +11,33 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script, args", [
-    ("estimator_decay.py", ["--seeds", "2", "--horizon", "32", "--out", "decay.csv"]),
-    ("qfw_bits.py", ["--horizons", "7", "--workers", "2"]),
-    ("submax_compare.py", ["--seeds", "1"]),
-    ("gen_logistic_csv.py", ["logistic.csv"]),
-    ("settable_values.py", []),
-], ids=["estimator_decay", "qfw_bits", "submax_compare", "gen_logistic_csv",
-        "settable_values"])
-def test_script_runs(tmp_path, script, args):
+def _run(script, args, cwd, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    # run in tmp_path, so the files a script writes land there
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("script, args", [
+    ("gen_logistic_csv.py", ["logistic.csv"]),
+    ("settable_values.py", []),
+], ids=["gen_logistic_csv", "settable_values"])
+def test_script_runs(tmp_path, script, args):
+    # run in tmp_path, so the files a script writes land there
+    _run(script, args, tmp_path, timeout=120)
+
+
+def test_claims_small_is_byte_stable(tmp_path):
+    # every claim row, at a size that runs in seconds; seeds are fixed, so two
+    # runs print the same bytes, and the script writes no file
+    first = _run("claims.py", ["--small"], tmp_path, timeout=5)
+    assert _run("claims.py", ["--small"], tmp_path, timeout=5) == first
+    assert first.count("\n") == 2 + 6 + 6 + 3
+    assert not any(tmp_path.iterdir())
 
 
 def test_settable_values_rule():
