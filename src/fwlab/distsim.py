@@ -131,15 +131,20 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int, T: int,
                      mode=mode)
 
 
-def _send(vec: np.ndarray, s: int, rng: RngStream, ledger: BitLedger,
-          round_: int, direction: str):
-    """Quantize-and-transmit one vector; returns what the receiver decodes."""
+def _send_rows(V: np.ndarray, s: int, rngs: list[RngStream] | None,
+               ledger: BitLedger, round_: int, direction: str) -> np.ndarray:
+    """Quantize-and-transmit each row of the stack V as its own message, row r
+    drawing from ``rngs[r]``, in one encoder call; returns the stack the
+    receivers decode.  The ledger charges each row as one message, in row
+    order."""
     if s == UNQUANTIZED:
-        ledger.charge(round_, direction, RAW_BITS_PER_COORD * vec.size)
-        return vec.copy()
-    msg = encode_partition(vec, s, rng)
-    ledger.charge(round_, direction, msg.bits)
-    return decode(msg)
+        bits, out = RAW_BITS_PER_COORD * V.shape[1], V.copy()
+    else:
+        msg = encode_partition(V, s, rngs)
+        bits, out = msg.bits, decode(msg)
+    for _ in range(len(V)):
+        ledger.charge(round_, direction, bits)
+    return out
 
 
 def _round_schedule(cfg: QfwConfig, T: int):
@@ -174,8 +179,9 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
 
     The M replicas are the rows of one ``(M, d)`` array, advanced together:
     each round makes one stacked ``batch_grad`` call (on inner rounds over
-    X and X_prev stacked), while each worker draws its batch and its
-    quantizer bits from its own stream and sends its own message.
+    X and X_prev stacked) and one encoder call for the M up-link messages.
+    Each worker still draws its batch and its quantizer bits from its own
+    stream, and each message is charged on its own.
     """
     N, M, d = problem.n, cfg.M, problem.dim
     if N % M != 0:
@@ -207,10 +213,9 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
             both = problem.batch_grad(np.concatenate([X, X_prev]),
                                       np.concatenate([idx, idx]))
             G = both[:M] - both[M:]
-        decoded = np.stack([_send(G[m], s1, worker_rngs[m], ledger, t, "up")
-                            for m in range(M)])
-        gtilde = ordered_means(decoded)[0]    # summed in worker order
-        broadcast = _send(gtilde, s2, master_rng, ledger, t, "down")
+        decoded = _send_rows(G, s1, worker_rngs, ledger, t, "up")
+        gtilde = ordered_means(decoded)       # (1, d), summed in worker order
+        broadcast = _send_rows(gtilde, s2, [master_rng], ledger, t, "down")[0]
 
         Gbar = np.tile(broadcast, (M, 1)) if k == 1 else Gbar + broadcast
         eta = float(cfg.eta_fn(i, k, t))
@@ -249,8 +254,8 @@ def _run_fl(problem, set_, cfg, T):
     for t, i, k in _round_schedule(cfg, T):
         V = np.stack([set_.lmo_min(g) for g in problem.batch_grad(X, idx)])
         X = X + float(cfg.eta_fn(i, k, t)) * (V - X)
-        sent = np.stack([_send(x, UNQUANTIZED, None, ledger, t, "up") for x in X])
-        avg = _send(ordered_means(sent)[0], UNQUANTIZED, None, ledger, t, "down")
+        sent = _send_rows(X, UNQUANTIZED, None, ledger, t, "up")
+        avg = _send_rows(ordered_means(sent), UNQUANTIZED, None, ledger, t, "down")[0]
         X = np.tile(avg, (M, 1))
         trace.records.append(IterationRecord(
             t=t, objective=problem.value(avg), cum_bits=ledger.total))

@@ -10,6 +10,7 @@ shared infinity norm.  s = 1 is the sign scheme.  A message costs
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,40 +37,48 @@ def _levels_z(s: int) -> int:
 
 @dataclass(frozen=True)
 class QuantizedMessage:
+    """One message, or a stack of k messages as rows: ``signs`` and
+    ``levels`` are (d,) with a float ``inf_norm``, or (k, d) with a (k,)
+    array of norms.  Every invariant holds on every row."""
+
     signs: np.ndarray      # entries in {-1, 0, +1}
     levels: np.ndarray     # integers in [0, s]
-    inf_norm: float
+    inf_norm: float | np.ndarray
     s: int
 
     def __post_init__(self):
-        d = self.signs.size
-        if self.levels.size != d:
+        levels, inf = self.levels, np.asarray(self.inf_norm)
+        if levels.shape != self.signs.shape:
             raise ValueError("signs and levels length mismatch")
-        if self.inf_norm < 0:
-            raise ValueError("negative inf_norm")
+        if inf.shape != levels.shape[:-1]:
+            raise ValueError("need one inf_norm per row")
         # count_nonzero, one C call each, where .any()/.min()/.max() each pass
         # through numpy's Python reduction wrapper
-        levels = self.levels
-        if self.inf_norm == 0 and np.count_nonzero(levels):
-            raise ValueError("zero vector must have all-zero levels")
+        nonpositive = inf <= 0       # rare: a zero row or a broken message
+        if np.count_nonzero(nonpositive):
+            if np.count_nonzero(inf < 0):
+                raise ValueError("negative inf_norm")
+            if np.count_nonzero(levels[nonpositive]):
+                raise ValueError("zero vector must have all-zero levels")
         if np.count_nonzero((levels < 0) | (levels > self.s)):
             raise ValueError("level outside [0, s]")
 
     @property
     def bits(self) -> int:
-        """32 + d(z+1): the norm, then a sign and z level bits per coordinate."""
-        return 32 + self.signs.size * (_levels_z(self.s) + 1)
+        """32 + d(z+1) per row: the norm, then a sign and z level bits per
+        coordinate."""
+        return 32 + self.signs.shape[-1] * (_levels_z(self.s) + 1)
 
 
 def _partition_law(g: np.ndarray, s: int):
     """(||g||_inf, floor levels lo, round-up probabilities q) of the
-    s-partition law: coordinate i is sent at level lo_i + 1 with
-    probability q_i and at lo_i otherwise (all zero for a zero vector)."""
+    s-partition law, row by row along the last axis: coordinate i is sent at
+    level lo_i + 1 with probability q_i and at lo_i otherwise (all zero for a
+    zero row)."""
     a = np.abs(g)
-    inf = float(a.max()) if g.size else 0.0
-    if inf == 0.0:
-        return inf, np.zeros(g.size, dtype=np.int64), np.zeros(g.size)
-    a /= inf
+    inf = np.maximum.reduce(a, axis=-1, initial=0.0)
+    col = inf[..., None]
+    np.divide(a, col, out=a, where=col > 0)  # a zero row stays zero
     a *= s                                   # the ratio |g_i| / inf, times s
     lo = np.floor(a)
     np.minimum(lo, s - 1, out=lo)
@@ -77,19 +86,38 @@ def _partition_law(g: np.ndarray, s: int):
     return inf, lo.astype(np.int64), a
 
 
-def encode_partition(g: np.ndarray, s: int, rng: RngStream) -> QuantizedMessage:
-    """Encode g with the s-partition scheme (randomized, unbiased)."""
+def encode_partition(g: np.ndarray, s: int,
+                     rng: RngStream | Sequence[RngStream]) -> QuantizedMessage:
+    """Encode g with the s-partition scheme (randomized, unbiased).
+
+    ``g`` is one vector with one stream ``rng``, or a (k, d) stack with a
+    sequence of k streams.  Row r of the stack is the message that
+    ``encode_partition(g[r], s, rng[r])`` sends alone: it draws
+    ``rng[r].random(d)`` only when its norm is nonzero, so each stream moves
+    exactly as it would for that row alone.
+    """
     if s < 1:
         raise ValueError("partition count s must be >= 1")
     g = check_finite(g, "quantizer input")
-    inf, lo, q = _partition_law(g, s)
-    levels = lo + (rng.random(g.size) < q) if inf else lo
-    return QuantizedMessage(signs=np.sign(g).astype(np.int64), levels=levels,
-                            inf_norm=inf, s=s)
+    one = g.ndim == 1
+    G, streams = (g[None], (rng,)) if one else (g, rng)
+    if G.ndim != 2 or len(streams) != len(G):
+        raise ValueError("need one vector, or a (k, d) stack with k streams")
+    inf, lo, q = _partition_law(G, s)
+    u = np.zeros(G.shape)             # q = 0 on a zero row, which draws nothing
+    for r in inf.nonzero()[0]:
+        u[r] = streams[r].random(G.shape[1])
+    levels = lo + (u < q)
+    signs = np.sign(G).astype(np.int64)
+    if one:
+        return QuantizedMessage(signs=signs[0], levels=levels[0],
+                                inf_norm=float(inf[0]), s=s)
+    return QuantizedMessage(signs=signs, levels=levels, inf_norm=inf, s=s)
 
 
 def decode(msg: QuantizedMessage) -> np.ndarray:
-    return msg.signs * (msg.levels / msg.s) * msg.inf_norm
+    """The vector, or the stack of rows, that the receiver reconstructs."""
+    return msg.signs * (msg.levels / msg.s) * np.asarray(msg.inf_norm)[..., None]
 
 
 def bernoulli_params(g: np.ndarray, s: int):

@@ -111,12 +111,15 @@ class SolveTrace:
     meta: dict = field(default_factory=dict)
 
 
-def fw_gap(grad: np.ndarray, set_: FeasibleSet, x: np.ndarray) -> float:
-    """G(x) = max_{v in K} <v - x, -grad> = <x - lmo_min(grad), grad>."""
+def fw_gap(grad: np.ndarray, set_: FeasibleSet, x: np.ndarray,
+           v: np.ndarray | None = None) -> float:
+    """G(x) = max_{v in K} <v - x, -grad> = <x - lmo_min(grad), grad>.
+    A caller that has solved ``lmo_min(grad)`` already passes it as ``v``."""
     x = check_finite(x, "gap point")
     if not set_.contains(x, tol=MEMBERSHIP_TOL * 10):
         raise ValueError("fw_gap requires a feasible point")
-    v = set_.lmo_min(grad)
+    if v is None:
+        v = set_.lmo_min(grad)
     g = float((x - v) @ grad)
     if g < -1e-9:
         raise ValueError(f"negative FW gap {g}")
@@ -262,7 +265,8 @@ def scg_baseline(p: StochasticProblem, set_: FeasibleSet, sched: Schedule,
 def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
                      value_oracle) -> SolveTrace:
     """Classical Frank-Wolfe with exact gradient and value oracles and step
-    2/(k+2), from the vertex lmo_min(0)."""
+    2/(k+2), from the vertex lmo_min(0).  The logged gap reuses the step's
+    vertex v, so each iteration solves one LMO."""
     x = set_.lmo_min(np.zeros(set_.dim))
     _assert_member(set_, x, "start point")
     trace = SolveTrace(meta={"mode": "deterministic"})
@@ -271,7 +275,7 @@ def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
         v = set_.lmo_min(g)
         eta = 2.0 / (k + 2.0)
         trace.records.append(IterationRecord(
-            t=k, objective=float(value_oracle(x)), fw_gap=fw_gap(g, set_, x)))
+            t=k, objective=float(value_oracle(x)), fw_gap=fw_gap(g, set_, x, v)))
         x = x + eta * (v - x)
         _assert_member(set_, x, f"iterate {k + 1}")
     trace.output = x

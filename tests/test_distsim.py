@@ -311,6 +311,28 @@ def test_bit_ledger_exact():
     assert ledger.cum_up + ledger.cum_down == ledger.total
 
 
+@pytest.mark.parametrize("mode", ["quantized", "unquantized", "fl"])
+def test_ledger_lists_each_message_of_each_round(mode):
+    # one stacked send per link per round still charges each message on its
+    # own: M "up" entries, then one "down" entry, every round, in order
+    fs = _tiny_logistic()
+    d, M, T = 6, 4, 20
+    cfg = schedule_from_theorem("finite_convex", 40, M, d, T=T, mode=mode)
+    _, ledger = run_qfw(fs, L1Ball(2.0, d), cfg, T, RngStream(7))
+
+    def bits(s):
+        if mode != "quantized":
+            return 32 * d
+        return 32 + d * (math.ceil(math.log2(s + 1)) + 1)
+
+    expected = []
+    for t, i, k in _round_schedule(cfg, T):
+        expected += [(t, "up", bits(cfg.s1_fn(i, k)))] * M
+        expected.append((t, "down", bits(cfg.s2_fn(i, k))))
+    assert ledger.entries == expected
+    assert all(type(b) is int for _, _, b in ledger.entries)
+
+
 def test_unquantized_bits_are_raw_floats():
     fs = _tiny_logistic()
     set_ = L1Ball(2.0, 6)

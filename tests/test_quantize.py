@@ -84,6 +84,52 @@ def test_encode_equals_reference_encoder(s):
             assert after == RngStream(5, j).random()
 
 
+@pytest.mark.parametrize("s", [1, 2, 7, 9, 40, 2**16])
+def test_stacked_encode_equals_per_row_encodes(s):
+    # Row r of one stacked call is, bit for bit, the message that a single
+    # encode of row r with stream r sends, and each stream moves as it would
+    # alone: a zero row (its own or in an all-zero stack) draws nothing.
+    gen = RngStream(22)
+    stacks = {
+        "mixed": np.stack([gen.normal(size=5), np.zeros(5),
+                           np.array([-0.0, 0.5, -0.0, -2.0, 0.0]),
+                           gen.normal(size=5) * 1e-300, np.full(5, -0.0),
+                           gen.uniform(-1.0, 1.0, size=5)]),
+        "all-zero": np.zeros((3, 4)),
+        "no-coordinates": np.zeros((3, 0)),   # 32 bits each, no reduction error
+        "one-row": gen.normal(size=(1, 7)),
+    }
+    for j, (name, G) in enumerate(stacks.items()):
+        rngs = [RngStream(6, 100 * j + r) for r in range(len(G))]
+        twins = [RngStream(6, 100 * j + r) for r in range(len(G))]
+        sent = G.copy()
+        msg = encode_partition(G, s, rngs)
+        assert G.tobytes() == sent.tobytes()
+        assert msg.signs.shape == msg.levels.shape == G.shape
+        assert msg.inf_norm.shape == (len(G),)
+        dec = decode(msg)
+        assert dec.shape == G.shape
+        for r, g in enumerate(G):
+            alone = encode_partition(g, s, twins[r])
+            assert msg.signs[r].tobytes() == alone.signs.tobytes(), (name, r)
+            assert msg.levels[r].tobytes() == alone.levels.tobytes(), (name, r)
+            assert msg.inf_norm[r] == alone.inf_norm, (name, r)
+            assert dec[r].tobytes() == decode(alone).tobytes(), (name, r)
+            after = rngs[r].random()
+            assert after == twins[r].random(), (name, r)
+            if not g.any():
+                assert after == RngStream(6, 100 * j + r).random(), (name, r)
+        assert msg.bits == alone.bits == 32 + G.shape[1] * (
+            math.ceil(math.log2(s + 1)) + 1)
+
+
+def test_stack_needs_one_stream_per_row():
+    with pytest.raises(ValueError, match="k streams"):
+        encode_partition(np.ones((3, 2)), 2, [RngStream(0)] * 2)
+    with pytest.raises(ValueError, match="k streams"):
+        encode_partition(np.ones((2, 2, 2)), 2, [RngStream(0)] * 2)
+
+
 def test_bernoulli_frequency():
     g = np.array([1.0, 0.3])
     rng = RngStream(7)
@@ -189,3 +235,38 @@ def test_message_rejects_each_broken_invariant(broken, match):
     QuantizedMessage(**_GOOD_MESSAGE)
     with pytest.raises(ValueError, match=match):
         QuantizedMessage(**{**_GOOD_MESSAGE, **broken})
+
+
+_GOOD_STACK = dict(signs=np.array([[1, -1], [0, 1], [-1, -1]]),
+                   levels=np.array([[2, 1], [0, 2], [1, 2]]),
+                   inf_norm=np.array([1.5, 0.5, 2.0]), s=2)
+
+
+def _break_row(field, row, value):
+    arr = _GOOD_STACK[field].copy()
+    arr[row] = value
+    return {field: arr}
+
+
+@pytest.mark.parametrize("broken, match", [
+    (dict(levels=_GOOD_STACK["levels"][:2]), "length mismatch"),
+    (dict(inf_norm=_GOOD_STACK["inf_norm"][:2]), "one inf_norm per row"),
+    (_break_row("inf_norm", 1, -0.5), "negative inf_norm"),
+    (_break_row("inf_norm", 2, 0.0), "all-zero levels"),
+    (_break_row("levels", 0, [-1, 1]), "outside"),
+    (_break_row("levels", 2, [2, 3]), "outside"),
+], ids=["length", "norm-count", "negative-norm", "zero-norm-levels",
+        "level-below-0", "level-above-s"])
+def test_stack_rejects_one_broken_row(broken, match):
+    # each invariant of a single message, broken in one row of three
+    QuantizedMessage(**_GOOD_STACK)
+    with pytest.raises(ValueError, match=match):
+        QuantizedMessage(**{**_GOOD_STACK, **broken})
+
+
+def test_one_vector_gives_one_message():
+    msg = encode_partition(np.array([1.0, 0.3]), 2, RngStream(7))
+    assert msg.signs.shape == msg.levels.shape == (2,)
+    assert isinstance(msg.inf_norm, float)
+    assert decode(msg).shape == (2,)
+    assert msg.levels[1] in (0, 1)

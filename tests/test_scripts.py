@@ -1,6 +1,7 @@
 """Each shipped script runs to exit 0 on a small input."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -40,14 +41,50 @@ def test_claims_small_is_byte_stable(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def _script_module(name):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        return __import__(name)
+    finally:
+        sys.path.pop(0)
+
+
+def test_ab_sign_test_and_quartiles():
+    # the arithmetic of the A/B driver alone; no perfbench run is launched
+    ab = _script_module("ab")
+    assert ab.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+    assert ab.sign_test_p(10, 0) == ab.sign_test_p(0, 10) == 2 / 1024
+    assert ab.sign_test_p(8, 2) == 2 * (45 + 10 + 1) / 1024
+    assert ab.sign_test_p(5, 5) == ab.sign_test_p(0, 0) == 1.0
+    # a tie counts for neither side
+    assert ab.change_better([1, 2, 3], [2, 2, 1], "higher") == [True, False, False]
+    assert ab.change_better([1, 2, 3], [2, 2, 1], "lower") == [False, False, True]
+    s = ab.summarize([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 5.0, 6.0], "higher")
+    assert (s["change_better_pairs"], s["sign_test_p"]) == (3, 2 * 1 / 8)
+    assert s["median_change_pct"] == 40.0 and s["parent_iqr"] == 1.5
+
+
+def test_ab_reproduces_a_recorded_comparison():
+    # BENCH_25.json's summaries were computed before the driver existed;
+    # from their per-pair runs it gives back every recorded figure
+    ab = _script_module("ab")
+    summary = json.loads((ROOT / "BENCH_25.json").read_text())["summary"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload, recorded in summary.items():
+        for m in metrics:
+            rec = recorded[m["name"]]
+            got = ab.summarize(rec["runs"]["parent"], rec["runs"]["change"],
+                               m["better"])
+            for side in ("parent", "change"):
+                assert got[side] == pytest.approx(rec[side], rel=1e-12)
+            for key in ("median_change_pct", "change_better_pairs", "parent_iqr"):
+                assert got[key] == rec[key], (workload, m["name"], key)
+
+
 def test_settable_values_rule():
     # parameters without self/cls, lambdas excluded, plus dataclass fields;
     # the second count is the parameters with defaults
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        from settable_values import count
-    finally:
-        sys.path.pop(0)
+    count = _script_module("settable_values").count
     src = """
 from dataclasses import dataclass
 

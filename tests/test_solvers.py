@@ -66,6 +66,11 @@ def test_fw_gap_examples():
     assert fw_gap(np.array([1.0, 0.0]), box, np.zeros(2)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         fw_gap(np.ones(2), box, np.array([2.0, 0.0]))
+    # a vertex passed in is held to the same checks
+    with pytest.raises(ValueError, match="feasible point"):
+        fw_gap(np.ones(2), box, np.array([2.0, 0.0]), v=-np.ones(2))
+    with pytest.raises(ValueError, match="negative FW gap"):
+        fw_gap(np.array([1.0, 0.0]), box, np.zeros(2), v=np.array([1.0, 0.0]))
 
 
 def test_fw_gap_nonnegative_random():
@@ -108,6 +113,27 @@ def test_deterministic_fw_linear_one_step():
     tr = deterministic_fw(lambda x: c, s, 1, lambda x: float(c @ x))
     x1, v = s.lmo_min(np.zeros(3)), s.lmo_min(c)
     assert np.array_equal(tr.output, x1 + 2.0 / 3.0 * (v - x1))
+
+
+def test_deterministic_fw_solves_one_lmo_per_iteration(monkeypatch):
+    # the start point and one LMO per iteration, T + 1 in all: the logged
+    # gap reuses the step's vertex, and has the bits of a gap that solves
+    # its own LMO
+    d, T = 5, 40
+    s = L1Ball(1.0, d)
+    target = np.array([0.3, -0.2, 0.1, 0.0, 0.25])
+    grad = lambda x: x - target
+    calls, lmo = [], s.lmo_min
+    monkeypatch.setattr(s, "lmo_min", lambda g: calls.append(1) or lmo(g))
+    tr = deterministic_fw(grad, s, T, lambda x: 0.5 * float((x - target) @ (x - target)))
+    assert len(calls) == T + 1
+    monkeypatch.undo()
+    x = s.lmo_min(np.zeros(d))
+    for k, rec in enumerate(tr.records, start=1):
+        g = grad(x)
+        assert rec.fw_gap == fw_gap(g, s, x), k
+        x = x + 2.0 / (k + 2.0) * (s.lmo_min(g) - x)
+    assert x.tobytes() == tr.output.tobytes()
 
 
 def test_deterministic_fw_t0_returns_start():
