@@ -3,14 +3,15 @@
 Usage:
 
     python3 scripts/ab.py PARENT CHANGE --workload NAME --seed N --pairs K
-                          [--seconds S] [--out FILE]
+                          [--out FILE]
 
 PARENT and CHANGE are two source trees (checkouts), each with its own
 ``perfbench/run.py``.  Before every run, each ``__pycache__`` under both
 trees is deleted, so neither side runs on bytecode the other compiled.
 Pair i runs ``perfbench/run.py --workload NAME --seed N --seconds S
 --trace 0`` in both trees, the parent first when i is even and the change
-first when it is odd.  S defaults to ``run_seconds`` of ``BENCHMARK.json``.
+first when it is odd.  S is ``run_seconds`` of ``BENCHMARK.json``, the
+run length the benchmark itself uses.
 
 For each end-to-end metric of ``BENCHMARK.json`` the script prints both
 sides' medians and interquartile ranges, the median change in percent, the
@@ -102,11 +103,10 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", required=True, type=int)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs = {"parent": [], "change": []}

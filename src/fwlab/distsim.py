@@ -141,7 +141,7 @@ def _send_rows(V: np.ndarray, s: int, rngs: list[RngStream] | None,
         bits, out = RAW_BITS_PER_COORD * V.shape[1], V.copy()
     else:
         msg = encode_partition(V, s, rngs)
-        bits, out = msg.bits, decode(msg)
+        bits, out = msg.bits_per_row, decode(msg)
     for _ in range(len(V)):
         ledger.charge(round_, direction, bits)
     return out

@@ -64,9 +64,10 @@ class QuantizedMessage:
             raise ValueError("level outside [0, s]")
 
     @property
-    def bits(self) -> int:
-        """32 + d(z+1) per row: the norm, then a sign and z level bits per
-        coordinate."""
+    def bits_per_row(self) -> int:
+        """32 + d(z+1), the cost of one row sent as its own message: the
+        norm, then a sign and z level bits per coordinate.  A stack of k
+        rows costs k times this."""
         return 32 + self.signs.shape[-1] * (_levels_z(self.s) + 1)
 
 

@@ -6,13 +6,16 @@ import pytest
 
 from fwlab.constraints import L1Ball
 from fwlab.distsim import (
+    BitLedger,
     QfwConfig,
     UNQUANTIZED,
     _round_schedule,
+    _send_rows,
     run_qfw,
     schedule_from_theorem,
 )
 from fwlab.problems import FiniteSumProblem, LogisticL1, Quadratic, Sample
+from fwlab.quantize import decode, encode_partition
 from fwlab.rng import RngStream
 
 
@@ -331,6 +334,28 @@ def test_ledger_lists_each_message_of_each_round(mode):
         expected.append((t, "down", bits(cfg.s2_fn(i, k))))
     assert ledger.entries == expected
     assert all(type(b) is int for _, _, b in ledger.entries)
+
+
+def test_stacked_send_charges_each_row_as_one_message():
+    # a k-row message costs k times one row: the ledger gets k entries of
+    # bits_per_row
+    V = RngStream(3).normal(size=(3, 5))
+    V[1] = 0.0
+    for s in (1, 3, UNQUANTIZED):
+        rngs = [RngStream(4, r) for r in range(3)]
+        twins = [RngStream(4, r) for r in range(3)]
+        ledger = BitLedger()
+        out = _send_rows(V, s, rngs if s else None, ledger, 2, "up")
+        if s == UNQUANTIZED:
+            per_row, sent = 32 * 5, V
+        else:
+            msg = encode_partition(V, s, twins)
+            per_row, sent = msg.bits_per_row, decode(msg)
+        assert per_row == (32 * 5 if s == UNQUANTIZED
+                           else 32 + 5 * (math.ceil(math.log2(s + 1)) + 1))
+        assert ledger.entries == [(2, "up", per_row)] * 3
+        assert ledger.cum_up == 3 * per_row
+        assert out.tobytes() == sent.tobytes()
 
 
 def test_unquantized_bits_are_raw_floats():

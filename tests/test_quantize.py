@@ -119,7 +119,7 @@ def test_stacked_encode_equals_per_row_encodes(s):
             assert after == twins[r].random(), (name, r)
             if not g.any():
                 assert after == RngStream(6, 100 * j + r).random(), (name, r)
-        assert msg.bits == alone.bits == 32 + G.shape[1] * (
+        assert msg.bits_per_row == alone.bits_per_row == 32 + G.shape[1] * (
             math.ceil(math.log2(s + 1)) + 1)
 
 
@@ -152,7 +152,7 @@ def test_decode_within_norm_and_bits(g, s):
     dec = decode(msg)
     assert np.all(np.abs(dec) <= msg.inf_norm + 1e-12)
     z = math.ceil(math.log2(s + 1))
-    assert msg.bits == 32 + g.size * (z + 1)
+    assert msg.bits_per_row == 32 + g.size * (z + 1)
 
 
 def test_lemma6_hand_values():
@@ -204,9 +204,9 @@ def test_batch_matches_scalar_path_statistically():
 
 
 def test_message_bits_examples():
-    assert encode_partition(np.ones(100), 1, RngStream(0)).bits == 232
-    assert encode_partition(np.ones(10), 3, RngStream(0)).bits == 62
-    assert encode_partition(np.zeros(0), 5, RngStream(0)).bits == 32
+    assert encode_partition(np.ones(100), 1, RngStream(0)).bits_per_row == 232
+    assert encode_partition(np.ones(10), 3, RngStream(0)).bits_per_row == 62
+    assert encode_partition(np.zeros(0), 5, RngStream(0)).bits_per_row == 32
 
 
 def test_invalid_s():
