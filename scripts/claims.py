@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from fwlab.bench import brute_force_opt
-from fwlab.constraints import L1Ball, PartitionMatroid, PartitionMatroidPolytope, Simplex
+from fwlab.constraints import L1Ball, PartitionMatroidPolytope, Simplex
 from fwlab.distsim import run_qfw, schedule_from_theorem
 from fwlab.problems import (
     NQP,
@@ -119,9 +119,8 @@ def black_box_rows(size):
     t_sfw, t_bcg, t_dbg = size["bb_T"]
     f = make_facility_location(d, 6, RngStream(4, 0x1857))
     blocks = [list(range(5)), list(range(5, 10))]
-    m = PartitionMatroid(blocks, [2, 2], d)
     poly = PartitionMatroidPolytope(blocks, [2, 2], d)
-    opt, _ = brute_force_opt(f, m)
+    opt, _ = brute_force_opt(f, poly.matroid)
     p = MultilinearProblem(f)
     oracle = lambda Y: multilinear_exact(f, np.clip(Y, 0.0, 1.0))
     runs = [
@@ -130,7 +129,7 @@ def black_box_rows(size):
             RngStream(s), log_points=[t_sfw]).output)),
         (f"bcg T={t_bcg}", lambda s: multilinear_exact(
             f, bcg(oracle, poly, RngStream(s), t_bcg, 0.02, d))),
-        (f"dbg T={t_dbg}", lambda s: float(f(dbg(f, m, t_dbg, 0.05, 20, 1, RngStream(s))))),
+        (f"dbg T={t_dbg}", lambda s: float(f(dbg(f, poly, t_dbg, 0.05, 20, 1, RngStream(s))))),
     ]
     bound = 1 - 1 / math.e
     for method, value in runs:

@@ -477,7 +477,7 @@ def _run_one_seed(cfg: RunConfig, problem, setf, set_, seed: int):
 
         out = bcg(value, set_, rng, T, s["delta"], s["batch"])
         return SolveTrace(output=out, meta={"objective": problem.exact_value(out)})
-    members = dbg(setf, set_.matroid, T, s["delta"], s["l"], s["batch"], rng)
+    members = dbg(setf, set_, T, s["delta"], s["l"], s["batch"], rng)
     return SolveTrace(output=members.astype(float),
                       meta={"objective": float(setf(members))})
 

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+#: the one tolerance to which every set's ``contains`` answers
+CONTAINS_TOL = 10 * MEMBERSHIP_TOL
 
 
 class InfeasibleShrinkError(ValueError):
@@ -63,7 +65,8 @@ class FeasibleSet:
     def lmo_max(self, g: np.ndarray) -> np.ndarray:
         return self.lmo_min(-np.asarray(g, dtype=float))
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether x lies in the set, to :data:`CONTAINS_TOL`."""
         raise NotImplementedError
 
 
@@ -84,9 +87,9 @@ class L1Ball(FeasibleSet):
             v[i] = -self.radius if g[i] > 0.0 else self.radius  # -radius sign(g_i)
         return v
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
+    def contains(self, x):
         # add.reduce is the reduction np.sum calls, without its Python wrapper
-        return float(np.add.reduce(np.abs(x), axis=None)) <= self.radius + tol
+        return float(np.add.reduce(np.abs(x), axis=None)) <= self.radius + CONTAINS_TOL
 
 
 class Box(FeasibleSet):
@@ -100,7 +103,7 @@ class Box(FeasibleSet):
         self.lower = lower
         self.upper = upper
         self.dim = lower.size
-        self._shifted = {}  # tol -> (lower - tol, upper + tol), for contains
+        self._lower_tol, self._upper_tol = lower - CONTAINS_TOL, upper + CONTAINS_TOL
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
@@ -112,12 +115,8 @@ class Box(FeasibleSet):
         # ties at g_i = 0 resolve to the upper bound: an all-zero ascent moves
         return np.where(g < 0, self.lower, self.upper)
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        bounds = self._shifted.get(tol)
-        if bounds is None:
-            bounds = self._shifted[tol] = (self.lower - tol, self.upper + tol)
-        lower, upper = bounds
-        return bool(np.all(x >= lower) and np.all(x <= upper))
+    def contains(self, x):
+        return bool(np.all(x >= self._lower_tol) and np.all(x <= self._upper_tol))
 
     def diameter(self):
         return float(np.linalg.norm(self.upper - self.lower))
@@ -138,8 +137,9 @@ class Simplex(FeasibleSet):
         v[int(np.argmin(g))] = self.scale
         return v
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - self.scale) <= tol)
+    def contains(self, x):
+        return bool(np.all(x >= -CONTAINS_TOL)
+                    and abs(float(np.sum(x)) - self.scale) <= CONTAINS_TOL)
 
 
 def _parse_blocks(blocks, dim):
@@ -199,11 +199,6 @@ class PartitionMatroid:
                 mask[list(sel)] = True
             yield mask
 
-    def polytope(self) -> "PartitionMatroidPolytope":
-        return PartitionMatroidPolytope(
-            [b.tolist() for b in self.blocks], self.budgets, self.ground_size
-        )
-
 
 class BudgetBoxPolytope(FeasibleSet):
     """{0 <= x <= upper, sum over block_j <= cap_j}, upper uniform per block.
@@ -256,7 +251,7 @@ class BudgetBoxPolytope(FeasibleSet):
         self._seg_starts = np.cumsum(sizes) - sizes + np.arange(sizes.size)
         self._slot = np.empty(self.dim, dtype=np.intp)
         self._slot[self._perm] = np.arange(self.dim) + self._block_id + 1
-        self._shifted = {}  # tol -> (upper + tol, caps + tol), for contains
+        self._upper_tol, self._caps_tol = upper + CONTAINS_TOL, self.caps + CONTAINS_TOL
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
@@ -273,19 +268,16 @@ class BudgetBoxPolytope(FeasibleSet):
         v[self._perm[order]] = self._fill
         return v
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        bounds = self._shifted.get(tol)
-        if bounds is None:
-            bounds = self._shifted[tol] = (self.upper + tol, self.caps + tol)
-        upper, caps = bounds
+    def contains(self, x):
         # the least coordinate answers as the per-coordinate test does;
         # count_nonzero answers .any() and .all() in one C call
-        if np.minimum.reduce(x, initial=np.inf) < -tol or np.count_nonzero(x > upper):
+        if (np.minimum.reduce(x, initial=np.inf) < -CONTAINS_TOL
+                or np.count_nonzero(x > self._upper_tol)):
             return False
         seg = np.zeros(self.dim + self.caps.size)
         seg[self._slot] = x
         sums = np.add.reduceat(seg, self._seg_starts)
-        return np.count_nonzero(sums <= caps) == caps.size
+        return np.count_nonzero(sums <= self._caps_tol) == self.caps.size
 
 
 class PartitionMatroidPolytope(BudgetBoxPolytope):
@@ -317,9 +309,10 @@ class NuclearNormBall(FeasibleSet):
         g = _check_dim(self, g)
         return nuclear_lmo(g.reshape(self.rows, self.cols), self.radius).ravel()
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
+    def contains(self, x):
         X = np.asarray(x, dtype=float).reshape(self.rows, self.cols)
-        return float(np.sum(np.linalg.svd(X, compute_uv=False))) <= self.radius + tol
+        return (float(np.sum(np.linalg.svd(X, compute_uv=False)))
+                <= self.radius + CONTAINS_TOL)
 
 
 def nuclear_lmo(G: np.ndarray, radius: float) -> np.ndarray:

@@ -162,16 +162,10 @@ class NQP(StochasticProblem):
 
     mode = "oblivious"
 
-    def __init__(self, dim: int, rng: RngStream, noise_sigma: float = 0.0,
-                 H: np.ndarray | None = None):
+    def __init__(self, dim: int, rng: RngStream, noise_sigma: float = 0.0):
         super().__init__()
         self.dim = int(dim)
-        if H is None:
-            H = -np.abs(rng.normal(size=(self.dim, self.dim)))
-        H = check_finite(H, "NQP matrix")
-        if np.any(H > 0):
-            raise ValueError("NQP requires entrywise non-positive H")
-        self.H = H
+        self.H = H = -np.abs(rng.normal(size=(self.dim, self.dim)))
         self.b = -H.T @ np.ones(self.dim)
         self.Hsym = 0.5 * (H + H.T)
         self.noise_sigma = float(noise_sigma)
@@ -763,8 +757,8 @@ class FiniteSumProblem:
     of ``idx``.  An oracle reads :data:`FULL_RANGE` without a gather, which
     is how :meth:`value` and :meth:`full_grad` make their full passes.
 
-    :meth:`batch_grad` averages over index blocks, for one point or for a
-    stack of M points at once (the simulator's M replicas).
+    :meth:`batch_grad` averages over index blocks, for a stack of M points
+    at once (the simulator's M replicas).
     """
 
     def __init__(self, dim: int, n: int, values, grads):
@@ -807,12 +801,12 @@ class FiniteSumProblem:
         return cls(targets.shape[1], targets.shape[0], values, grads)
 
     def batch_grad(self, x, idx):
-        """Mean of ∇f_i over ``idx``, summed in index order.
+        """Means of ∇f_i over blocks of ``idx``, each summed in index order.
 
-        ``x`` is one point ``(dim,)``, giving the ``(dim,)`` mean over all of
-        ``idx``, or a stack ``(M, dim)``: then ``idx`` is M equal consecutive
-        blocks and row m of the ``(M, dim)`` result is the mean over block m
-        at ``x[m]``, bit for bit what a call on ``x[m]`` and block m gives.
+        ``x`` is a stack ``(M, dim)`` and ``idx`` is M equal consecutive
+        blocks: row m of the ``(M, dim)`` result is the mean over block m at
+        ``x[m]``, bit for bit what a call on the stack of one ``x[m:m + 1]``
+        and block m gives.
         ``range(n)`` names every component in order, as ``np.arange(n)``
         does, and the oracles read it as :data:`FULL_RANGE`, without a
         gather; unlike that slice, the range has a length.
@@ -822,14 +816,15 @@ class FiniteSumProblem:
         else:
             idx = np.asarray(idx)
             n_idx = idx.size
-        X = np.reshape(x, (-1, self.dim))   # one point is a stack of one
-        M = len(X)
+        if np.ndim(x) != 2 or np.shape(x)[1] != self.dim:
+            raise ValueError(f"need an (M, {self.dim}) stack of points, "
+                             f"not shape {np.shape(x)}")
+        M = len(x)
         if n_idx == 0 or n_idx % M:
             raise ValueError(f"{n_idx} indices do not split into {M} "
                              "nonempty equal blocks")
-        points = np.repeat(X, n_idx // M, axis=0)  # X[m] for each of block m
-        G = ordered_means(self.grads(points, idx), M)
-        return G if np.ndim(x) == 2 else G[0]
+        points = np.repeat(x, n_idx // M, axis=0)  # x[m] for each of block m
+        return ordered_means(self.grads(points, idx), M)
 
     def full_grad(self, x):
         return ordered_means(self.grads(x, FULL_RANGE))[0]

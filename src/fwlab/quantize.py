@@ -37,21 +37,20 @@ def _levels_z(s: int) -> int:
 
 @dataclass(frozen=True)
 class QuantizedMessage:
-    """One message, or a stack of k messages as rows: ``signs`` and
-    ``levels`` are (d,) with a float ``inf_norm``, or (k, d) with a (k,)
-    array of norms.  Every invariant holds on every row."""
+    """A stack of k messages as rows: ``signs`` and ``levels`` are (k, d)
+    with a (k,) array of norms.  Every invariant holds on every row."""
 
     signs: np.ndarray      # entries in {-1, 0, +1}
     levels: np.ndarray     # integers in [0, s]
-    inf_norm: float | np.ndarray
+    inf_norm: np.ndarray
     s: int
 
     def __post_init__(self):
-        levels, inf = self.levels, np.asarray(self.inf_norm)
+        levels, inf = self.levels, self.inf_norm
         if levels.shape != self.signs.shape:
             raise ValueError("signs and levels length mismatch")
-        if inf.shape != levels.shape[:-1]:
-            raise ValueError("need one inf_norm per row")
+        if levels.ndim != 2 or np.shape(inf) != levels.shape[:1]:
+            raise ValueError("need (k, d) rows and one inf_norm per row")
         # count_nonzero, one C call each, where .any()/.min()/.max() each pass
         # through numpy's Python reduction wrapper
         nonpositive = inf <= 0       # rare: a zero row or a broken message
@@ -88,37 +87,29 @@ def _partition_law(g: np.ndarray, s: int):
 
 
 def encode_partition(g: np.ndarray, s: int,
-                     rng: RngStream | Sequence[RngStream]) -> QuantizedMessage:
-    """Encode g with the s-partition scheme (randomized, unbiased).
+                     rng: Sequence[RngStream]) -> QuantizedMessage:
+    """Encode the rows of a (k, d) stack ``g`` with the s-partition scheme
+    (randomized, unbiased), row r on stream ``rng[r]``.
 
-    ``g`` is one vector with one stream ``rng``, or a (k, d) stack with a
-    sequence of k streams.  Row r of the stack is the message that
-    ``encode_partition(g[r], s, rng[r])`` sends alone: it draws
-    ``rng[r].random(d)`` only when its norm is nonzero, so each stream moves
-    exactly as it would for that row alone.
+    Row r draws ``rng[r].random(d)`` only when its norm is nonzero, so each
+    stream moves exactly as it would for that row sent alone.
     """
     if s < 1:
         raise ValueError("partition count s must be >= 1")
     g = check_finite(g, "quantizer input")
-    one = g.ndim == 1
-    G, streams = (g[None], (rng,)) if one else (g, rng)
-    if G.ndim != 2 or len(streams) != len(G):
-        raise ValueError("need one vector, or a (k, d) stack with k streams")
-    inf, lo, q = _partition_law(G, s)
-    u = np.zeros(G.shape)             # q = 0 on a zero row, which draws nothing
+    if g.ndim != 2 or len(rng) != len(g):
+        raise ValueError("need a (k, d) stack with k streams")
+    inf, lo, q = _partition_law(g, s)
+    u = np.zeros(g.shape)             # q = 0 on a zero row, which draws nothing
     for r in inf.nonzero()[0]:
-        u[r] = streams[r].random(G.shape[1])
-    levels = lo + (u < q)
-    signs = np.sign(G).astype(np.int64)
-    if one:
-        return QuantizedMessage(signs=signs[0], levels=levels[0],
-                                inf_norm=float(inf[0]), s=s)
-    return QuantizedMessage(signs=signs, levels=levels, inf_norm=inf, s=s)
+        u[r] = rng[r].random(g.shape[1])
+    return QuantizedMessage(signs=np.sign(g).astype(np.int64), levels=lo + (u < q),
+                            inf_norm=inf, s=s)
 
 
 def decode(msg: QuantizedMessage) -> np.ndarray:
-    """The vector, or the stack of rows, that the receiver reconstructs."""
-    return msg.signs * (msg.levels / msg.s) * np.asarray(msg.inf_norm)[..., None]
+    """The stack of rows that the receiver reconstructs."""
+    return msg.signs * (msg.levels / msg.s) * msg.inf_norm[:, None]
 
 
 def bernoulli_params(g: np.ndarray, s: int):

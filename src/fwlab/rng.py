@@ -152,9 +152,9 @@ def check_finite(x: np.ndarray, what: str = "vector") -> np.ndarray:
     return x
 
 
-def sample_unit_sphere(rng: RngStream, d: int, size: int | None = None) -> np.ndarray:
-    """Uniform draw from the unit sphere S^{d-1} (Gaussian, normalized), or
-    ``size`` draws as the rows of a ``(size, d)`` array.
+def sample_unit_sphere(rng: RngStream, d: int, size: int) -> np.ndarray:
+    """``size`` uniform draws from the unit sphere S^{d-1} (Gaussian,
+    normalized), as the rows of a ``(size, d)`` array.
 
     A Gaussian vector of norm <= 1e-12 is rejected and replaced by the next.
     The rows are drawn ``size`` at a time, rejected rows are dropped and
@@ -164,22 +164,20 @@ def sample_unit_sphere(rng: RngStream, d: int, size: int | None = None) -> np.nd
     """
     if d < 1:
         raise ValueError(f"invalid dimension d={d}; need d >= 1")
-    G = rng.normal(size=(1 if size is None else size, d))
+    G = rng.normal(size=(size, d))
     n = np.sqrt(np.vecdot(G, G))
     keep = n > 1e-12
     kept = np.count_nonzero(keep)
-    if kept == len(G):
-        U = G / n[:, None]
-    else:
-        U = np.concatenate([G[keep] / n[keep, None],
-                            sample_unit_sphere(rng, d, len(G) - kept)])
-    return U[0] if size is None else U
+    if kept == size:
+        return G / n[:, None]
+    return np.concatenate([G[keep] / n[keep, None],
+                           sample_unit_sphere(rng, d, size - kept)])
 
 
 def sample_unit_ball(rng: RngStream, d: int) -> np.ndarray:
     """Uniform draw from the unit ball B^d (sphere sample scaled by U^{1/d})."""
     if d < 1:
         raise ValueError(f"invalid dimension d={d}; need d >= 1")
-    u = sample_unit_sphere(rng, d)
+    u = sample_unit_sphere(rng, d, 1)[0]
     r = rng.uniform() ** (1.0 / d)
     return r * u

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import MEMBERSHIP_TOL, Box, FeasibleSet, pipage_round, shrink_translate
+from .constraints import Box, FeasibleSet, pipage_round, shrink_translate
 from .estimators import (
     VariationEstimate,
     grad_diff_delta,
@@ -116,7 +116,7 @@ def fw_gap(grad: np.ndarray, set_: FeasibleSet, x: np.ndarray,
     """G(x) = max_{v in K} <v - x, -grad> = <x - lmo_min(grad), grad>.
     A caller that has solved ``lmo_min(grad)`` already passes it as ``v``."""
     x = check_finite(x, "gap point")
-    if not set_.contains(x, tol=MEMBERSHIP_TOL * 10):
+    if not set_.contains(x):
         raise ValueError("fw_gap requires a feasible point")
     if v is None:
         v = set_.lmo_min(grad)
@@ -136,14 +136,14 @@ def _default_log_points(T: int):
 
 
 def _assert_member(set_: FeasibleSet, x, what: str):
-    if not set_.contains(x, tol=MEMBERSHIP_TOL * 10):
+    if not set_.contains(x):
         raise ValueError(f"{what} left the feasible set")
 
 
 def holds_origin(set_: FeasibleSet) -> bool:
     """Whether DR mode may start at 0 of ``set_``: 0 lies in it to the
     tolerance every iterate is held to."""
-    return set_.contains(np.zeros(set_.dim), tol=MEMBERSHIP_TOL * 10)
+    return set_.contains(np.zeros(set_.dim))
 
 
 def _start_point(set_: FeasibleSet, mode: str):
@@ -312,19 +312,19 @@ def bcg(value_oracle, set_: FeasibleSet, rng: RngStream, T: int, delta: float,
     return out
 
 
-def dbg(f, m, T: int, delta: float, l: int, batch, rng: RngStream):
+def dbg(f, set_, T: int, delta: float, l: int, batch, rng: RngStream):
     """Discrete zeroth-order greedy: continuous greedy on the multilinear
     extension with each value query replaced by the average of ``l``
     sampled f(S), S drawn coordinate-independently from the query point,
-    followed by value-preserving rounding to a matroid base."""
+    followed by value-preserving rounding to a base of ``set_.matroid``;
+    ``set_`` is a :class:`PartitionMatroidPolytope`."""
     if l < 1:
         raise ValueError("sample count l must be >= 1")
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    d = m.ground_size
+    m, d = set_.matroid, set_.dim
     if all(b == 0 for b in m.budgets):
         return np.zeros(d, dtype=bool)
-    set_ = m.polytope()
     oracle_rng = rng.child(0xD1)
 
     def value_oracle(Y):

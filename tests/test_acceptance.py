@@ -347,7 +347,8 @@ def test_10_single_worker_reduces_to_sequential_reference():
             gbar = fs.full_grad(x)
         else:
             idx = wrng.integers(fs.n, size=int(cfg.inner_batch_fn(i, k)))
-            gbar = gbar + fs.batch_grad(x, idx) - fs.batch_grad(x_prev, idx)
+            gbar = (gbar + fs.batch_grad(x[None], idx)[0]
+                    - fs.batch_grad(x_prev[None], idx)[0])
         v = set_.lmo_min(gbar)
         x_prev = x
         x = x + float(cfg.eta_fn(i, k, t)) * (v - x)
@@ -392,7 +393,7 @@ def test_12_black_box_continuous_greedy_guarantee():
     oracle = lambda Y: multilinear_exact(f, np.clip(Y, 0.0, 1.0))
     for seed in range(30):
         out = bcg(oracle, poly, RngStream(seed), 1000, 0.02, 8)
-        assert poly.contains(out, tol=1e-8)
+        assert poly.contains(out)
         val = multilinear_exact(f, out)
         assert val >= thr, f"seed {seed}: {val:.3f} < {thr:.3f}"
 
@@ -400,19 +401,19 @@ def test_12_black_box_continuous_greedy_guarantee():
 def test_13_discrete_greedy_with_lossless_rounding():
     f = make_facility_location(10, 6, RngStream(13, _INSTANCE_STREAM))
     blocks = [list(range(5)), list(range(5, 10))]
-    m = PartitionMatroid(blocks, [2, 2], 10)
+    poly = PartitionMatroidPolytope(blocks, [2, 2], 10)
+    m = poly.matroid
     opt, _ = brute_force_opt(f, m)
     thr = (1 - 1 / math.e) * opt - 0.08 * opt
     vals = []
     for seed in range(30):
-        S = dbg(f, m, 800, 0.05, 20, 1, RngStream(seed))
+        S = dbg(f, poly, 800, 0.05, 20, 1, RngStream(seed))
         assert m.is_base(S)
         vals.append(float(f(S)))
     assert float(np.mean(vals)) >= thr, f"mean {np.mean(vals):.3f} < {thr:.3f}"
 
     # rounding never loses multilinear value on enumerable instances
     rng = RngStream(130)
-    poly = PartitionMatroidPolytope(blocks, [2, 2], 10)
     for trial in range(20):
         x = np.zeros(10)
         for _ in range(6):
@@ -448,7 +449,7 @@ def test_15_structural_invariants(tmp_path, monkeypatch):
     assert tr.meta["oracle_calls"] == T
     assert len(iterates) == T
     for x in iterates:
-        assert poly.contains(x, tol=1e-8)
+        assert poly.contains(x)
     assert len(vertices) == T
     assert np.allclose(tr.output, np.mean(vertices, axis=0), rtol=0.0, atol=1e-12)
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from fwlab.constraints import (
     Box,
     BudgetBoxPolytope,
+    CONTAINS_TOL,
     InfeasiblePointError,
     InfeasibleShrinkError,
     L1Ball,
-    MEMBERSHIP_TOL,
     NuclearNormBall,
     PartitionMatroid,
     PartitionMatroidPolytope,
@@ -123,8 +123,8 @@ def test_lmo_matches_enumeration(g, kind):
 
 def test_matroid_lmo_vs_enumeration():
     rng = RngStream(3)
-    m = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [2, 1], 6)
-    poly = m.polytope()
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [2, 1], 6)
+    m = poly.matroid
     for _ in range(50):
         g = rng.normal(size=6)
         # max over bases
@@ -202,7 +202,7 @@ def test_matroid_polytope_equals_per_block_loop(blocks, budgets):
     rng = RngStream(5)
     d = sum(len(b) for b in blocks)
     poly = PartitionMatroidPolytope(blocks, budgets, d)
-    tol = 1e-9
+    tol = CONTAINS_TOL
     for s in (poly, _budget_box(poly)):
         for _ in range(200):
             g = rng.integers(-2, 3, size=d).astype(float)    # many ties and zeros
@@ -227,7 +227,7 @@ def test_matroid_polytope_equals_per_block_loop(blocks, budgets):
                 x = np.minimum(x, s.upper + 2 * tol)
             if rng.random() < 0.1:
                 x[int(rng.integers(d))] = -tol * float(rng.uniform(0.0, 2.0))
-            assert s.contains(x, tol) == _greedy_contains(s, x, tol)
+            assert s.contains(x) == _greedy_contains(s, x, tol)
 
 
 def test_budget_box_refuses_nonuniform_upper_in_a_block():
@@ -244,6 +244,17 @@ def test_shrink_caps_full_budget_at_box_mass():
     assert kp.lmo_max(np.ones(4)).tobytes() == _greedy_lmo(kp, np.ones(4), True).tobytes()
 
 
+def _member(s, x, tol):
+    """Membership of x to ``tol``, from the definition of the set ``s``."""
+    if isinstance(s, L1Ball):
+        return float(np.sum(np.abs(x))) <= s.radius + tol
+    if isinstance(s, Box):
+        return _box_contains(s, x, tol)
+    if isinstance(s, Simplex):
+        return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - s.scale) <= tol
+    return _greedy_contains(s, x, tol)
+
+
 def test_feasibility_closure_under_fw_steps():
     rng = RngStream(4)
     for s in (L1Ball(1.0, 4), Box(np.zeros(4), np.ones(4)), Simplex(1.0, 4),
@@ -252,7 +263,7 @@ def test_feasibility_closure_under_fw_steps():
         for t in range(1, 60):
             v = s.lmo_min(rng.normal(size=4))
             x = x + (1.0 / t) * (v - x)
-            assert s.contains(x, tol=1e-9)
+            assert _member(s, x, 1e-9)
 
 
 def test_continuous_greedy_average_feasible():
@@ -262,7 +273,7 @@ def test_continuous_greedy_average_feasible():
     x = np.zeros(6)
     for _ in range(T):
         x = x + s.lmo_max(rng.normal(size=6)) / T
-    assert s.contains(x, tol=1e-9)
+    assert _greedy_contains(s, x, 1e-9)
 
 
 # --- nuclear norm ball -----------------------------------------------------
@@ -344,14 +355,15 @@ def test_shrink_matroid_grid_oracle():
     s = PartitionMatroidPolytope([[0, 1]], [1], 2)
     delta = 0.2
     kp = shrink_translate(s, delta)
+    tol = CONTAINS_TOL
     for a in np.linspace(-0.1, 1.0, 50):
         for b in np.linspace(-0.1, 1.0, 50):
             x = np.array([a, b])
             # direct definition: x + delta in X'_delta(=[delta, 1-delta]^2) and in K
             y = x + delta
-            direct = (np.all(y >= delta - 1e-12) and np.all(y <= 1 - delta + 1e-12)
-                      and y.sum() <= 1 + 1e-12)
-            assert kp.contains(x, tol=1e-12) == direct
+            direct = (np.all(y >= delta - tol) and np.all(y <= 1 - delta + tol)
+                      and y.sum() <= 1 + tol)
+            assert kp.contains(x) == direct
 
 
 def test_budget_box_lmo_fills_caps():
@@ -364,11 +376,11 @@ def test_budget_box_lmo_fills_caps():
 
 # --- pipage rounding -------------------------------------------------------
 
-def _base_point(m, rng, k=8):
-    x = np.zeros(m.ground_size)
+def _base_point(poly, rng, k=8):
+    x = np.zeros(poly.dim)
     for _ in range(k):
-        g = rng.normal(size=m.ground_size)
-        x += m.polytope().lmo_max(g) / k
+        g = rng.normal(size=poly.dim)
+        x += poly.lmo_max(g) / k
     return x
 
 
@@ -381,12 +393,13 @@ def test_pipage_integral_identity():
 
 
 def test_pipage_modular_exact():
-    m = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 2], 6)
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [1, 2], 6)
+    m = poly.matroid
     w = np.array([1.0, 2.0, 3.0, 1.0, 5.0, 2.0])
     f = Modular(w)
     rng = RngStream(2)
     for _ in range(10):
-        x = _base_point(m, rng)
+        x = _base_point(poly, rng)
         F = multilinear_exact(f, x)
         S = pipage_round(x, m, f, rng)
         assert m.is_base(S)
@@ -395,10 +408,11 @@ def test_pipage_modular_exact():
 
 def test_pipage_facility_lossless():
     rng = RngStream(3)
-    m = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 1], 6)
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [1, 1], 6)
+    m = poly.matroid
     f = FacilityLocation(rng.uniform(0, 1, size=(4, 6)))
     for _ in range(10):
-        x = _base_point(m, rng)
+        x = _base_point(poly, rng)
         F = multilinear_exact(f, x)
         S = pipage_round(x, m, f, rng)
         assert m.is_base(S)
@@ -426,8 +440,8 @@ def _box_contains(box, x, tol):
 
 
 def test_budget_box_contains_same_answer_across_tolerances():
-    # contains keeps its shifted bounds per tol; interleaving tolerances and
-    # reusing them answers as the bounds computed afresh do.
+    # contains reads bounds shifted by CONTAINS_TOL once, at construction;
+    # call after call it answers as the bounds computed afresh do.
     rng = RngStream(6)
     poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5, 6]], [1, 2], 7)
     box = Box(np.linspace(-0.5, 0.1, 7), np.linspace(0.3, 1.0, 7))
@@ -436,15 +450,14 @@ def test_budget_box_contains_same_answer_across_tolerances():
     for s, reference in cases + [(box, _box_contains)]:
         answers = set()
         for _ in range(600):
-            tol = (0.0, 1e-12, 1e-9, 1e-8, MEMBERSHIP_TOL)[int(rng.integers(5))]
-            # a vertex moved off the boundary by about a tolerance
+            # a vertex moved off the boundary by about the tolerance
             x = s.lmo_max(rng.normal(size=7)) * (1.0 + float(rng.uniform(-2e-8, 2e-8)))
             x[int(rng.integers(7))] += float(rng.uniform(-2e-8, 2e-8))
-            answers.add((tol, s.contains(x, tol)))
-            assert s.contains(x, tol) == reference(s, x, tol)
-        assert len(answers) >= 8   # most tolerances answer both ways
+            answers.add(s.contains(x))
+            assert s.contains(x) == reference(s, x, CONTAINS_TOL)
+        assert answers == {False, True}
         x = s.lmo_max(np.ones(7))
-        assert s.contains(x) == reference(s, x, MEMBERSHIP_TOL)
+        assert s.contains(x) == reference(s, x, CONTAINS_TOL)
 
 
 def test_shrunk_cap_clamps_above_box_mass():

@@ -54,7 +54,7 @@ def test_logistic_finite_sum_equals_per_sample_loop(d):
     for _ in range(3):
         x = rng.normal(size=d)
         for name, idx in _index_cases(n, rng).items():
-            assert np.array_equal(fs.batch_grad(x, idx),
+            assert np.array_equal(fs.batch_grad(x[None], idx)[0],
                                   _loop_mean_grad(grad_fns, x, idx)), name
         assert np.array_equal(fs.full_grad(x),
                               _loop_mean_grad(grad_fns, x, range(n)))
@@ -73,7 +73,7 @@ def test_quadratic_finite_sum_equals_per_component_loop(d):
     for _ in range(3):
         x = rng.normal(size=d)
         for name, idx in _index_cases(n, rng).items():
-            assert np.array_equal(fs.batch_grad(x, idx),
+            assert np.array_equal(fs.batch_grad(x[None], idx)[0],
                                   _loop_mean_grad(grad_fns, x, idx)), name
         assert np.array_equal(fs.full_grad(x),
                               _loop_mean_grad(grad_fns, x, range(n)))
@@ -84,7 +84,7 @@ def test_finite_sum_keeps_sign_of_zero_like_the_loop():
     # every row's gradient is exactly −0.0 in the first coordinate
     fs = FiniteSumProblem.from_quadratics(np.array([[0.0, 1.0], [0.0, 2.0]]))
     x = np.array([-0.0, 0.0])
-    g = fs.batch_grad(x, [0, 1])
+    g = fs.batch_grad(x[None], [0, 1])[0]
     ref = _loop_mean_grad([lambda x: x - np.array([0.0, 1.0]),
                            lambda x: x - np.array([0.0, 2.0])], x, [0, 1])
     assert np.array_equal(np.signbit(g), np.signbit(ref))
@@ -137,17 +137,22 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
         for m in range(M):
             ref = _loop_mean_grad(grad_fns, X[m], B[m])
             assert G[m].tobytes() == ref.tobytes(), (name, m)
-            assert G[m].tobytes() == fs.batch_grad(X[m], B[m]).tobytes()
+            assert G[m].tobytes() == fs.batch_grad(X[m:m + 1], B[m])[0].tobytes()
         # X and Y stacked as 2M rows, each block at its own row, as two calls
         both = fs.batch_grad(np.concatenate([X, Y]), np.concatenate([B.ravel()] * 2))
         assert both.tobytes() == np.concatenate(
             [G, fs.batch_grad(Y, B.ravel())]).tobytes(), name
     # range(n) reads every component in place, as np.arange(n) names them
-    for points in (X, X[0]):
+    for points in (X, X[:1]):
         assert (fs.batch_grad(points, range(n)).tobytes()
                 == fs.batch_grad(points, np.arange(n)).tobytes())
     with pytest.raises(ValueError, match="equal blocks"):
         fs.batch_grad(X, np.arange(n_local + 1))
+    # A (d,) point is refused, not read as a stack: at d = 1, from_quadratics
+    # would broadcast (n,) - (n, 1) into an (n, n) array and average it.
+    for bad in (X[0], X[None], np.zeros((M, d + 1))):
+        with pytest.raises(ValueError, match="stack of points"):
+            fs.batch_grad(bad, np.arange(n))
 
 
 class _OneBadVertex:
@@ -230,7 +235,8 @@ def _reference_spider_fw(fs, set_, cfg, T, rng):
         else:
             sz = int(cfg.inner_batch_fn(i, k))
             idx = wrng.integers(fs.n, size=sz)
-            gbar = gbar + fs.batch_grad(x, idx) - fs.batch_grad(x_prev, idx)
+            gbar = (gbar + fs.batch_grad(x[None], idx)[0]
+                    - fs.batch_grad(x_prev[None], idx)[0])
         v = set_.lmo_min(gbar)
         x_prev = x
         x = x + float(cfg.eta_fn(i, k, t)) * (v - x)
@@ -387,7 +393,7 @@ def test_fl_mode_runs_without_guarantee():
     trace, ledger = run_qfw(fs, set_, cfg, 8, RngStream(4))
     assert trace.meta["guarantee"] == "none"
     assert ledger.total == 8 * (4 + 1) * 32 * 6
-    assert set_.contains(trace.output, tol=1e-9)
+    assert float(np.sum(np.abs(trace.output))) <= set_.radius + 1e-9
 
 
 @pytest.mark.parametrize("setting", ["finite_convex", "finite_nonconvex"])

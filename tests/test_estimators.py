@@ -269,7 +269,7 @@ def _two_point_per_probe(value_oracle, x, delta, batch, rng):
     d = x.size
     g = np.zeros(d)
     for _ in range(batch):
-        u = sample_unit_sphere(rng, d)
+        u = sample_unit_sphere(rng, d, 1)[0]
         g += (value_oracle(x + delta * u) - value_oracle(x - delta * u)) * u
     return (d / (2.0 * delta)) * g / batch
 

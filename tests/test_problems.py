@@ -64,8 +64,6 @@ def test_nqp_structure():
     assert np.allclose(_fd_grad(p.exact_value, x), p.exact_grad(x), atol=1e-5)
     # gradient nonnegative on the unit box: monotone structure
     assert np.all(p.exact_grad(np.zeros(6)) >= 0)
-    with pytest.raises(ValueError):
-        NQP(3, RngStream(0), H=np.ones((3, 3)))
 
 
 def test_logistic_grad_matches_fd():

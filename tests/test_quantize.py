@@ -35,15 +35,15 @@ def _exact_expectation(g, s):
 
 def test_grid_points_lossless():
     g = np.array([0.8, -0.4])
-    msg = encode_partition(g, 4, RngStream(0))
-    assert np.allclose(decode(msg), g)
-    assert np.array_equal(msg.levels, [4, 2])
+    msg = encode_partition(g[None], 4, [RngStream(0)])
+    assert np.allclose(decode(msg)[0], g)
+    assert np.array_equal(msg.levels[0], [4, 2])
 
 
 def test_zero_vector():
-    msg = encode_partition(np.zeros(5), 3, RngStream(0))
-    assert msg.inf_norm == 0.0
-    assert np.array_equal(decode(msg), np.zeros(5))
+    msg = encode_partition(np.zeros((1, 5)), 3, [RngStream(0)])
+    assert msg.inf_norm[0] == 0.0
+    assert np.array_equal(decode(msg), np.zeros((1, 5)))
 
 
 def _encode_reference(g, s, rng):
@@ -69,14 +69,14 @@ def test_encode_equals_reference_encoder(s):
     for j, g in enumerate(cases):
         rng, ref_rng = RngStream(5, j), RngStream(5, j)
         sent = g.copy()
-        msg = encode_partition(g, s, rng)
+        msg = encode_partition(g[None], s, [rng])
         assert g.tobytes() == sent.tobytes()  # the law works on its own copies
         signs, levels, inf = _encode_reference(g, s, ref_rng)
-        assert msg.signs.tobytes() == signs.tobytes()
-        assert msg.levels.tobytes() == levels.tobytes()
-        assert msg.inf_norm == inf
+        assert msg.signs[0].tobytes() == signs.tobytes()
+        assert msg.levels[0].tobytes() == levels.tobytes()
+        assert msg.inf_norm[0] == inf
         ref = signs * (levels / s) * inf
-        assert decode(msg).tobytes() == ref.tobytes(), j
+        assert decode(msg)[0].tobytes() == ref.tobytes(), j
         # both used the same draws, so the streams continue alike
         after = rng.random()
         assert after == ref_rng.random()
@@ -86,9 +86,10 @@ def test_encode_equals_reference_encoder(s):
 
 @pytest.mark.parametrize("s", [1, 2, 7, 9, 40, 2**16])
 def test_stacked_encode_equals_per_row_encodes(s):
-    # Row r of one stacked call is, bit for bit, the message that a single
-    # encode of row r with stream r sends, and each stream moves as it would
-    # alone: a zero row (its own or in an all-zero stack) draws nothing.
+    # Row r of one stacked call is, bit for bit, the message that an encode
+    # of row r alone (a stack of one) with stream r sends, and each stream
+    # moves as it would alone: a zero row (its own or in an all-zero stack)
+    # draws nothing.
     gen = RngStream(22)
     stacks = {
         "mixed": np.stack([gen.normal(size=5), np.zeros(5),
@@ -110,11 +111,11 @@ def test_stacked_encode_equals_per_row_encodes(s):
         dec = decode(msg)
         assert dec.shape == G.shape
         for r, g in enumerate(G):
-            alone = encode_partition(g, s, twins[r])
-            assert msg.signs[r].tobytes() == alone.signs.tobytes(), (name, r)
-            assert msg.levels[r].tobytes() == alone.levels.tobytes(), (name, r)
-            assert msg.inf_norm[r] == alone.inf_norm, (name, r)
-            assert dec[r].tobytes() == decode(alone).tobytes(), (name, r)
+            alone = encode_partition(g[None], s, [twins[r]])
+            assert msg.signs[r].tobytes() == alone.signs[0].tobytes(), (name, r)
+            assert msg.levels[r].tobytes() == alone.levels[0].tobytes(), (name, r)
+            assert msg.inf_norm[r] == alone.inf_norm[0], (name, r)
+            assert dec[r].tobytes() == decode(alone)[0].tobytes(), (name, r)
             after = rngs[r].random()
             assert after == twins[r].random(), (name, r)
             if not g.any():
@@ -128,12 +129,17 @@ def test_stack_needs_one_stream_per_row():
         encode_partition(np.ones((3, 2)), 2, [RngStream(0)] * 2)
     with pytest.raises(ValueError, match="k streams"):
         encode_partition(np.ones((2, 2, 2)), 2, [RngStream(0)] * 2)
+    # one message is a stack of one row; a bare (d,) vector is refused
+    with pytest.raises(ValueError, match="k streams"):
+        encode_partition(np.array([1.0, 0.3]), 2, [RngStream(7)])
 
 
 def test_bernoulli_frequency():
+    # 10^5 copies of g on one stream draw what 10^5 single sends draw
     g = np.array([1.0, 0.3])
     rng = RngStream(7)
-    hits = sum(encode_partition(g, 2, rng).levels[1] == 1 for _ in range(10**5))
+    msg = encode_partition(np.tile(g, (10**5, 1)), 2, [rng] * 10**5)
+    hits = np.count_nonzero(msg.levels[:, 1] == 1)
     assert abs(hits / 10**5 - 0.6) < 0.005
 
 
@@ -148,9 +154,9 @@ def test_unbiasedness_exact_enumeration(g, s):
 @settings(max_examples=100, deadline=None)
 def test_decode_within_norm_and_bits(g, s):
     g = np.array(g)
-    msg = encode_partition(g, s, RngStream(3))
+    msg = encode_partition(g[None], s, [RngStream(3)])
     dec = decode(msg)
-    assert np.all(np.abs(dec) <= msg.inf_norm + 1e-12)
+    assert np.all(np.abs(dec) <= msg.inf_norm[0] + 1e-12)
     z = math.ceil(math.log2(s + 1))
     assert msg.bits_per_row == 32 + g.size * (z + 1)
 
@@ -193,42 +199,39 @@ def test_batch_matches_scalar_path_statistically():
     g = rng.normal(size=6)
     n = 20000
     batch_mean = encode_decode_batch(g, 2, n, rng.child(1)).mean(axis=0)
-    loop = np.zeros(6)
-    r2 = rng.child(2)
-    for _ in range(n):
-        loop += decode(encode_partition(g, 2, r2))
-    loop /= n
+    r2 = rng.child(2)   # n copies of g on one stream: n single sends
+    loop = decode(encode_partition(np.tile(g, (n, 1)), 2, [r2] * n)).mean(axis=0)
     se = 3 * np.sqrt(variance_upper_bound(g, 2) / n)
     assert np.all(np.abs(batch_mean - g) < se)
     assert np.all(np.abs(loop - g) < se)
 
 
 def test_message_bits_examples():
-    assert encode_partition(np.ones(100), 1, RngStream(0)).bits_per_row == 232
-    assert encode_partition(np.ones(10), 3, RngStream(0)).bits_per_row == 62
-    assert encode_partition(np.zeros(0), 5, RngStream(0)).bits_per_row == 32
+    assert encode_partition(np.ones((1, 100)), 1, [RngStream(0)]).bits_per_row == 232
+    assert encode_partition(np.ones((1, 10)), 3, [RngStream(0)]).bits_per_row == 62
+    assert encode_partition(np.zeros((1, 0)), 5, [RngStream(0)]).bits_per_row == 32
 
 
 def test_invalid_s():
     with pytest.raises(ValueError):
-        encode_partition(np.ones(3), 0, RngStream(0))
+        encode_partition(np.ones((1, 3)), 0, [RngStream(0)])
 
 
 def test_message_invariant_validation():
     with pytest.raises(ValueError):
-        QuantizedMessage(signs=np.array([1]), levels=np.array([2]),
-                         inf_norm=0.0, s=2)
+        QuantizedMessage(signs=np.array([[1]]), levels=np.array([[2]]),
+                         inf_norm=np.array([0.0]), s=2)
 
 
-_GOOD_MESSAGE = dict(signs=np.array([1, -1]), levels=np.array([2, 1]),
-                     inf_norm=1.5, s=2)
+_GOOD_MESSAGE = dict(signs=np.array([[1, -1]]), levels=np.array([[2, 1]]),
+                     inf_norm=np.array([1.5]), s=2)
 
 
 @pytest.mark.parametrize("broken, match", [
-    (dict(levels=np.array([2])), "length mismatch"),
-    (dict(inf_norm=-1.5), "negative inf_norm"),
-    (dict(levels=np.array([-1, 1])), "outside"),
-    (dict(levels=np.array([2, 3])), "outside"),
+    (dict(levels=np.array([[2]])), "length mismatch"),
+    (dict(inf_norm=np.array([-1.5])), "negative inf_norm"),
+    (dict(levels=np.array([[-1, 1]])), "outside"),
+    (dict(levels=np.array([[2, 3]])), "outside"),
 ], ids=["length", "negative-norm", "level-below-0", "level-above-s"])
 def test_message_rejects_each_broken_invariant(broken, match):
     # the zero-vector invariant is test_message_invariant_validation's case
@@ -263,10 +266,3 @@ def test_stack_rejects_one_broken_row(broken, match):
     with pytest.raises(ValueError, match=match):
         QuantizedMessage(**{**_GOOD_STACK, **broken})
 
-
-def test_one_vector_gives_one_message():
-    msg = encode_partition(np.array([1.0, 0.3]), 2, RngStream(7))
-    assert msg.signs.shape == msg.levels.shape == (2,)
-    assert isinstance(msg.inf_norm, float)
-    assert decode(msg).shape == (2,)
-    assert msg.levels[1] in (0, 1)

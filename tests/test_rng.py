@@ -38,7 +38,7 @@ def test_child_streams_deterministic_and_distinct():
 @given(seed=st.integers(0, 2**32), d=st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_sphere_norm_one(seed, d):
-    u = sample_unit_sphere(RngStream(seed), d)
+    u = sample_unit_sphere(RngStream(seed), d, 1)[0]
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
 
@@ -51,13 +51,13 @@ def test_ball_inside(seed, d):
 
 def test_sphere_d1_is_sign():
     r = RngStream(0)
-    vals = {float(sample_unit_sphere(r, 1)[0]) for _ in range(50)}
+    vals = {float(sample_unit_sphere(r, 1, 1)[0, 0]) for _ in range(50)}
     assert vals <= {1.0, -1.0}
 
 
 def test_invalid_dimension():
     with pytest.raises(ValueError):
-        sample_unit_sphere(RngStream(0), 0)
+        sample_unit_sphere(RngStream(0), 0, 1)
     with pytest.raises(ValueError):
         sample_unit_ball(RngStream(0), 0)
 
@@ -65,7 +65,7 @@ def test_invalid_dimension():
 def test_sphere_coordinate_mean_vanishes():
     r = RngStream(11)
     n = 10**5
-    draws = np.array([sample_unit_sphere(r, 3) for _ in range(n)])
+    draws = sample_unit_sphere(r, 3, n)   # n rows: n draws made one by one
     assert np.all(np.abs(draws.mean(axis=0)) < 0.01)
 
 
@@ -148,7 +148,7 @@ _DRAWS = [
     lambda r: r.integers(-2**40, 2**40, size=2),
     lambda r: r.uniform(-1.0, 2.0, size=2),
     lambda r: r.uniform(),
-    lambda r: sample_unit_sphere(r, 5),
+    lambda r: sample_unit_sphere(r, 5, 1),
     lambda r: sample_unit_ball(r, 3),
 ]
 

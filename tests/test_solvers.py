@@ -5,7 +5,6 @@ from fwlab import problems
 from fwlab.constraints import (
     Box,
     L1Ball,
-    PartitionMatroid,
     PartitionMatroidPolytope,
     Simplex,
 )
@@ -387,7 +386,7 @@ def test_bcg_linear_near_lp_optimum():
     opt = float(poly.lmo_max(c) @ c)
     out = bcg(lambda Y: np.vecdot(np.clip(Y, 0, 1), c), poly, RngStream(10),
               200, 0.01, d)
-    assert poly.contains(out, tol=1e-8)
+    assert poly.contains(out)
     assert float(c @ out) >= opt - 0.05 * opt
 
 
@@ -397,7 +396,7 @@ def test_bcg_single_step_is_shifted_vertex():
     delta = 0.05
     out = bcg(lambda Y: np.sum(Y, axis=1), poly, RngStream(11), 1, delta, 2)
     # output = v_1 + delta*1 with v_1 a vertex of the shrunk set
-    assert poly.contains(out, tol=1e-8)
+    assert poly.contains(out)
     assert np.sum(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -423,15 +422,16 @@ def test_bcg_iterates_stay_in_shrunk_domain(monkeypatch):
     assert len(seen) == 50
     for x in seen:
         assert np.all(x >= -1e-9) and np.all(x <= 1 - 2 * delta + 1e-9)
-        assert poly.contains(x + delta, tol=1e-8)
-    assert poly.contains(out, tol=1e-8)
+        assert poly.contains(x + delta)
+    assert poly.contains(out)
 
 
 def test_dbg_modular_exact():
     w = np.array([1.0, 5.0, 2.0, 4.0, 3.0, 6.0])
     f = Modular(w)
-    m = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 1], 6)
-    S = dbg(f, m, 60, 0.05, 10, 1, RngStream(14))
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [1, 1], 6)
+    m = poly.matroid
+    S = dbg(f, poly, 60, 0.05, 10, 1, RngStream(14))
     assert m.is_base(S)
     assert f(S) == pytest.approx(5.0 + 6.0)
 
@@ -451,8 +451,8 @@ def test_dbg_pinned_at_seed(monkeypatch):
 
     monkeypatch.setattr(solvers, "two_point_gradient", spy)
     f = make_facility_location(6, 4, RngStream(21, 5))
-    m = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 2], 6)
-    S = dbg(f, m, 40, 0.05, 5, 3, RngStream(7))
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [1, 2], 6)
+    S = dbg(f, poly, 40, 0.05, 5, 3, RngStream(7))
     assert S.astype(int).tolist() == [0, 1, 0, 0, 1, 1]
     assert len(grads) == 40
     assert [v.hex() for v in grads[-1]] == [
@@ -463,15 +463,15 @@ def test_dbg_pinned_at_seed(monkeypatch):
 
 def test_dbg_zero_budgets():
     f = Modular(np.ones(4))
-    m = PartitionMatroid([[0, 1], [2, 3]], [0, 0], 4)
-    S = dbg(f, m, 10, 0.05, 5, 1, RngStream(15))
+    poly = PartitionMatroidPolytope([[0, 1], [2, 3]], [0, 0], 4)
+    S = dbg(f, poly, 10, 0.05, 5, 1, RngStream(15))
     assert not S.any()
 
 
 def test_dbg_validates_args():
     f = Modular(np.ones(2))
-    m = PartitionMatroid([[0, 1]], [1], 2)
+    poly = PartitionMatroidPolytope([[0, 1]], [1], 2)
     with pytest.raises(ValueError):
-        dbg(f, m, 10, 0.05, 0, 1, RngStream(0))
+        dbg(f, poly, 10, 0.05, 0, 1, RngStream(0))
     with pytest.raises(ValueError):
-        dbg(f, m, 10, 0.7, 5, 1, RngStream(0))
+        dbg(f, poly, 10, 0.7, 5, 1, RngStream(0))
