@@ -6,7 +6,7 @@ continuous greedy for DR-submodular maximization, plus the constraint
 oracles and benchmark problems used to verify their guarantees.
 """
 
-from .rng import RngStream, sample_unit_ball, sample_unit_sphere
+from .rng import RngStream, sample_unit_sphere
 from .constraints import (
     Box,
     L1Ball,
@@ -30,7 +30,7 @@ from .problems import (
     multilinear_grad_hess,
 )
 from .solvers import Schedule, bcg, dbg, deterministic_fw, fw_gap, oblivious_sfw, one_sfw
-from .quantize import decode, encode_partition, exact_variance
+from .quantize import decode, encode_partition
 from .distsim import run_qfw, schedule_from_theorem
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .constraints import FeasibleSet
 from .problems import FiniteSumProblem, ordered_means
 from .quantize import UNQUANTIZED, decode, encode_partition
 from .rng import RngStream
-from .solvers import IterationRecord, SolveTrace, fw_gap
+from .solvers import IterationRecord, SolveTrace, fw_gap, random_iterate
 
 __all__ = [
     "QfwConfig",
@@ -37,7 +37,6 @@ RAW_BITS_PER_COORD = 32
 LEVEL_CAP = 2**16
 _WORKER_STREAM = 0x700
 _MASTER_STREAM = 0x600
-_OUTPUT_STREAM = 0xA11
 
 SETTINGS = ("finite_convex", "finite_nonconvex")
 MODES = ("quantized", "unquantized", "fl")
@@ -231,8 +230,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         trace.records.append(IterationRecord(
             t=t, objective=problem.value(xo), fw_gap=gap, cum_bits=ledger.total))
     if nonconvex:
-        idx = int(rng.child(_OUTPUT_STREAM).integers(len(iterates)))
-        trace.output = iterates[idx]
+        _, trace.output = random_iterate(iterates, rng)
         trace.output_rule = "uniform_random_iterate"
     else:
         trace.output = X[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import StochasticProblem
-from .rng import RngStream, check_finite, sample_unit_ball, sample_unit_sphere
+from .rng import RngStream, check_finite, sample_unit_sphere
 
 __all__ = [
     "VariationEstimate",
@@ -34,7 +34,6 @@ __all__ = [
     "variation_grad_diff",
     "variation_oblivious",
     "two_point_gradient",
-    "smoothed_value_mc",
     "lbar_constant",
     "grad_diff_delta",
 ]
@@ -167,21 +166,6 @@ def two_point_gradient(value_oracle, x: np.ndarray, delta: float,
     # turns a −0.0 sum into the +0.0 that such a loop gives
     g = np.add.accumulate((vals[0::2] - vals[1::2])[:, None] * U, axis=0)[-1] + 0.0
     return (d / (2.0 * delta)) * g / batch
-
-
-def smoothed_value_mc(value_oracle, x: np.ndarray, delta: float,
-                      n_samples: int, rng: RngStream) -> tuple[float, float]:
-    """Monte-Carlo mean of F over the delta-ball around x, with its SE.
-
-    ``value_oracle`` maps a (k, d) array of points to their (k,) values.
-    """
-    x = check_finite(x, "smoothing center")
-    if delta == 0.0:
-        return float(value_oracle(x[None, :])[0]), 0.0
-    balls = np.array([sample_unit_ball(rng, x.size) for _ in range(n_samples)])
-    vals = np.asarray(value_oracle(x + delta * balls), dtype=float)
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else np.inf
-    return float(np.mean(vals)), se
 
 
 def lbar_constant(B: float, G: float, L: float) -> float:

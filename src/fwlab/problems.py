@@ -35,14 +35,13 @@ __all__ = [
     "Coverage",
     "ConcaveOverModular",
     "LogDet",
-    "TableSetFunction",
     "make_facility_location",
     "make_coverage",
     "make_concave_over_modular",
     "make_logdet",
-    "make_random_bounded",
     "multilinear_exact",
     "multilinear_value",
+    "sampled_value",
     "multilinear_grad_hess",
     "ordered_means",
     "EnumerationBudgetError",
@@ -170,10 +169,7 @@ class NQP(StochasticProblem):
         self.Hsym = 0.5 * (H + H.T)
         self.noise_sigma = float(noise_sigma)
 
-    def _sample(self, x, rng):
-        if self.noise_sigma == 0.0:
-            return Sample(z=np.zeros(self.dim))
-        return Sample(z=self.noise_sigma * rng.normal(size=self.dim))
+    _sample = Quadratic._sample   # the same N(0, σ²I) draw
 
     def one_sample_grad(self, x, s):
         return self.exact_grad(x) + s.z
@@ -234,9 +230,6 @@ class LogisticL1(StochasticProblem):
 
     def _margin(self, x, i):
         return -self.y[i] * float(self.A[i] @ x)
-
-    def value(self, x, s):
-        return float(_softplus(self._margin(x, s.z)))
 
     def one_sample_grad(self, x, s):
         i = s.z
@@ -348,12 +341,13 @@ class SetFunction:
     ground_size: int
 
     def __call__(self, members: np.ndarray) -> float:
+        """f at one mask: ``batch`` on a stack of one."""
         return float(self.batch(np.asarray(members)[None])[0])
 
     def batch(self, masks: np.ndarray) -> np.ndarray:
-        """Evaluate f on each row of a (k, d) boolean mask array.  A subclass
-        defines this or ``__call__``, which each default computes by the other."""
-        return np.array([self(m) for m in masks])
+        """Evaluate f on each row of a (k, d) boolean mask array: the one
+        evaluation each kind defines."""
+        raise NotImplementedError
 
     def table(self) -> np.ndarray:
         """f on all 2^d subsets, subset S at index Σ_{i∈S} 2^i: ``batch`` on
@@ -369,9 +363,6 @@ class Modular(SetFunction):
     def __init__(self, weights):
         self.w = check_finite(weights, "modular weights")
         self.ground_size = self.w.size
-
-    def __call__(self, members):
-        return float(self.w[np.asarray(members, dtype=bool)].sum())
 
     def batch(self, masks):
         return np.asarray(masks, dtype=float) @ self.w
@@ -462,30 +453,6 @@ class ConcaveOverModular(SetFunction):
         return float(np.sum(np.sqrt(np.sum(self.R, axis=1))))
 
 
-class TableSetFunction(SetFunction):
-    """Set function given by an explicit table of 2^d values.
-
-    Subset index is the bitmask sum of 2^i over members; handy for random
-    bounded instances in property tests.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = check_finite(values, "set-function table")
-        d = int(np.log2(self.values.size))
-        if 2**d != self.values.size:
-            raise ValueError("table length must be a power of two")
-        self.ground_size = d
-        self._pows = (2 ** np.arange(d)).astype(np.int64)
-
-    def batch(self, masks):
-        idx = np.asarray(masks, dtype=np.int64) @ self._pows
-        return self.values[idx]
-
-    @property
-    def bound(self):
-        return float(np.max(np.abs(self.values)))
-
-
 class LogDet(SetFunction):
     """f(S) = log det(I + Sigma[S, S]) for a PSD kernel Sigma."""
 
@@ -500,13 +467,14 @@ class LogDet(SetFunction):
         self.ground_size = Sigma.shape[0]
         self._bound = float(np.sum(np.log1p(np.maximum(evals, 0.0))))
 
-    def __call__(self, members):
-        members = np.asarray(members, dtype=bool)
-        if not members.any():
-            return 0.0
-        sub = self.Sigma[np.ix_(members, members)]
-        sign, logdet = np.linalg.slogdet(np.eye(sub.shape[0]) + sub)
-        return float(logdet)
+    def batch(self, masks):
+        """One log-det per mask; the empty set gives 0.0."""
+        out = np.zeros(len(masks))
+        for r, members in enumerate(np.asarray(masks, dtype=bool)):
+            if members.any():
+                sub = self.Sigma[np.ix_(members, members)]
+                out[r] = np.linalg.slogdet(np.eye(sub.shape[0]) + sub)[1]
+        return out
 
     @property
     def bound(self):
@@ -619,9 +587,14 @@ def multilinear_value(f: SetFunction, x: np.ndarray, rng: RngStream | None = Non
         return multilinear_exact(f, x)
     if rng is None:
         raise ValueError("rng required for sampled multilinear values")
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    draws = rng.random((n_samples, d)) < x[None, :]
-    return float(np.mean(f.batch(draws)))
+    return sampled_value(f, x, n_samples, rng)
+
+
+def sampled_value(f: SetFunction, x: np.ndarray, n: int, rng: RngStream) -> float:
+    """The mean of f over n subsets drawn with independent inclusion
+    probabilities clip(x, 0, 1), from one ``rng.random((n, d))`` call."""
+    q = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    return float(np.mean(f.batch(rng.random((n, q.size)) < q)))
 
 
 class MultilinearProblem(StochasticProblem):
@@ -787,19 +760,6 @@ class FiniteSumProblem:
 
         return cls(p.dim, p.n, values, grads)
 
-    @classmethod
-    def from_quadratics(cls, targets: np.ndarray) -> "FiniteSumProblem":
-        """Components f_i(x) = 0.5‖x − t_i‖² for the rows t_i of ``targets``."""
-        targets = check_finite(targets, "targets")
-
-        def values(x, idx):
-            return 0.5 * np.sum((x - targets[idx]) ** 2, axis=1)
-
-        def grads(x, idx):
-            return x - targets[idx]
-
-        return cls(targets.shape[1], targets.shape[0], values, grads)
-
     def batch_grad(self, x, idx):
         """Means of ∇f_i over blocks of ``idx``, each summed in index order.
 
@@ -848,7 +808,3 @@ def make_concave_over_modular(d: int, n_users: int, rng: RngStream) -> ConcaveOv
 def make_logdet(d: int, rng: RngStream) -> LogDet:
     A = rng.normal(size=(d, d))
     return LogDet(A @ A.T / d)
-
-
-def make_random_bounded(d: int, rng: RngStream, scale: float = 1.0) -> TableSetFunction:
-    return TableSetFunction(rng.uniform(-scale, scale, size=2**d))

@@ -21,9 +21,6 @@ __all__ = [
     "QuantizedMessage",
     "encode_partition",
     "decode",
-    "exact_variance",
-    "variance_upper_bound",
-    "encode_decode_batch",
     "UNQUANTIZED",
 ]
 
@@ -110,34 +107,3 @@ def encode_partition(g: np.ndarray, s: int,
 def decode(msg: QuantizedMessage) -> np.ndarray:
     """The stack of rows that the receiver reconstructs."""
     return msg.signs * (msg.levels / msg.s) * msg.inf_norm[:, None]
-
-
-def bernoulli_params(g: np.ndarray, s: int):
-    """Per-coordinate Bernoulli split probability q_i used by the encoder."""
-    inf, _, q = _partition_law(check_finite(g, "quantizer input"), s)
-    return inf, q
-
-
-def exact_variance(g: np.ndarray, s: int) -> float:
-    """Closed-form Var[decode(encode(g))] summed over coordinates."""
-    if s < 1:
-        raise ValueError("partition count s must be >= 1")
-    inf, q = bernoulli_params(g, s)
-    return float(inf * inf * np.sum(q * (1.0 - q)) / (s * s))
-
-
-def variance_upper_bound(g: np.ndarray, s: int) -> float:
-    """(d/s^2) * ||g||_inf^2, the worst-case variance of the scheme."""
-    g = np.asarray(g, dtype=float)
-    inf = float(np.max(np.abs(g))) if g.size else 0.0
-    return g.size / (s * s) * inf * inf
-
-
-def encode_decode_batch(g: np.ndarray, s: int, n_rounds: int, rng: RngStream) -> np.ndarray:
-    """Vectorized decode(encode(g)) repeated n_rounds times; rows are rounds."""
-    g = check_finite(g, "quantizer input")
-    inf, lo, q = _partition_law(g, s)
-    if inf == 0.0:
-        return np.zeros((n_rounds, g.size))
-    levels = lo[None, :] + (rng.random((n_rounds, g.size)) < q[None, :])
-    return np.sign(g)[None, :] * (levels / s) * inf

@@ -1,4 +1,4 @@
-"""Deterministic randomness and sphere/ball sampling.
+"""Deterministic randomness and sphere sampling.
 
 All stochastic components of this package draw from :class:`RngStream`, a
 counter-based generator (Philox) keyed by an explicit ``(seed, stream_id)``
@@ -28,7 +28,6 @@ __all__ = [
     "RngStream",
     "NumericsError",
     "sample_unit_sphere",
-    "sample_unit_ball",
     "check_finite",
 ]
 
@@ -172,12 +171,3 @@ def sample_unit_sphere(rng: RngStream, d: int, size: int) -> np.ndarray:
         return G / n[:, None]
     return np.concatenate([G[keep] / n[keep, None],
                            sample_unit_sphere(rng, d, size - kept)])
-
-
-def sample_unit_ball(rng: RngStream, d: int) -> np.ndarray:
-    """Uniform draw from the unit ball B^d (sphere sample scaled by U^{1/d})."""
-    if d < 1:
-        raise ValueError(f"invalid dimension d={d}; need d >= 1")
-    u = sample_unit_sphere(rng, d, 1)[0]
-    r = rng.uniform() ** (1.0 / d)
-    return r * u

@@ -22,7 +22,7 @@ from .estimators import (
     variation_grad_diff,
     variation_oblivious,
 )
-from .problems import MultilinearProblem, StochasticProblem
+from .problems import MultilinearProblem, StochasticProblem, sampled_value
 from .rng import RngStream, check_finite
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "SolveTrace",
     "fw_gap",
     "holds_origin",
+    "random_iterate",
     "one_sfw",
     "oblivious_sfw",
     "scg_baseline",
@@ -164,6 +165,14 @@ def _log(trace, t, p, set_, x, d, sched):
         oracle_calls=p.samples_drawn))
 
 
+def random_iterate(iterates: list, rng: RngStream):
+    """(i, x_i) for i uniform on 1..n, the output of a nonconvex run whose
+    iterates x_1..x_n are ``iterates``: i is drawn from the run's
+    ``rng.child(_OUTPUT_STREAM)``."""
+    i = int(rng.child(_OUTPUT_STREAM).integers(1, len(iterates) + 1))
+    return i, iterates[i - 1]
+
+
 def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule,
                  rng: RngStream, variation, log_points=None) -> SolveTrace:
     """The one momentum loop: from d_0 = 0 it runs every t = 1..T alike, with
@@ -203,8 +212,7 @@ def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule
     if p is not None:
         trace.meta["oracle_calls"] = p.samples_drawn
     if sched.mode == "nonconvex_min":
-        idx = int(rng.child(_OUTPUT_STREAM).integers(1, T + 2))
-        trace.output = iterates[idx - 1]
+        idx, trace.output = random_iterate(iterates, rng)
         trace.output_rule = "uniform_random_iterate"
         trace.meta["output_index"] = idx
     else:
@@ -329,12 +337,7 @@ def dbg(f, set_, T: int, delta: float, l: int, batch, rng: RngStream):
 
     def value_oracle(Y):
         # row by row, so oracle_rng serves the probes in order
-        out = np.empty(len(Y))
-        for r, y in enumerate(Y):
-            q = np.clip(y, 0.0, 1.0)
-            draws = oracle_rng.random((l, d)) < q[None, :]
-            out[r] = np.mean(f.batch(draws))
-        return out
+        return np.array([sampled_value(f, y, l, oracle_rng) for y in Y])
 
     x = bcg(value_oracle, set_, rng.child(0xD2), T, delta, batch)
     return pipage_round(x, m, f, rng.child(0xD3))

@@ -27,7 +27,6 @@ from fwlab.distsim import (
 )
 from fwlab.estimators import (
     grad_diff_delta,
-    smoothed_value_mc,
     two_point_gradient,
     variation_exact_hessian,
     variation_grad_diff,
@@ -42,15 +41,8 @@ from fwlab.problems import (
     _all_masks,
     make_coverage,
     make_facility_location,
-    make_random_bounded,
     multilinear_exact,
     multilinear_grad_hess,
-)
-from fwlab.quantize import (
-    bernoulli_params,
-    encode_decode_batch,
-    exact_variance,
-    variance_upper_bound,
 )
 from fwlab.rng import RngStream
 from fwlab.solvers import (
@@ -63,6 +55,8 @@ from fwlab.solvers import (
     one_sfw,
     scg_baseline,
 )
+from reference import (encode_decode_batch, exact_variance, make_random_bounded,
+                       quadratic_finite_sum, smoothed_value_mc, variance_upper_bound)
 
 _INSTANCE_STREAM = 0x1857
 
@@ -329,7 +323,7 @@ def test_09_quantized_run_parity_and_bit_savings():
 
 def test_10_single_worker_reduces_to_sequential_reference():
     targets = RngStream(100).normal(size=(20, 5)) * 0.3
-    fs = FiniteSumProblem.from_quadratics(targets)
+    fs = quadratic_finite_sum(targets)
     set_ = L1Ball(2.0, 5)
     T = 15
     cfg = schedule_from_theorem("finite_convex", 20, 1, 5, T=T, mode="unquantized")

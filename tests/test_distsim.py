@@ -17,6 +17,7 @@ from fwlab.distsim import (
 from fwlab.problems import FiniteSumProblem, LogisticL1, Quadratic, Sample
 from fwlab.quantize import decode, encode_partition
 from fwlab.rng import RngStream
+from reference import logistic_value, quadratic_finite_sum
 
 
 def _tiny_logistic(n=40, d=6, seed=2):
@@ -59,7 +60,7 @@ def test_logistic_finite_sum_equals_per_sample_loop(d):
         assert np.array_equal(fs.full_grad(x),
                               _loop_mean_grad(grad_fns, x, range(n)))
         assert fs.value(x) == float(np.mean(
-            [p.value(x, Sample(z=i)) for i in range(n)]))
+            [logistic_value(p, x, Sample(z=i)) for i in range(n)]))
 
 
 @pytest.mark.parametrize("d", [1, 5])
@@ -68,7 +69,7 @@ def test_quadratic_finite_sum_equals_per_component_loop(d):
     n = 20
     targets = rng.normal(size=(n, d))
     parts = [Quadratic(t) for t in targets]
-    fs = FiniteSumProblem.from_quadratics(targets)
+    fs = quadratic_finite_sum(targets)
     grad_fns = [q.exact_grad for q in parts]
     for _ in range(3):
         x = rng.normal(size=d)
@@ -82,7 +83,7 @@ def test_quadratic_finite_sum_equals_per_component_loop(d):
 
 def test_finite_sum_keeps_sign_of_zero_like_the_loop():
     # every row's gradient is exactly −0.0 in the first coordinate
-    fs = FiniteSumProblem.from_quadratics(np.array([[0.0, 1.0], [0.0, 2.0]]))
+    fs = quadratic_finite_sum(np.array([[0.0, 1.0], [0.0, 2.0]]))
     x = np.array([-0.0, 0.0])
     g = fs.batch_grad(x[None], [0, 1])[0]
     ref = _loop_mean_grad([lambda x: x - np.array([0.0, 1.0]),
@@ -106,7 +107,7 @@ def _quadratic_parts(n, d, rng, zero_col):
     targets = rng.normal(size=(n, d))
     if zero_col:  # with x[0] = −0.0, every gradient row is −0.0 there
         targets[:, 0] = 0.0
-    return (FiniteSumProblem.from_quadratics(targets),
+    return (quadratic_finite_sum(targets),
             [Quadratic(t).exact_grad for t in targets])
 
 
@@ -148,8 +149,8 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
                 == fs.batch_grad(points, np.arange(n)).tobytes())
     with pytest.raises(ValueError, match="equal blocks"):
         fs.batch_grad(X, np.arange(n_local + 1))
-    # A (d,) point is refused, not read as a stack: at d = 1, from_quadratics
-    # would broadcast (n,) - (n, 1) into an (n, n) array and average it.
+    # A (d,) point is refused, not read as a stack: at d = 1, the quadratic
+    # sum would broadcast (n,) - (n, 1) into an (n, n) array and average it.
     for bad in (X[0], X[None], np.zeros((M, d + 1))):
         with pytest.raises(ValueError, match="stack of points"):
             fs.batch_grad(bad, np.arange(n))

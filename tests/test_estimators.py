@@ -7,7 +7,6 @@ from fwlab.estimators import (
     grad_diff_delta,
     lbar_constant,
     momentum_update,
-    smoothed_value_mc,
     two_point_gradient,
     variation_exact_hessian,
     variation_grad_diff,
@@ -19,12 +18,12 @@ from fwlab.problems import (
     MultilinearProblem,
     Quadratic,
     Sample,
-    TableSetFunction,
     make_facility_location,
     multilinear_grad_hess,
     _all_masks,
 )
 from fwlab.rng import RngStream, sample_unit_sphere
+from reference import TableSetFunction, smoothed_value_mc
 
 
 def _enum_expectation(p, x, fn):

