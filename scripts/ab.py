@@ -15,9 +15,14 @@ run length the benchmark itself uses.
 
 For each end-to-end metric of ``BENCHMARK.json`` the script prints both
 sides' medians and interquartile ranges, the median change in percent, the
-pairs in which the change was better, and the two-sided sign-test p over the
-pairs that differ.  ``--out`` also writes every run's value, the trace
-digests and the failed seed runs as JSON.
+pairs in which the change was better, the two-sided sign-test p over the
+pairs that differ, and the verdict the benchmark's rule gives: *gain* when
+the change is better in at least 9 of every 10 pairs and its median beats
+the parent's by more than the parent's interquartile range, *regression*
+when its median is worse than the parent's by more than the metric's
+``bound`` (a fraction of the parent's median), and *unresolved* otherwise.
+``--out`` also writes every run's value, the trace digests and the failed
+seed runs as JSON.
 """
 
 from __future__ import annotations
@@ -71,6 +76,19 @@ def summarize(parent, change, better):
         "sign_test_p": sign_test_p(wins, losses),
         "runs": {"parent": list(parent), "change": list(change)},
     }
+
+
+def verdict(summary, better, bound):
+    """gain, regression or unresolved: the benchmark's reading of one
+    metric's ``summarize`` output, with the metric's ``better`` and ``bound``."""
+    parent, change = summary["parent"]["median"], summary["change"]["median"]
+    margin = change - parent if better == "higher" else parent - change
+    pairs = len(summary["runs"]["parent"])
+    if 10 * summary["change_better_pairs"] >= 9 * pairs and margin > summary["parent_iqr"]:
+        return "gain"
+    if -margin > bound * parent:
+        return "regression"
+    return "unresolved"
 
 
 def clear_bytecode(tree: Path):
@@ -132,12 +150,13 @@ def main(argv=None) -> int:
         s = out[name] = summarize(
             [r["metrics"][name]["value"] for r in runs["parent"]],
             [r["metrics"][name]["value"] for r in runs["change"]], m["better"])
+        s["verdict"] = verdict(s, m["better"], m["bound"])
         print(f"  {name:12s} parent {s['parent']['median']:.6g} "
               f"(IQR {s['parent_iqr']:.3g}), change {s['change']['median']:.6g} "
               f"(IQR {s['change']['q3'] - s['change']['q1']:.3g}), "
               f"{s['median_change_pct']:+.2f}%, change better in "
               f"{s['change_better_pairs']} of {args.pairs}, sign-test p "
-              f"{s['sign_test_p']:.3g}")
+              f"{s['sign_test_p']:.3g}: {s['verdict']}")
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

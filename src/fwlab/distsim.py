@@ -213,7 +213,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
                                       np.concatenate([idx, idx]))
             G = both[:M] - both[M:]
         decoded = _send_rows(G, s1, worker_rngs, ledger, t, "up")
-        gtilde = ordered_means(decoded)       # (1, d), summed in worker order
+        gtilde = ordered_means(decoded)[None]   # (1, d), summed in worker order
         broadcast = _send_rows(gtilde, s2, [master_rng], ledger, t, "down")[0]
 
         Gbar = np.tile(broadcast, (M, 1)) if k == 1 else Gbar + broadcast
@@ -253,7 +253,8 @@ def _run_fl(problem, set_, cfg, T):
         V = np.stack([set_.lmo_min(g) for g in problem.batch_grad(X, idx)])
         X = X + float(cfg.eta_fn(i, k, t)) * (V - X)
         sent = _send_rows(X, UNQUANTIZED, None, ledger, t, "up")
-        avg = _send_rows(ordered_means(sent), UNQUANTIZED, None, ledger, t, "down")[0]
+        avg = _send_rows(ordered_means(sent)[None], UNQUANTIZED, None, ledger, t,
+                         "down")[0]
         X = np.tile(avg, (M, 1))
         trace.records.append(IterationRecord(
             t=t, objective=problem.value(avg), cum_bits=ledger.total))

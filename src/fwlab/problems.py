@@ -44,11 +44,14 @@ __all__ = [
     "sampled_value",
     "multilinear_grad_hess",
     "ordered_means",
+    "ordered_dots",
+    "block_rows",
     "EnumerationBudgetError",
 ]
 
 BERNOULLI_EPS = 1e-9
 ENUM_MAX_D = 20
+_LOGDET_CHUNK = 1 << 20   # matrix entries per stacked slogdet call (8 MB)
 
 
 class EnumerationBudgetError(ValueError):
@@ -200,7 +203,9 @@ class LogisticL1(StochasticProblem):
     """Binary logistic loss F(w) = (1/n) Σ log(1 + exp(−y_i w·a_i)).
 
     Samples are uniform row indices (oblivious).  Built from arrays or a
-    dense CSV whose first column is the ±1 label.
+    dense CSV whose first column is the ±1 label.  Every margin a_i·w is
+    :func:`ordered_dots` on a column-major copy of A, so a row's margin has
+    the same bits alone, in a batch and on any host.
     """
 
     mode = "oblivious"
@@ -214,6 +219,7 @@ class LogisticL1(StochasticProblem):
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be +/-1")
         self.n, self.dim = self.A.shape
+        self._cols = np.asfortranarray(self.A)   # each column contiguous
 
     @classmethod
     def from_csv(cls, path: str) -> "LogisticL1":
@@ -229,7 +235,7 @@ class LogisticL1(StochasticProblem):
         return Sample(z=int(rng.integers(self.n)))
 
     def _margin(self, x, i):
-        return -self.y[i] * float(self.A[i] @ x)
+        return -self.y[i] * float(ordered_dots(self._cols[i], x))
 
     def one_sample_grad(self, x, s):
         i = s.z
@@ -239,14 +245,15 @@ class LogisticL1(StochasticProblem):
     def hessian_estimate(self, x, s, u):
         i = s.z
         sig = _sigmoid(np.array([self._margin(x, i)]))[0]
-        return sig * (1 - sig) * float(self.A[i] @ u) * self.A[i]
+        return sig * (1 - sig) * float(ordered_dots(self._cols[i], u)) * self.A[i]
 
     def exact_value(self, x):
-        return float(np.mean(_softplus(-self.y * (self.A @ x))))
+        return float(np.mean(_softplus(-self.y * ordered_dots(self._cols, x))))
 
     def exact_grad(self, x):
-        sig = _sigmoid(-self.y * (self.A @ x))
-        return -(self.A.T @ (self.y * sig)) / self.n
+        """−(1/n) Aᵀ(y σ), Aᵀv summed over the rows of A in order."""
+        sig = _sigmoid(-self.y * ordered_dots(self._cols, x))
+        return -ordered_means(self.A * (self.y * sig)[:, None])
 
 
 class RobustLRMR(StochasticProblem):
@@ -468,12 +475,21 @@ class LogDet(SetFunction):
         self._bound = float(np.sum(np.log1p(np.maximum(evals, 0.0))))
 
     def batch(self, masks):
-        """One log-det per mask; the empty set gives 0.0."""
+        """log det(I + Sigma[S, S]) per mask, the empty set 0.0: one stacked
+        slogdet per subset size k, on at most ``_LOGDET_CHUNK`` entries at a
+        time.  slogdet factors each matrix of a stack alone, so a mask gets
+        the bits of its own call."""
+        masks = np.asarray(masks, dtype=bool)
         out = np.zeros(len(masks))
-        for r, members in enumerate(np.asarray(masks, dtype=bool)):
-            if members.any():
-                sub = self.Sigma[np.ix_(members, members)]
-                out[r] = np.linalg.slogdet(np.eye(sub.shape[0]) + sub)[1]
+        sizes = masks.sum(axis=1)
+        for k in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == k)
+            step = max(1, _LOGDET_CHUNK // (k * k))
+            for lo in range(0, rows.size, step):
+                r = rows[lo:lo + step]
+                members = np.nonzero(masks[r])[1].reshape(-1, k)
+                sub = self.Sigma[members[:, :, None], members[:, None, :]]
+                out[r] = np.linalg.slogdet(np.eye(k) + sub)[1]
         return out
 
     @property
@@ -707,31 +723,58 @@ class MultilinearProblem(StochasticProblem):
 FULL_RANGE = slice(None)
 
 
-def ordered_means(rows, M=1):
-    """Row m is the mean of block m of ``rows`` (M equal consecutive blocks).
+def ordered_dots(A, x):
+    """Σ_j A[..., j] x[..., j], added in column order j = 0, 1, ...
 
-    add.accumulate adds the rows strictly in order for every shape (add.reduce
-    sums a lone column pairwise); + 0.0 turns a column of −0.0 into +0.0, as a
-    loop starting from zeros does.
+    Each product and each sum is its own numpy multiply or add, so every
+    entry has the bits of a left fold of separately rounded products on any
+    host: no BLAS kernel and no fused multiply-add picks the order.  Column
+    j is one slice ``A[..., j]``, contiguous when A is column-major.
     """
-    rows = rows.reshape(M, -1, rows.shape[-1])
-    return (np.add.accumulate(rows, axis=1)[:, -1] + 0.0) / rows.shape[1]
+    out = A[..., 0] * x[..., 0]
+    for j in range(1, A.shape[-1]):
+        out += A[..., j] * x[..., j]
+    return out
+
+
+def ordered_means(stack):
+    """The mean over the leading axis of a C-ordered ``stack``, added in order.
+
+    add.reduce adds along the leading axis in order when each entry holds
+    more than one number; a lone column it would sum pairwise, so there
+    add.accumulate makes the same in-order sum.  + 0.0 turns a sum of −0.0s
+    into +0.0, as a loop starting from zeros does.
+    """
+    if stack[0].size > 1:
+        total = np.add.reduce(stack, axis=0)
+    else:
+        total = np.add.accumulate(stack, axis=0)[-1]
+    return (total + 0.0) / len(stack)
+
+
+def block_rows(data, idx, M):
+    """The rows of ``data`` that M index blocks name, as a (b, M, ...) array
+    whose [i, m] is row ``idx[m, i]``.  :data:`FULL_RANGE` splits the rows
+    into M consecutive blocks and reads them as a view, without a gather."""
+    if idx is FULL_RANGE:
+        return data.reshape(M, -1, *data.shape[1:]).swapaxes(0, 1)
+    return data[idx.T]
 
 
 class FiniteSumProblem:
     """Deterministic finite sum f(x) = (1/N) Σ f_i(x) for the simulator.
 
-    The components are given by two vectorized oracles over ``idx``, an
-    array of component numbers (repeats allowed) or :data:`FULL_RANGE`:
-    ``values(x, idx)`` returns the array of f_i(x), one entry per component
-    named, and ``grads(x, idx)`` the array of ∇f_i(x), one row of length
-    ``dim`` per component named.  ``x`` is one point ``(dim,)``; ``grads``
-    also takes a stack ``(len(idx), dim)`` holding the point for each entry
-    of ``idx``.  An oracle reads :data:`FULL_RANGE` without a gather, which
-    is how :meth:`value` and :meth:`full_grad` make their full passes.
-
-    :meth:`batch_grad` averages over index blocks, for a stack of M points
-    at once (the simulator's M replicas).
+    The components are given by two vectorized oracles.  ``values(x, idx)``
+    takes one point ``(dim,)`` and ``idx``, an array of component numbers
+    (repeats allowed) or :data:`FULL_RANGE`, and returns the array of f_i(x),
+    one entry per component named.  ``grads(X, idx)`` takes a stack ``(M,
+    dim)`` of points and M index blocks, an ``(M, b)`` array whose row m
+    names the components of block m or :data:`FULL_RANGE` for the N
+    components in M consecutive blocks, and returns the C-ordered ``(b, M,
+    dim)`` array whose [i, m] is ∇f_i at X[m] for the i-th component of
+    block m.  An oracle reads :data:`FULL_RANGE` without a gather, which is
+    how :meth:`value`, :meth:`full_grad` and the anchor rounds make their
+    full passes.
     """
 
     def __init__(self, dim: int, n: int, values, grads):
@@ -746,17 +789,18 @@ class FiniteSumProblem:
     def from_logistic(cls, p: LogisticL1) -> "FiniteSumProblem":
         """Components are the rows of ``p``: f_i(w) = log(1 + exp(−y_i w·a_i)).
 
-        Margins use ``np.vecdot`` row by row, which rounds exactly as the
-        per-sample ``a_i @ w`` does (a matrix-vector product does not).
+        Margins are :func:`ordered_dots` on ``p``'s column-major copy of A,
+        which rounds exactly as the per-sample margin does.
         """
-        A, y = p.A, p.y
+        y, cols = p.y, p._cols
 
         def values(x, idx):
-            return _softplus(-y[idx] * np.vecdot(A[idx], x))
+            return _softplus(-y[idx] * ordered_dots(cols[idx], x))
 
-        def grads(x, idx):
-            a, yi = A[idx], y[idx]
-            return (-yi * _sigmoid(-yi * np.vecdot(a, x)))[:, None] * a
+        def grads(X, idx):
+            a, yi = block_rows(cols, idx, len(X)), block_rows(y, idx, len(X))
+            coef = -yi * _sigmoid(-yi * ordered_dots(a, X))
+            return np.multiply(coef[..., None], a, order="C")
 
         return cls(p.dim, p.n, values, grads)
 
@@ -783,11 +827,12 @@ class FiniteSumProblem:
         if n_idx == 0 or n_idx % M:
             raise ValueError(f"{n_idx} indices do not split into {M} "
                              "nonempty equal blocks")
-        points = np.repeat(x, n_idx // M, axis=0)  # x[m] for each of block m
-        return ordered_means(self.grads(points, idx), M)
+        if idx is not FULL_RANGE:
+            idx = idx.reshape(M, -1)
+        return ordered_means(self.grads(x, idx))
 
     def full_grad(self, x):
-        return ordered_means(self.grads(x, FULL_RANGE))[0]
+        return ordered_means(self.grads(x[None], FULL_RANGE))[0]
 
     def value(self, x):
         return float(np.mean(self.values(x, FULL_RANGE)))

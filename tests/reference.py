@@ -3,14 +3,16 @@ the quantizer's variance law (test_07), the ball smoothing (test_11),
 random bounded set functions (test_14) and a quadratic finite sum (test_10).
 
 No ``fwlab`` run calls any of it, so it lives beside the tests, not in
-``src/fwlab``.  It reads two private names of the package, both on a run
-path: ``quantize._partition_law`` (the encoder's level law) and
-``problems._softplus`` (the finite-sum logistic values).
+``src/fwlab``.  It reads three private names of the package, all on a run
+path: ``quantize._partition_law`` (the encoder's level law),
+``problems._softplus`` (the finite-sum logistic values) and
+``LogisticL1._margin`` (the per-sample margin).
 """
 
 import numpy as np
 
-from fwlab.problems import FiniteSumProblem, LogisticL1, Sample, SetFunction, _softplus
+from fwlab.problems import (FiniteSumProblem, LogisticL1, Sample, SetFunction, _softplus,
+                            block_rows)
 from fwlab.quantize import _partition_law
 from fwlab.rng import RngStream, check_finite, sample_unit_sphere
 
@@ -102,12 +104,13 @@ def quadratic_finite_sum(targets: np.ndarray) -> FiniteSumProblem:
     def values(x, idx):
         return 0.5 * np.sum((x - targets[idx]) ** 2, axis=1)
 
-    def grads(x, idx):
-        return x - targets[idx]
+    def grads(X, idx):
+        return np.subtract(X, block_rows(targets, idx, len(X)), order="C")
 
     return FiniteSumProblem(targets.shape[1], targets.shape[0], values, grads)
 
 
 def logistic_value(p: LogisticL1, x: np.ndarray, s: Sample) -> float:
-    """The loss of row ``s.z`` of ``p`` at x: log(1 + exp(−y_i a_i·x))."""
-    return float(_softplus(-p.y[s.z] * float(p.A[s.z] @ x)))
+    """The loss of row ``s.z`` of ``p`` at x: log(1 + exp(m)) for the margin
+    m = −y_i a_i·x that ``p`` computes."""
+    return float(_softplus(p._margin(x, s.z)))

@@ -29,11 +29,31 @@ def _tiny_logistic(n=40, d=6, seed=2):
 
 
 def _loop_mean_grad(grad_fns, x, idx):
-    """The per-component reference: a `g += row` loop, then the mean."""
+    """The per-component reference: a `g += row` loop, then the mean; each
+    component's row is computed once."""
+    rows = {}
     g = np.zeros(x.size)
     for i in idx:
-        g += grad_fns[i](x)
+        if i not in rows:
+            rows[i] = grad_fns[i](x)
+        g += rows[i]
     return g / max(len(idx), 1)
+
+
+#: (N, d) of the anchor-scale cases: numpy picks a reduction's order by the
+#: shape, so the sums are checked at the qfw-logistic-n4000 size too
+_ANCHOR_SCALE = [(4000, d) for d in (1, 2, 8, 13)]
+
+
+def _small_and_anchor_scale(n, M=None):
+    """Parameters (n, d), or (n, M, d) when M is given, for d = 1 and 6 at
+    size n, then the anchor-scale cases (with M = 1 and 4)."""
+    if M is None:
+        return ([pytest.param(n, d, id=str(d)) for d in (1, 6)]
+                + [pytest.param(N, d, id=f"n{N}-d{d}") for N, d in _ANCHOR_SCALE])
+    return ([pytest.param(n, M, d, id=str(d)) for d in (1, 6)]
+            + [pytest.param(N, m, d, id=f"n{N}-M{m}-d{d}")
+               for N, d in _ANCHOR_SCALE for m in (1, 4)])
 
 
 def _index_cases(n, rng):
@@ -43,16 +63,15 @@ def _index_cases(n, rng):
             "full": np.arange(n)}
 
 
-@pytest.mark.parametrize("d", [1, 6])
-def test_logistic_finite_sum_equals_per_sample_loop(d):
+@pytest.mark.parametrize("n, d", _small_and_anchor_scale(40))
+def test_logistic_finite_sum_equals_per_sample_loop(n, d):
     rng = RngStream(11)
-    n = 40
     A = rng.normal(size=(n, d))
     y = np.where(rng.normal(size=n) < 0, -1.0, 1.0)
     p = LogisticL1(A, y)
     fs = FiniteSumProblem.from_logistic(p)
     grad_fns = [lambda x, i=i: p.one_sample_grad(x, Sample(z=i)) for i in range(n)]
-    for _ in range(3):
+    for _ in range(3 if n < 100 else 1):
         x = rng.normal(size=d)
         for name, idx in _index_cases(n, rng).items():
             assert np.array_equal(fs.batch_grad(x[None], idx)[0],
@@ -112,14 +131,13 @@ def _quadratic_parts(n, d, rng, zero_col):
 
 
 @pytest.mark.parametrize("zero_col", [False, True], ids=["plain", "neg-zero-col"])
-@pytest.mark.parametrize("d", [1, 6])
+@pytest.mark.parametrize("n, M, d", _small_and_anchor_scale(24, 4))
 @pytest.mark.parametrize("parts", [_logistic_parts, _quadratic_parts],
                          ids=["logistic", "quadratic"])
-def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
+def test_stacked_batch_grad_equals_per_worker_loop(parts, n, M, d, zero_col):
     # Row m of one stacked call is, bit for bit, worker m's own loop over
     # its block at its own replica.
     rng = RngStream(13)
-    n, M = 24, 4
     n_local = n // M
     fs, grad_fns = parts(n, d, rng, zero_col)
     X = rng.normal(size=(M, d))
@@ -148,7 +166,7 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, d, zero_col):
         assert (fs.batch_grad(points, range(n)).tobytes()
                 == fs.batch_grad(points, np.arange(n)).tobytes())
     with pytest.raises(ValueError, match="equal blocks"):
-        fs.batch_grad(X, np.arange(n_local + 1))
+        fs.batch_grad(X if M > 1 else np.concatenate([X, Y]), np.arange(n_local + 1))
     # A (d,) point is refused, not read as a stack: at d = 1, the quadratic
     # sum would broadcast (n,) - (n, 1) into an (n, n) array and average it.
     for bad in (X[0], X[None], np.zeros((M, d + 1))):

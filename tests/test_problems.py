@@ -28,6 +28,8 @@ from fwlab.problems import (
     multilinear_exact,
     multilinear_grad_hess,
     multilinear_value,
+    ordered_dots,
+    ordered_means,
 )
 from fwlab.rng import RngStream
 from reference import TableSetFunction, logistic_value, make_random_bounded
@@ -127,6 +129,76 @@ def test_logistic_csv_roundtrip(tmp_path):
     assert p.n == 2 and p.dim == 2
     with pytest.raises(ValueError):
         LogisticL1.from_csv(str(tmp_path / "missing.csv"))
+
+
+def _wide_normals(rng, shape):
+    # normals over 16 decades, so that a sum taken in another order rounds apart
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+
+def _fold(terms):
+    """Python's left fold of a sequence of floats, from its first term."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+@pytest.mark.parametrize("d", range(1, 14))
+def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
+    # numpy picks a reduction's order by the shape; the helper's order is
+    # column order at every d, for one row, a stack of rows and a stack of
+    # points, with signed zeros kept as the fold keeps them
+    rng = RngStream(90 + d)
+    A = _wide_normals(rng, (9, d))
+    A[1] = 0.0                                   # a zero row
+    A[2, ::2] = -0.0
+    A[3] = -0.0
+    x = _wide_normals(rng, d)
+    x[::3] = -0.0
+    cols = np.asfortranarray(A)
+    rows = [_fold([float(a) * float(b) for a, b in zip(row, x)]) for row in A]
+    assert [float(v).hex() for v in ordered_dots(cols, x)] == [r.hex() for r in rows]
+    assert [float(ordered_dots(cols[r], x)).hex() for r in range(len(A))] == \
+        [r.hex() for r in rows]
+    # a (b, M, d) block stack against an (M, d) stack of points
+    X = np.stack([x, _wide_normals(rng, d)])
+    S = np.stack([A, A[::-1]], axis=1)
+    got = ordered_dots(S, X)
+    for i, m in itertools.product(range(len(A)), range(2)):
+        ref = _fold([float(a) * float(b) for a, b in zip(S[i, m], X[m])])
+        assert float(got[i, m]).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (5, 2), (4000, 1), (4000, 6),
+                                   (1000, 1, 1), (1000, 4, 1), (1000, 1, 13),
+                                   (1000, 4, 13), (1, 3)])
+def test_ordered_means_adds_the_leading_axis_in_order(shape):
+    rng = RngStream(7)
+    stack = _wide_normals(rng, shape)
+    stack[:, ..., 0] = -0.0         # a column of −0.0 gives +0.0, as from zeros
+    got = ordered_means(stack).ravel()
+    flat = stack.reshape(len(stack), -1)
+    for k in range(flat.shape[1]):
+        ref = (_fold([0.0] + [float(v) for v in flat[:, k]])) / len(stack)
+        assert float(got[k]).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("n, d", [(40, 1), (40, 6), (4000, 13)])
+def test_logistic_exact_grad_is_the_in_order_loop_over_rows(n, d):
+    rng = RngStream(8)
+    A = rng.normal(size=(n, d))
+    A[:, 0] = 0.0
+    y = np.where(rng.normal(size=n) < 0, -1.0, 1.0)
+    p = LogisticL1(A, y)
+    x = rng.normal(size=d)
+    v = y * _sigmoid(np.array([p._margin(x, i) for i in range(n)]))
+    g = np.zeros(d)
+    for i in range(n):
+        g = g + A[i] * v[i]
+    assert p.exact_grad(x).tobytes() == (-(g / n)).tobytes()
+    assert p.exact_value(x) == float(np.mean(
+        [logistic_value(p, x, Sample(z=i)) for i in range(n)]))
 
 
 def test_lrmr_loss_shape():
@@ -643,6 +715,17 @@ def test_every_table_keeps_its_bits(kind, d):
     # however the kind builds it (facility and coverage double subsets)
     f = _TABLE_KINDS[kind](d, RngStream(70 + d))
     assert _all_values(f).tobytes() == f.batch(_all_masks(d)).tobytes()
+
+
+def test_logdet_batch_in_chunks_keeps_its_bits(monkeypatch):
+    # the stacked slogdet gives each subset the bits of its own call, so a
+    # chunk of any length (down to one matrix per call) changes no bit
+    f = make_logdet(8, RngStream(3))
+    masks = _all_masks(8)
+    whole = f.batch(masks)
+    monkeypatch.setattr(problems, "_LOGDET_CHUNK", 20)
+    assert f.batch(masks).tobytes() == whole.tobytes()
+    assert whole.tobytes() == np.array([f(m) for m in masks]).tobytes()
 
 
 #: kinds whose table is f's ``__call__`` bit for bit; the modular and

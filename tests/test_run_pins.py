@@ -7,10 +7,17 @@ the files the run writes and compares the hashes with the table in
 JSON with its per-seed ``wall_s`` removed.  A change that moves any byte of
 a pinned run fails here.  Each entry also runs on the seeds ``SEED - 1``
 and ``SEED`` in one run, whose second seed must keep its trace and sidecar
-pins: a run builds its problem and constraint once for all its seeds.  The digests hold for one platform (Python 3.11,
-numpy 2.4, and the OpenBLAS kernels that an AVX-512 host picks), as the
-float-hex pins in ``test_solvers.py`` do: under ``OPENBLAS_CORETYPE=Haswell``
-(the AVX2 kernels) most of them fail.  ROADMAP item 12 is about that.
+pins: a run builds its problem and constraint once for all its seeds.
+
+The digests were made on one platform (Python 3.11, numpy 2.4, and the
+OpenBLAS kernels that an AVX-512 host picks), as the float-hex pins in
+``test_solvers.py`` were.  Under ``OPENBLAS_CORETYPE=Haswell`` (the AVX2
+kernels) and ``=Prescott`` (SSE3) these entries keep their bytes: the
+seven distsim entries that ``test_logistic_runs_hold_across_blas_kernels``
+guards, ``one_sfw-facility-matroid-convex``,
+``deterministic_fw-facility-matroid``, ``scg-quadratic-l1ball-dr`` and the
+three ``dbg`` entries; the two ``bcg`` entries hold under Haswell only.
+Every other entry moves.  ROADMAP item 12 is about that.
 
 To add a path, add an entry to ``RUNS`` and regenerate its pin; a change
 that moves a digest on purpose says which and why.  Regenerate the named
@@ -18,14 +25,26 @@ entries (every entry when none is named) with
 
     PYTHONPATH=src python tests/test_run_pins.py --write [NAME ...]
 
-which prints the names whose digests changed.
+which prints the names whose digests changed;
+
+    PYTHONPATH=src python tests/test_run_pins.py --digests [NAME ...]
+
+prints their digests as one JSON object and writes no pin, which is how
+``test_logistic_runs_hold_across_blas_kernels`` runs them under other
+kernels.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fwlab.cli import main
@@ -249,25 +268,84 @@ def test_run_bytes_pinned_after_another_seed(name, tmp_path, monkeypatch):
     assert [got["trace"], got["sidecar"]] == [pin["trace"], pin["sidecar"]]
 
 
+def digests_of(names) -> dict:
+    """Run the entries ``names`` of ``RUNS`` from the working directory, each
+    into its own temporary directory with its output silenced: name ->
+    digests."""
+    out = {}
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()):
+            out[name] = run_pinned(name, Path(tmp))
+    return out
+
+
+#: The entries whose numbers come from the logistic family: margins and
+#: sums that no BLAS kernel orders.  The kernel guard runs them.
+LOGISTIC_RUNS = [name for name in RUNS if "logistic" in name or "distsim" in name]
+
+_FW_GAP = "reaches BLAS through fw_gap's dot product (ROADMAP item 12)"
+
+#: Logistic entries that may change bytes under other OpenBLAS kernels, and why
+HOST_DEPENDENT = {
+    "distsim-quantized-finite_nonconvex-m1": _FW_GAP,
+    "distsim-unquantized-finite_nonconvex-m1": _FW_GAP,
+    "oblivious_sfw-logistic-l1ball": _FW_GAP,
+    "one_sfw-logistic-l1ball": _FW_GAP,
+}
+
+#: OpenBLAS kernels that hosts without AVX-512 pick: AVX2 and SSE3
+CORETYPES = ("Haswell", "Prescott")
+
+
+def _blas_picks_kernels_at_run_time() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _digests_under(coretype: str, names) -> dict:
+    """The digests of ``names``, run in a subprocess under
+    ``OPENBLAS_CORETYPE=coretype``."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, __file__, "--digests", *names],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_logistic_runs_hold_across_blas_kernels(monkeypatch):
+    # The other kernels' digests are compared with this process's run, not
+    # with the stored pins.  An unlisted entry that moves fails, and so does
+    # a listed one that holds under every kernel tried.
+    if not _blas_picks_kernels_at_run_time():
+        pytest.skip("numpy's OpenBLAS is built without DYNAMIC_ARCH, so "
+                    "OPENBLAS_CORETYPE selects no other kernel on this host")
+    monkeypatch.chdir(ROOT)
+    here = digests_of(LOGISTIC_RUNS)
+    moved = {c: {name for name, got in _digests_under(c, LOGISTIC_RUNS).items()
+                 if got != here[name]} for c in CORETYPES}
+    problems = [f"{name} moves under OPENBLAS_CORETYPE={c}; mend it, or list "
+                "it in HOST_DEPENDENT with its reason"
+                for c in CORETYPES for name in sorted(moved[c] - HOST_DEPENDENT.keys())]
+    problems += [f"{name} holds under {', '.join(CORETYPES)}; delete its "
+                 "HOST_DEPENDENT entry"
+                 for name in sorted(HOST_DEPENDENT.keys() - set().union(*moved.values()))]
+    assert not problems, "\n".join(problems)
+
+
 def write_table(names=()):
     """Run the entries ``names`` of ``RUNS`` (every entry if none is named),
     write their digests into the table, and print the names whose digests
     changed."""
-    import contextlib
-    import io
-    import os
-    import tempfile
-
     unknown = sorted(set(names) - set(RUNS))
     if unknown:
         sys.exit(f"no such run: {', '.join(unknown)}")
-    os.chdir(ROOT)
     old = json.loads(TABLE.read_text())
     table = dict(old) if names else {}
-    for name in names or RUNS:
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stdout(io.StringIO()):
-            table[name] = run_pinned(name, Path(tmp))
+    table.update(digests_of(names or RUNS))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     changed = sorted(n for n in table.keys() | old.keys()
                      if table.get(n) != old.get(n))
@@ -276,6 +354,10 @@ def write_table(names=()):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] != ["--write"]:
-        sys.exit("usage: python tests/test_run_pins.py --write [NAME ...]")
-    write_table(sys.argv[2:])
+    os.chdir(ROOT)
+    if sys.argv[1:2] == ["--write"]:
+        write_table(sys.argv[2:])
+    elif sys.argv[1:2] == ["--digests"]:
+        print(json.dumps(digests_of(sys.argv[2:] or RUNS)))
+    else:
+        sys.exit("usage: python tests/test_run_pins.py --write|--digests [NAME ...]")

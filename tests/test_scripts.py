@@ -81,6 +81,33 @@ def test_ab_reproduces_a_recorded_comparison():
                 assert got[key] == rec[key], (workload, m["name"], key)
 
 
+def test_ab_verdicts_follow_the_benchmark_rule():
+    # BENCH_25.json's comparison, read by the benchmark's rule: 10 of 10
+    # pairs and a median gain above the parent's IQR on bcg-coverage-d12 and
+    # qfw-logistic-n4000 speed and on every peak RSS; nothing worse by more
+    # than its bound
+    ab = _script_module("ab")
+    summary = json.loads((ROOT / "BENCH_25.json").read_text())["summary"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    got = {(workload, m["name"]): ab.verdict(
+        ab.summarize(recorded[m["name"]]["runs"]["parent"],
+                     recorded[m["name"]]["runs"]["change"], m["better"]),
+        m["better"], m["bound"])
+        for workload, recorded in summary.items() for m in metrics}
+    gains = {(w, "iters_per_s") for w in ("bcg-coverage-d12", "qfw-logistic-n4000")}
+    gains |= {(w, "peak_rss_mb") for w in summary}
+    assert got == {key: "gain" if key in gains else "unresolved" for key in got}
+    # 9 of 10 pairs suffice; a median 26% slower is a regression under the
+    # 0.25 bound of setup_s, and 24% slower is not
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    faster = [v - 0.5 for v in parent[:9]] + [2.0]
+    assert ab.verdict(ab.summarize(parent, faster, "lower"), "lower", 0.25) == "gain"
+    assert ab.verdict(ab.summarize(parent, faster, "higher"), "higher", 0.25) == "regression"
+    for scale, want in ((1.26, "regression"), (1.24, "unresolved")):
+        slower = [v * scale for v in parent]
+        assert ab.verdict(ab.summarize(parent, slower, "lower"), "lower", 0.25) == want
+
+
 def test_settable_values_rule():
     # parameters without self/cls, lambdas excluded, plus dataclass fields;
     # the second count is the parameters with defaults
