@@ -40,20 +40,9 @@ def _loop_mean_grad(grad_fns, x, idx):
     return g / max(len(idx), 1)
 
 
-#: (N, d) of the anchor-scale cases: numpy picks a reduction's order by the
-#: shape, so the sums are checked at the qfw-logistic-n4000 size too
-_ANCHOR_SCALE = [(4000, d) for d in (1, 2, 8, 13)]
-
-
-def _small_and_anchor_scale(n, M=None):
-    """Parameters (n, d), or (n, M, d) when M is given, for d = 1 and 6 at
-    size n, then the anchor-scale cases (with M = 1 and 4)."""
-    if M is None:
-        return ([pytest.param(n, d, id=str(d)) for d in (1, 6)]
-                + [pytest.param(N, d, id=f"n{N}-d{d}") for N, d in _ANCHOR_SCALE])
-    return ([pytest.param(n, M, d, id=str(d)) for d in (1, 6)]
-            + [pytest.param(N, m, d, id=f"n{N}-M{m}-d{d}")
-               for N, d in _ANCHOR_SCALE for m in (1, 4)])
+#: d of the anchor-scale cases, N = 4,000: numpy picks a reduction's order by
+#: the shape, so the sums are checked at the qfw-logistic-n4000 size too
+_ANCHOR_DIMS = (1, 2, 8, 13)
 
 
 def _index_cases(n, rng):
@@ -63,7 +52,8 @@ def _index_cases(n, rng):
             "full": np.arange(n)}
 
 
-@pytest.mark.parametrize("n, d", _small_and_anchor_scale(40))
+@pytest.mark.parametrize("n, d", [pytest.param(40, d, id=str(d)) for d in (1, 6)]
+                         + [pytest.param(4000, d, id=f"n4000-d{d}") for d in _ANCHOR_DIMS])
 def test_logistic_finite_sum_equals_per_sample_loop(n, d):
     rng = RngStream(11)
     A = rng.normal(size=(n, d))
@@ -131,7 +121,9 @@ def _quadratic_parts(n, d, rng, zero_col):
 
 
 @pytest.mark.parametrize("zero_col", [False, True], ids=["plain", "neg-zero-col"])
-@pytest.mark.parametrize("n, M, d", _small_and_anchor_scale(24, 4))
+@pytest.mark.parametrize("n, M, d", [pytest.param(24, 4, d, id=str(d)) for d in (1, 6)]
+                         + [pytest.param(4000, M, d, id=f"n4000-M{M}-d{d}")
+                            for d in _ANCHOR_DIMS for M in (1, 4)])
 @pytest.mark.parametrize("parts", [_logistic_parts, _quadratic_parts],
                          ids=["logistic", "quadratic"])
 def test_stacked_batch_grad_equals_per_worker_loop(parts, n, M, d, zero_col):

@@ -156,6 +156,7 @@ def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
     A[3] = -0.0
     x = _wide_normals(rng, d)
     x[::3] = -0.0
+    A[4] = np.copysign(0.0, -x)                  # every product −0.0
     cols = np.asfortranarray(A)
     rows = [_fold([float(a) * float(b) for a, b in zip(row, x)]) for row in A]
     assert [float(v).hex() for v in ordered_dots(cols, x)] == [r.hex() for r in rows]
