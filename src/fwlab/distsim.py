@@ -207,10 +207,12 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
             G = problem.batch_grad(X, range(N))
         else:   # X and X_prev as one stack of 2M rows, each block alone
             size = int(cfg.inner_batch_fn(i, k))
-            idx = (np.stack([r.integers(n_local, size=size)
-                             for r in worker_rngs]) + offsets).ravel()
+            idx = np.empty((M, size), dtype=np.int64)   # worker m's block is row m
+            for m, r in enumerate(worker_rngs):
+                idx[m] = r.integers(n_local, size=size)
+            idx += offsets
             both = problem.batch_grad(np.concatenate([X, X_prev]),
-                                      np.concatenate([idx, idx]))
+                                      np.concatenate([idx, idx], axis=None))
             G = both[:M] - both[M:]
         decoded = _send_rows(G, s1, worker_rngs, ledger, t, "up")
         gtilde = ordered_means(decoded)[None]   # (1, d), summed in worker order
@@ -220,7 +222,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         eta = float(cfg.eta_fn(i, k, t))
         V = np.stack([set_.lmo_min(g) for g in Gbar])
         X_prev, X = X, X + eta * (V - X)
-        if not (_replicas_agree(X) and _replicas_agree(Gbar)):
+        if not _replicas_agree(np.concatenate([X, Gbar], axis=1)):
             raise AssertionError("replica divergence across workers")
         if nonconvex:
             iterates.append(X[0].copy())

@@ -52,6 +52,9 @@ __all__ = [
 BERNOULLI_EPS = 1e-9
 ENUM_MAX_D = 20
 _LOGDET_CHUNK = 1 << 20   # matrix entries per stacked slogdet call (8 MB)
+#: Entries of A up to which :func:`ordered_dots` makes one reduce: below it
+#: the reduce beat the column loop at d = 6, 13 and 20 (2-core Xeon)
+_REDUCE_CAP = 1 << 13
 
 
 class EnumerationBudgetError(ValueError):
@@ -726,12 +729,26 @@ FULL_RANGE = slice(None)
 def ordered_dots(A, x):
     """Σ_j A[..., j] x[..., j], added in column order j = 0, 1, ...
 
-    Each product and each sum is its own numpy multiply or add, so every
-    entry has the bits of a left fold of separately rounded products on any
-    host: no BLAS kernel and no fused multiply-add picks the order.  Column
-    j is one slice ``A[..., j]``, contiguous when A is column-major.  One
-    row against one point is the same fold on Python floats, which are
-    IEEE doubles too, without 2d − 1 numpy calls on 0-d slices.
+    Every entry has the bits of a left fold of separately rounded products
+    on any host: no BLAS kernel and no fused multiply-add picks the order.
+    The form depends only on the shapes; each keeps the fold's bits.
+
+    - One row against one point, both ``(d,)``, folds the ``tolist()``
+      values as Python floats, which are IEEE doubles too, without 2d − 1
+      numpy calls on 0-d slices.
+    - An A of at most :data:`_REDUCE_CAP` entries that holds at least two
+      sums takes one multiply into a column-major product, whose summed
+      axis is outermost in memory, and one ``np.add.reduce`` over that
+      axis.  numpy adds an outermost axis slab by slab, each an elementwise
+      add over the sums, which is the left fold; ``initial=-0.0`` keeps a
+      sum whose products are all −0.0 at −0.0, as the fold does.  One sum
+      is left out because a reduce over a lone contiguous axis is numpy's
+      pairwise sum.  This is the form of distsim's inner rounds and of the
+      n = 40 finite sums.
+    - Anything else, one sum or a larger A (the anchor rounds and the
+      objective pass at N = 4,000), takes the column loop: column j
+      is one slice ``A[..., j]``, contiguous when A is column-major, and
+      each product and each sum is its own numpy multiply or add.
     """
     if A.ndim == x.ndim == 1:
         a, b = A.tolist(), x.tolist()
@@ -739,6 +756,8 @@ def ordered_dots(A, x):
         for j in range(1, len(a)):
             out += a[j] * b[j]
         return out
+    if A.size <= _REDUCE_CAP and A.size >= 2 * A.shape[-1]:
+        return np.add.reduce(np.multiply(A, x, order="F"), axis=-1, initial=-0.0)
     out = A[..., 0] * x[..., 0]
     for j in range(1, A.shape[-1]):
         out += A[..., j] * x[..., j]
@@ -761,12 +780,17 @@ def ordered_means(stack):
 
 
 def block_rows(data, idx, M):
-    """The rows of ``data`` that M index blocks name, as a (b, M, ...) array
-    whose [i, m] is row ``idx[m, i]``.  :data:`FULL_RANGE` splits the rows
-    into M consecutive blocks and reads them as a view, without a gather."""
+    """The rows of ``data``, ``(N,)`` or ``(N, d)``, that M index blocks name,
+    as a (b, M) or (b, M, d) array whose [i, m] is row ``idx[m, i]``.
+    :data:`FULL_RANGE` splits the rows into M consecutive blocks and reads
+    them as a view, without a gather.  An index block is one ``take`` along
+    the rows of ``data.T``, so the columns of a column-major ``data`` stay
+    outermost in memory in the block, as in the view."""
     if idx is FULL_RANGE:
         return data.reshape(M, -1, *data.shape[1:]).swapaxes(0, 1)
-    return data[idx.T]
+    if data.ndim == 1:
+        return data.take(idx.T)
+    return data.T.take(idx.T, axis=1).transpose(1, 2, 0)
 
 
 class FiniteSumProblem:
@@ -800,14 +824,14 @@ class FiniteSumProblem:
         Margins are :func:`ordered_dots` on ``p``'s column-major copy of A,
         which rounds exactly as the per-sample margin does.
         """
-        y, cols = p.y, p._cols
+        ny, cols = -p.y, p._cols     # the negated labels, built once
 
         def values(x, idx):
-            return _softplus(-y[idx] * ordered_dots(cols[idx], x))
+            return _softplus(ny[idx] * ordered_dots(cols[idx], x))
 
         def grads(X, idx):
-            a, yi = block_rows(cols, idx, len(X)), block_rows(y, idx, len(X))
-            coef = -yi * _sigmoid(-yi * ordered_dots(a, X))
+            a, nyi = block_rows(cols, idx, len(X)), block_rows(ny, idx, len(X))
+            coef = nyi * _sigmoid(nyi * ordered_dots(a, X))
             return np.multiply(coef[..., None], a, order="C")
 
         return cls(p.dim, p.n, values, grads)
@@ -843,7 +867,8 @@ class FiniteSumProblem:
         return ordered_means(self.grads(x[None], FULL_RANGE))[0]
 
     def value(self, x):
-        return float(np.mean(self.values(x, FULL_RANGE)))
+        # np.mean's bits: the same reduce, then one division
+        return float(np.add.reduce(self.values(x, FULL_RANGE))) / self.n
 
 
 def make_facility_location(d: int, n_clients: int, rng: RngStream) -> FacilityLocation:

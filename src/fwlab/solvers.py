@@ -285,7 +285,8 @@ def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
         trace.records.append(IterationRecord(
             t=k, objective=float(value_oracle(x)), fw_gap=fw_gap(g, set_, x, v)))
         x = x + eta * (v - x)
-        _assert_member(set_, x, f"iterate {k + 1}")
+        if not set_.contains(x):   # the message is built only on failure
+            raise ValueError(f"iterate {k + 1} left the feasible set")
     trace.output = x
     return trace
 

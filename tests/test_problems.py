@@ -14,6 +14,7 @@ from fwlab.problems import (
     Coverage,
     EnumerationBudgetError,
     FacilityLocation,
+    FULL_RANGE,
     LogisticL1,
     Modular,
     MultilinearProblem,
@@ -21,6 +22,7 @@ from fwlab.problems import (
     Quadratic,
     RobustLRMR,
     Sample,
+    block_rows,
     make_coverage,
     make_concave_over_modular,
     make_facility_location,
@@ -144,10 +146,16 @@ def _fold(terms):
     return total
 
 
+def _folded_dot(row, point):
+    """The left fold of the separately rounded products row[j] * point[j]."""
+    return _fold([float(a) * float(b) for a, b in zip(row, point)])
+
+
 @pytest.mark.parametrize("d", range(1, 14))
 def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
-    # numpy picks a reduction's order by the shape; the helper's order is
-    # column order at every d, for one row, a stack of rows and a stack of
+    # numpy picks a reduction's order by the shape and the layout; each form
+    # of the helper (the Python fold, the one reduce, the column loop) adds
+    # in column order at every d, for one row, a stack of rows and a stack of
     # points, with signed zeros kept as the fold keeps them
     rng = RngStream(90 + d)
     A = _wide_normals(rng, (9, d))
@@ -158,7 +166,7 @@ def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
     x[::3] = -0.0
     A[4] = np.copysign(0.0, -x)                  # every product −0.0
     cols = np.asfortranarray(A)
-    rows = [_fold([float(a) * float(b) for a, b in zip(row, x)]) for row in A]
+    rows = [_folded_dot(row, x) for row in A]
     assert [float(v).hex() for v in ordered_dots(cols, x)] == [r.hex() for r in rows]
     assert [float(ordered_dots(cols[r], x)).hex() for r in range(len(A))] == \
         [r.hex() for r in rows]
@@ -167,8 +175,58 @@ def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
     S = np.stack([A, A[::-1]], axis=1)
     got = ordered_dots(S, X)
     for i, m in itertools.product(range(len(A)), range(2)):
-        ref = _fold([float(a) * float(b) for a, b in zip(S[i, m], X[m])])
+        ref = _folded_dot(S[i, m], X[m])
         assert float(got[i, m]).hex() == ref.hex()
+    # column-major (n, d) arrays: one sum, two, the n = 40 finite sums and
+    # the N = 4,000 objective pass, from two sums on with a row of −0.0
+    # products
+    for n in (1, 2, 40, 4000):
+        B = _wide_normals(rng, (n, d))
+        B[1:2] = np.copysign(0.0, -x)
+        ref = [_folded_dot(r, x).hex() for r in B]
+        assert [float(v).hex() for v in ordered_dots(np.asfortranarray(B), x)] == ref
+        if n == 40:   # each row as a (1, d) array: a lone sum
+            assert [float(ordered_dots(np.asfortranarray(B[r:r + 1]), x)[0]).hex()
+                    for r in range(n)] == ref
+    # (b, M, d) blocks of a column-major copy against (M, d) points: index
+    # blocks gathered with the columns outermost (block_rows) and innermost
+    # (a fancy index), and the full-range views of the anchors and full_grad
+    B = _wide_normals(rng, (40, d))
+    B[7] = np.copysign(0.0, -x)                  # −0.0 products against x
+    cols = np.asfortranarray(B)
+    for b, M in [(1, 1), (2, 1), (1, 3), (5, 3), (8, 8)]:
+        idx = rng.integers(40, size=(M, b))
+        X = _wide_normals(rng, (M, d))
+        if b * M > 1:
+            idx[-1, -1], X[-1] = 7, x
+        for S in (block_rows(cols, idx, M), cols[idx.T]):
+            got = ordered_dots(S, X)
+            for i, m in itertools.product(range(b), range(M)):
+                ref = _folded_dot(B[idx[m, i]], X[m])
+                assert float(got[i, m]).hex() == ref.hex()
+    for M in (1, 4):
+        X = np.tile(x, (M, 1))
+        got = ordered_dots(block_rows(cols, FULL_RANGE, M), X)
+        ref = [_folded_dot(r, x).hex() for r in B]
+        assert [float(v).hex() for v in got.T.ravel()] == ref
+
+
+def test_index_blocks_keep_the_columns_outermost():
+    # An index block is one take along the rows of cols.T: its columns stay
+    # outermost in memory, as in cols and the full-range view, so the
+    # column-major product that ordered_dots sums reads each column's block
+    # as one contiguous slab.  A fancy-index gather cols[idx.T] lays the
+    # columns innermost.
+    rng = RngStream(91)
+    cols = np.asfortranarray(rng.normal(size=(40, 6)))
+    y = rng.normal(size=40)
+    idx = rng.integers(40, size=(4, 3))
+    for a in (block_rows(cols, idx, 4), block_rows(cols, FULL_RANGE, 4)):
+        assert a.shape[1:] == (4, 6)
+        assert a.strides[-1] > max(a.strides[:-1])
+    a = block_rows(cols, idx, 4)
+    assert a.tobytes() == cols[idx.T].tobytes()
+    assert block_rows(y, idx, 4).tobytes() == y[idx.T].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(5, 1), (5, 2), (4000, 1), (4000, 6),

@@ -32,13 +32,25 @@ def test_script_runs(tmp_path, script, args):
     _run(script, args, tmp_path, timeout=120)
 
 
+#: ``claims.py --small``'s output, made on Python 3.11, numpy 2.4 and the
+#: OpenBLAS kernels that an AVX-512 host picks, as the run pins were.  A change
+#: that moves a claims number on purpose regenerates it with
+#: ``PYTHONPATH=src python scripts/claims.py --small > tests/claims_small.txt``
+#: and says which rows moved and why.
+CLAIMS_SMALL = Path(__file__).with_name("claims_small.txt")
+
+
 def test_claims_small_is_byte_stable(tmp_path):
     # every claim row, at a size that runs in seconds; seeds are fixed, so two
-    # runs print the same bytes, and the script writes no file
+    # runs print the same bytes, those of the committed copy, and the script
+    # writes no file
     first = _run("claims.py", ["--small"], tmp_path, timeout=5)
     assert _run("claims.py", ["--small"], tmp_path, timeout=5) == first
     assert first.count("\n") == 2 + 6 + 6 + 3
     assert not any(tmp_path.iterdir())
+    assert first == CLAIMS_SMALL.read_text(), (
+        f"claims.py --small no longer prints {CLAIMS_SMALL.name}, which was made "
+        "on Python 3.11, numpy 2.4 and an AVX-512 host's OpenBLAS kernels")
 
 
 def _script_module(name):
