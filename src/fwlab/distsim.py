@@ -207,12 +207,10 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
             G = problem.batch_grad(X, range(N))
         else:   # X and X_prev as one stack of 2M rows, each block alone
             size = int(cfg.inner_batch_fn(i, k))
-            idx = np.empty((M, size), dtype=np.int64)   # worker m's block is row m
-            for m, r in enumerate(worker_rngs):
-                idx[m] = r.integers(n_local, size=size)
-            idx += offsets
+            idx = (np.stack([r.integers(n_local, size=size)
+                             for r in worker_rngs]) + offsets).ravel()
             both = problem.batch_grad(np.concatenate([X, X_prev]),
-                                      np.concatenate([idx, idx], axis=None))
+                                      np.concatenate([idx, idx]))
             G = both[:M] - both[M:]
         decoded = _send_rows(G, s1, worker_rngs, ledger, t, "up")
         gtilde = ordered_means(decoded)[None]   # (1, d), summed in worker order

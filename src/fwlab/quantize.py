@@ -88,9 +88,8 @@ def encode_partition(g: np.ndarray, s: int,
     """Encode the rows of a (k, d) stack ``g`` with the s-partition scheme
     (randomized, unbiased), row r on stream ``rng[r]``.
 
-    Row r draws d uniforms from ``rng[r]``, straight into its row of the
-    draw buffer, only when its norm is nonzero, so each stream moves exactly
-    as it would for that row sent alone.
+    Row r draws ``rng[r].random(d)`` only when its norm is nonzero, so each
+    stream moves exactly as it would for that row sent alone.
     """
     if s < 1:
         raise ValueError("partition count s must be >= 1")
@@ -100,9 +99,8 @@ def encode_partition(g: np.ndarray, s: int,
     inf, lo, q = _partition_law(g, s)
     u = np.zeros(g.shape)             # q = 0 on a zero row, which draws nothing
     for r in inf.nonzero()[0]:
-        rng[r].random(out=u[r])
-    lo += u < q                       # the round-up bits
-    return QuantizedMessage(signs=np.sign(g).astype(np.int64), levels=lo,
+        u[r] = rng[r].random(g.shape[1])
+    return QuantizedMessage(signs=np.sign(g).astype(np.int64), levels=lo + (u < q),
                             inf_norm=inf, s=s)
 
 

@@ -128,8 +128,7 @@ class RngStream:
             self._gen = gen
         return gen
 
-    # thin draw wrappers; every argument, ``out`` too, passes through to
-    # numpy's Generator ---------------------------------------------------
+    # thin draw wrappers -------------------------------------------------
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._generator().uniform(low, high, size=size)
 
@@ -139,8 +138,8 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._generator().integers(low, high, size=size)
 
-    def random(self, size=None, out=None):
-        return self._generator().random(size=size, out=out)
+    def random(self, size=None):
+        return self._generator().random(size=size)
 
 
 def check_finite(x: np.ndarray, what: str = "vector") -> np.ndarray:

@@ -285,8 +285,7 @@ def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
         trace.records.append(IterationRecord(
             t=k, objective=float(value_oracle(x)), fw_gap=fw_gap(g, set_, x, v)))
         x = x + eta * (v - x)
-        if not set_.contains(x):   # the message is built only on failure
-            raise ValueError(f"iterate {k + 1} left the feasible set")
+        _assert_member(set_, x, f"iterate {k + 1}")
     trace.output = x
     return trace
 

@@ -189,8 +189,9 @@ def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
             assert [float(ordered_dots(np.asfortranarray(B[r:r + 1]), x)[0]).hex()
                     for r in range(n)] == ref
     # (b, M, d) blocks of a column-major copy against (M, d) points: index
-    # blocks gathered with the columns outermost (block_rows) and innermost
-    # (a fancy index), and the full-range views of the anchors and full_grad
+    # blocks with the columns innermost (block_rows' fancy index) and
+    # outermost (a column-major copy), and the full-range views of the
+    # anchors and full_grad
     B = _wide_normals(rng, (40, d))
     B[7] = np.copysign(0.0, -x)                  # −0.0 products against x
     cols = np.asfortranarray(B)
@@ -199,7 +200,8 @@ def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
         X = _wide_normals(rng, (M, d))
         if b * M > 1:
             idx[-1, -1], X[-1] = 7, x
-        for S in (block_rows(cols, idx, M), cols[idx.T]):
+        a = block_rows(cols, idx, M)
+        for S in (a, np.asfortranarray(a)):
             got = ordered_dots(S, X)
             for i, m in itertools.product(range(b), range(M)):
                 ref = _folded_dot(B[idx[m, i]], X[m])
@@ -209,24 +211,6 @@ def test_ordered_dots_is_a_left_fold_of_rounded_products(d):
         got = ordered_dots(block_rows(cols, FULL_RANGE, M), X)
         ref = [_folded_dot(r, x).hex() for r in B]
         assert [float(v).hex() for v in got.T.ravel()] == ref
-
-
-def test_index_blocks_keep_the_columns_outermost():
-    # An index block is one take along the rows of cols.T: its columns stay
-    # outermost in memory, as in cols and the full-range view, so the
-    # column-major product that ordered_dots sums reads each column's block
-    # as one contiguous slab.  A fancy-index gather cols[idx.T] lays the
-    # columns innermost.
-    rng = RngStream(91)
-    cols = np.asfortranarray(rng.normal(size=(40, 6)))
-    y = rng.normal(size=40)
-    idx = rng.integers(40, size=(4, 3))
-    for a in (block_rows(cols, idx, 4), block_rows(cols, FULL_RANGE, 4)):
-        assert a.shape[1:] == (4, 6)
-        assert a.strides[-1] > max(a.strides[:-1])
-    a = block_rows(cols, idx, 4)
-    assert a.tobytes() == cols[idx.T].tobytes()
-    assert block_rows(y, idx, 4).tobytes() == y[idx.T].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(5, 1), (5, 2), (4000, 1), (4000, 6),

@@ -35,19 +35,6 @@ def test_child_streams_deterministic_and_distinct():
     )
 
 
-def test_random_into_a_buffer_draws_what_random_returns():
-    # the quantizer draws each row straight into its buffer: the same bits as
-    # a draw of that size on a twin stream, which then moves on alike
-    a, b = RngStream(31, 4), RngStream(31, 4)
-    buf = np.zeros((3, 7))
-    row = buf[1]
-    assert a.random(7, out=row) is row
-    assert row.tobytes() == b.random(7).tobytes()
-    assert not buf[[0, 2]].any()
-    assert a.random(out=buf[2]).tobytes() == b.random(7).tobytes()
-    assert a.random(5).tobytes() == b.random(5).tobytes()
-
-
 @given(seed=st.integers(0, 2**32), d=st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_sphere_norm_one(seed, d):
