@@ -17,10 +17,12 @@ For each end-to-end metric of ``BENCHMARK.json`` the script prints both
 sides' medians and interquartile ranges, the median change in percent, the
 pairs in which the change was better, the two-sided sign-test p over the
 pairs that differ, and the verdict the benchmark's rule gives: *gain* when
-the change is better in at least 9 of every 10 pairs and its median beats
-the parent's by more than the parent's interquartile range, *regression*
-when its median is worse than the parent's by more than the metric's
-``bound`` (a fraction of the parent's median), and *unresolved* otherwise.
+at least 10 pairs ran, the change is better in at least 9 of every 10 of
+them and its median beats the parent's by more than the parent's
+interquartile range, *regression* when its median is worse than the
+parent's by more than the metric's ``bound`` (a fraction of the parent's
+median), and *unresolved* otherwise.  Below 10 pairs an *unresolved*
+verdict gives the pair count as its reason.
 ``--out`` also writes every run's value, the trace digests and the failed
 seed runs as JSON.
 """
@@ -39,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
+MIN_GAIN_PAIRS = 10   # the benchmark reads a gain from at least this many pairs
 
 
 def quartiles(xs):
@@ -84,7 +87,8 @@ def verdict(summary, better, bound):
     parent, change = summary["parent"]["median"], summary["change"]["median"]
     margin = change - parent if better == "higher" else parent - change
     pairs = len(summary["runs"]["parent"])
-    if 10 * summary["change_better_pairs"] >= 9 * pairs and margin > summary["parent_iqr"]:
+    if (pairs >= MIN_GAIN_PAIRS and 10 * summary["change_better_pairs"] >= 9 * pairs
+            and margin > summary["parent_iqr"]):
         return "gain"
     if -margin > bound * parent:
         return "regression"
@@ -151,12 +155,16 @@ def main(argv=None) -> int:
             [r["metrics"][name]["value"] for r in runs["parent"]],
             [r["metrics"][name]["value"] for r in runs["change"]], m["better"])
         s["verdict"] = verdict(s, m["better"], m["bound"])
+        if s["verdict"] == "unresolved" and args.pairs < MIN_GAIN_PAIRS:
+            s["verdict_reason"] = (f"{args.pairs} pairs: a gain needs at least "
+                                   f"{MIN_GAIN_PAIRS}")
         print(f"  {name:12s} parent {s['parent']['median']:.6g} "
               f"(IQR {s['parent_iqr']:.3g}), change {s['change']['median']:.6g} "
               f"(IQR {s['change']['q3'] - s['change']['q1']:.3g}), "
               f"{s['median_change_pct']:+.2f}%, change better in "
               f"{s['change_better_pairs']} of {args.pairs}, sign-test p "
-              f"{s['sign_test_p']:.3g}: {s['verdict']}")
+              f"{s['sign_test_p']:.3g}: {s['verdict']}"
+              + (f" ({s['verdict_reason']})" if "verdict_reason" in s else ""))
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

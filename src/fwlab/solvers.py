@@ -23,7 +23,7 @@ from .estimators import (
     variation_oblivious,
 )
 from .problems import MultilinearProblem, StochasticProblem, sampled_value
-from .rng import RngStream, check_finite
+from .rng import RngStream, check_finite, children_ahead
 
 __all__ = [
     "Schedule",
@@ -136,8 +136,12 @@ def _default_log_points(T: int):
     return set(np.geomspace(1, T, num=_LOG_POINTS).astype(int).tolist()) | {T}
 
 
-def _assert_member(set_: FeasibleSet, x, what: str):
+def _assert_member(set_: FeasibleSet, x, what: str | int):
+    """Raise unless ``x`` lies in ``set_``; ``what`` names x, an int k
+    standing for "iterate k" (formatted only on failure)."""
     if not set_.contains(x):
+        if type(what) is int:
+            what = f"iterate {what}"
         raise ValueError(f"{what} left the feasible set")
 
 
@@ -173,6 +177,17 @@ def random_iterate(iterates: list, rng: RngStream):
     return i, iterates[i - 1]
 
 
+def _iteration_streams(p: StochasticProblem | None, rng: RngStream, T: int):
+    """``rng.child(t)`` for t = 1..T, the iteration streams.  A multilinear
+    iteration draws a from its child 0 and z, p.dim uniforms, from its child
+    1, so for a :class:`MultilinearProblem` those first draws come from bulk
+    Philox passes (:func:`children_ahead`).  Other runs draw normals or
+    integers, and split their streams one by one."""
+    if isinstance(p, MultilinearProblem):
+        return children_ahead(rng, T, {0: 1, 1: p.dim})
+    return map(rng.child, range(1, T + 1))
+
+
 def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule,
                  rng: RngStream, variation, log_points=None) -> SolveTrace:
     """The one momentum loop: from d_0 = 0 it runs every t = 1..T alike, with
@@ -194,8 +209,8 @@ def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule
 
     d = np.zeros(set_.dim)
     x_prev = x
-    for t in range(1, T + 1):
-        est = variation(t, x, x_prev, rng.child(t))
+    for t, it in enumerate(_iteration_streams(p, rng, T), 1):
+        est = variation(t, x, x_prev, it)
         d = momentum_update(d, est.delta_tilde, est.grad, sched.rho(t))
         if p is not None and p.samples_drawn != t:
             raise RuntimeError("one-sample accounting violated")
@@ -205,7 +220,7 @@ def _momentum_fw(p: StochasticProblem | None, set_: FeasibleSet, sched: Schedule
         eta = sched.eta(t)
         x_prev = x
         x = x + eta * v if dr else x + eta * (v - x)
-        _assert_member(set_, x, f"iterate {t + 1}")
+        _assert_member(set_, x, t + 1)
         if iterates is not None:
             iterates.append(x.copy())
 
@@ -285,7 +300,7 @@ def deterministic_fw(grad_oracle, set_: FeasibleSet, T: int,
         trace.records.append(IterationRecord(
             t=k, objective=float(value_oracle(x)), fw_gap=fw_gap(g, set_, x, v)))
         x = x + eta * (v - x)
-        _assert_member(set_, x, f"iterate {k + 1}")
+        _assert_member(set_, x, k + 1)
     trace.output = x
     return trace
 

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwlab.rng import (
+    AHEAD_BLOCK,
     NumericsError,
     RngStream,
     _mix64,
+    _ServedStream,
     check_finite,
+    children_ahead,
+    first_doubles,
     sample_unit_sphere,
 )
 from reference import sample_unit_ball
@@ -182,3 +186,100 @@ def test_stream_repeats_after_eviction():
     assert np.array_equal(first, ref.integers(0, 3, size=3))
     assert np.array_equal(rest[0], ref.integers(0, 3, size=3))
     assert np.array_equal(rest[1], ref.normal(size=2))
+
+
+# --- bulk Philox passes against private generators --------------------------
+
+_BIG_IDS = [0, 1, 2**63 - 1, 2**63, 2**63 + 7, 2**64 - 1]
+
+
+def test_first_doubles_match_private_generators():
+    # 1,006 ids, half of them >= 2^63, under seeds on both sides of 2^63, and
+    # every draw count from 1 to 13: one to four Philox blocks, each cut at
+    # every word of the last block
+    ids = np.concatenate([
+        np.random.default_rng(0).integers(0, 2**64, size=1000, dtype=np.uint64),
+        np.array(_BIG_IDS, dtype=np.uint64)])
+    assert np.count_nonzero(ids >= 2**63) > 400
+    for n in range(1, 14):
+        seed = (0, 2**63 + 5, 2**64 - 1, 12)[n % 4]
+        got = first_doubles(seed, ids, n)
+        assert got.shape == (ids.size, n)
+        for i, stream_id in enumerate(ids.tolist()):
+            ref = _private(RngStream(seed, stream_id)).random(n)
+            assert got[i].tobytes() == ref.tobytes(), (seed, stream_id, n)
+
+
+def test_mix64_on_arrays_matches_ints():
+    a = np.random.default_rng(1).integers(0, 2**64, size=500, dtype=np.uint64)
+    a = np.concatenate([a, np.array(_BIG_IDS, dtype=np.uint64)])
+    b = np.arange(a.size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for label in (0, 1, 2**64 - 1):
+        assert _mix64(a, label).tolist() == [_mix64(x, label) for x in a.tolist()]
+    assert _mix64(a, b).tolist() == [_mix64(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    root = np.array([2**64 - 2], dtype=np.uint64)
+    assert _mix64(root, np.arange(1, 9, dtype=np.uint64)).tolist() == [
+        _mix64(2**64 - 2, t) for t in range(1, 9)]
+
+
+def _served_children(seed, stream_id, n, count=3):
+    """The children 0 and 1 of ``count`` streams from one bulk pass."""
+    its = list(children_ahead(RngStream(seed, stream_id), count, {0: n, 1: n}))
+    return [c for it in its for c in (it.child(0), it.child(1))]
+
+
+def test_children_ahead_are_the_plain_children():
+    root = RngStream(2**63 + 1, 2**64 - 5)
+    its = list(children_ahead(root, AHEAD_BLOCK + 3, {0: 1, 1: 6, -1: 2}))
+    assert len(its) == AHEAD_BLOCK + 3
+    for t in (1, 2, AHEAD_BLOCK, AHEAD_BLOCK + 1, AHEAD_BLOCK + 3):
+        it, ref = its[t - 1], root.child(t)
+        assert (it.seed, it.stream_id) == (ref.seed, ref.stream_id)
+        for j in (0, 1, -1, 2):           # 2 is not served: a plain child
+            c, r = it.child(j), ref.child(j)
+            assert type(c) is (RngStream if j == 2 else _ServedStream)
+            assert (c.seed, c.stream_id) == (r.seed, r.stream_id)
+            assert c.random(7).tobytes() == r.random(7).tobytes()
+        # a second call serves the same doubles again, from a fresh stream
+        assert it.child(1).random() == ref.child(1).random()
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 10])
+def test_draws_after_the_served_ones_continue_at_the_philox_position(n):
+    # the served doubles are drawn in pieces, then every kind of draw goes
+    # on from the generator, cut at each word of a Philox block
+    for k, stream in enumerate(_served_children(2**64 - 1, 2**63 + 3, n)):
+        ref = _private(stream)
+        served = [stream.random() for _ in range(min(k % 3, n))]
+        served.append(stream.random(min(n - len(served), k % 5)))
+        assert np.array_equal(np.hstack(served), ref.random(np.hstack(served).size))
+        for i in range(6):
+            draw = _DRAWS[(k + i) % len(_DRAWS)]
+            assert np.array_equal(draw(stream), draw(ref))
+
+
+def test_served_streams_fall_back_on_draws_they_do_not_cover():
+    n = 5
+    streams = _served_children(3, 2**63, n, count=1)
+    for first in (lambda r: r.random(n + 1), lambda r: r.random((1, 2)),
+                  lambda r: r.random(np.int64(2)), lambda r: r.normal(size=2),
+                  lambda r: r.integers(0, 3, size=3), lambda r: r.uniform(2.0, 3.0)):
+        for stream in _served_children(3, 2**63, n, count=1):
+            ref = _private(stream)
+            assert np.array_equal(first(stream), first(ref))
+            # once on a generator, random() no longer serves
+            assert np.array_equal(stream.random(2), ref.random(2))
+    # a served stream that falls back at the pool's turn keeps its place
+    # when another stream takes the pooled generator
+    a, b = streams
+    ra, rb = _private(a), _private(b)
+    assert a.normal() == ra.normal()
+    assert b.random(3).tobytes() == rb.random(3).tobytes()
+    assert RngStream(8).normal() == _private(RngStream(8)).normal()
+    assert a.random(n).tobytes() == ra.random(n).tobytes()
+    assert b.normal(size=3).tobytes() == rb.normal(size=3).tobytes()
+    assert a.random() == ra.random() and b.random() == rb.random()
+    # served arrays are the caller's own: writing one changes no later draw
+    it = next(children_ahead(RngStream(3, 2**63), 1, {1: n}))
+    it.child(1).random(2)[:] = -1.0
+    assert it.child(1).random(2).tobytes() == _private(it.child(1)).random(2).tobytes()

@@ -120,6 +120,36 @@ def test_ab_verdicts_follow_the_benchmark_rule():
         assert ab.verdict(ab.summarize(parent, slower, "lower"), "lower", 0.25) == want
 
 
+def test_ab_reads_no_gain_from_fewer_than_ten_pairs(monkeypatch, tmp_path, capsys):
+    # The change wins every pair by far on iters_per_s; with 4 pairs the
+    # script says unresolved and why, with 10 it says gain.  run_once is
+    # stubbed: no perfbench run is launched.
+    ab = _script_module("ab")
+
+    def run_once(tree, workload, seed, seconds, trees):
+        fast = tree.name == "change"
+        values = {"iters_per_s": 200.0 if fast else 100.0, "setup_s": 0.2,
+                  "peak_rss_mb": 40.0}
+        return {"metrics": {k: {"value": v} for k, v in values.items()},
+                "trace_digest": "d", "machine": {}, "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    for pairs, want in ((4, "unresolved"), (9, "unresolved"), (10, "gain")):
+        out = tmp_path / f"ab{pairs}.json"
+        assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "w", "--seed", "1", "--pairs", str(pairs),
+                        "--out", str(out)]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines()
+                    if x.strip().startswith("iters_per_s"))
+        s = json.loads(out.read_text())["iters_per_s"]
+        assert s["verdict"] == want and s["change_better_pairs"] == pairs
+        if pairs < 10:
+            assert s["verdict_reason"] == f"{pairs} pairs: a gain needs at least 10"
+            assert line.endswith(f": unresolved ({pairs} pairs: a gain needs at least 10)")
+        else:
+            assert "verdict_reason" not in s and line.endswith(": gain")
+
+
 def test_settable_values_rule():
     # parameters without self/cls, lambdas excluded, plus dataclass fields;
     # the second count is the parameters with defaults

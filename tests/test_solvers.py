@@ -248,6 +248,45 @@ def test_one_sfw_exact_hessian_pinned_at_seed():
     ]
 
 
+def test_multilinear_draws_are_served_across_passes(monkeypatch):
+    # A multilinear run takes each iteration's first draws of a and z from
+    # bulk Philox passes of AHEAD_BLOCK iterations.  Over three passes (the
+    # last one partial) every iteration's streams serve the doubles of the
+    # plain streams, and the run has the bits of one that splits them plainly.
+    import fwlab.solvers as solvers
+    from fwlab.rng import AHEAD_BLOCK, _ServedStream
+
+    T = 2 * AHEAD_BLOCK + 7
+    p = MultilinearProblem(make_facility_location(5, 3, RngStream(41, 1)))
+    poly = PartitionMatroidPolytope([[0, 1, 2], [3, 4]], [1, 1], 5)
+    sched = Schedule.preset("dr_submodular_max", T)
+    seen = []
+    variation = solvers.variation_exact_hessian
+
+    def spy(p_, x_t, x_prev, it):
+        a, z = it.child(0), it.child(1)
+        assert type(a) is type(z) is _ServedStream
+        seen.append((it.stream_id, a.random(), z.random(p_.dim)))
+        return variation(p_, x_t, x_prev, it)
+
+    monkeypatch.setattr(solvers, "variation_exact_hessian", spy)
+    served = one_sfw(p, poly, sched, "exact_hessian", RngStream(77))
+    assert len(seen) == T
+    root = RngStream(77)
+    for t, (stream_id, a, z) in enumerate(seen, 1):
+        it = root.child(t)
+        assert stream_id == it.stream_id
+        assert a.hex() == it.child(0).random().hex()
+        assert z.tobytes() == it.child(1).random(p.dim).tobytes()
+
+    monkeypatch.setattr(solvers, "variation_exact_hessian", variation)
+    monkeypatch.setattr(solvers, "_iteration_streams",
+                        lambda p, rng, T: map(rng.child, range(1, T + 1)))
+    plain = one_sfw(p, poly, sched, "exact_hessian", RngStream(77))
+    assert _pinned_record_values(served) == _pinned_record_values(plain)
+    assert served.records[-1].t == T
+
+
 def test_one_sfw_grad_diff_on_box_pinned_at_seed():
     p = MultilinearProblem(make_coverage(6, 5, RngStream(32, 1)))
     box = Box(np.full(6, 0.3), np.full(6, 0.7))
@@ -400,6 +439,18 @@ def test_bcg_single_step_is_shifted_vertex():
     assert np.sum(out) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_membership_failure_names_the_point():
+    # the solvers pass an iterate's number, formatted only on failure
+    from fwlab.solvers import _assert_member
+
+    ball = L1Ball(1.0, 2)
+    _assert_member(ball, np.array([0.5, -0.5]), 3)
+    with pytest.raises(ValueError, match="^iterate 7 left the feasible set$"):
+        _assert_member(ball, np.array([1.5, 0.0]), 7)
+    with pytest.raises(ValueError, match="^BCG output left the feasible set$"):
+        _assert_member(ball, np.array([1.5, 0.0]), "BCG output")
+
+
 def test_bcg_iterates_stay_in_shrunk_domain(monkeypatch):
     # The driver checks each iterate's membership; the spy records them.
     import fwlab.solvers as solvers
@@ -408,7 +459,7 @@ def test_bcg_iterates_stay_in_shrunk_domain(monkeypatch):
     check = solvers._assert_member
 
     def spy(set_, x, what):
-        if what.startswith("iterate"):
+        if type(what) is int:            # iterate number, "iterate k" on failure
             seen.append(x.copy())
         check(set_, x, what)
 
