@@ -25,7 +25,6 @@ from .problems import (
     MultilinearProblem,
     NQP,
     Quadratic,
-    RobustLRMR,
     multilinear_exact,
     multilinear_grad_hess,
 )

@@ -116,8 +116,6 @@ _PROBLEM_KINDS = {
     "quadratic": {"dim": _SIZE, "noise": _NOISE},
     "nqp": {**_SEEDED, "noise": _NOISE},
     "logistic_csv": {"path": Key(str)},
-    "lrmr_csv": {"path": Key(str), "rows": _SIZE, "cols": _SIZE,
-                 "sigma": Key(float, 1.0, _POSITIVE)},
     "multilinear_facility": {**_SEEDED, "n_clients": Key(int, 5, _COUNT)},
     "multilinear_coverage": {**_SEEDED, "n_topics": Key(int, 6, _COUNT)},
     "multilinear_concave_modular": {**_SEEDED, "n_users": Key(int, 4, _COUNT)},
@@ -228,12 +226,6 @@ def _check_pairings(cfg: RunConfig, problem, setf, set_: C.FeasibleSet):
         if algo in ("deterministic_fw", "bcg", "dbg") and key in cfg.solver:
             raise ValueError(f"solver.{key} sets the step schedule of one_sfw, "
                              f"oblivious_sfw and scg; {algo} does not read it")
-    # build_constraint compares rows·cols only, which a transpose matches
-    if (isinstance(problem, P.RobustLRMR) and isinstance(set_, C.NuclearNormBall)
-            and (problem.rows, problem.cols) != (set_.rows, set_.cols)):
-        raise ValueError(f"an lrmr_csv problem of {problem.rows}x{problem.cols} "
-                         f"matrices on a nuclear ball of {set_.rows}x{set_.cols} "
-                         "matrices")
     if algo == "oblivious_sfw" and problem.mode != "oblivious":
         raise ValueError("oblivious_sfw needs an oblivious problem, not a "
                          "multilinear one")
@@ -387,9 +379,6 @@ def build_problem(block: dict):
             return P.Quadratic(np.zeros(v["dim"]), v["noise"]), None
         if kind == "logistic_csv":
             return P.LogisticL1.from_csv(v["path"]), None
-        if kind == "lrmr_csv":
-            return P.RobustLRMR.from_csv(v["path"], v["rows"], v["cols"],
-                                         v["sigma"]), None
         inst = RngStream(v["instance_seed"], 0x1857)
         if kind == "nqp":
             return P.NQP(v["dim"], inst, noise_sigma=v["noise"]), None
@@ -408,6 +397,9 @@ def build_problem(block: dict):
             elif v["dim"] not in (None, w.size):
                 raise ValueError(f"problem.dim={v['dim']} is not the number of "
                                  f"problem.weights ({w.size})")
+            elif "instance_seed" in block:
+                raise ValueError("problem.instance_seed draws the weights that "
+                                 "problem.weights gives; set one of them")
             f = P.Modular(w)
         return P.MultilinearProblem(f), f
     except (ValueError, NumericsError) as e:

@@ -39,7 +39,7 @@ _WORKER_STREAM = 0x700
 _MASTER_STREAM = 0x600
 
 SETTINGS = ("finite_convex", "finite_nonconvex")
-MODES = ("quantized", "unquantized", "fl")
+MODES = ("quantized", "unquantized")
 
 
 @dataclass
@@ -64,10 +64,9 @@ class BitLedger:
 class QfwConfig:
     """Simulator schedule bundle.
 
-    ``setting`` is finite_convex or finite_nonconvex; ``mode`` is quantized,
-    unquantized, or fl (local-update heuristic with end-of-round model
-    averaging, no guarantee).  The callables take the period index i
-    (1-based) and inner index k.
+    ``setting`` is finite_convex or finite_nonconvex; ``mode`` is quantized
+    or unquantized.  The callables take the period index i (1-based) and
+    inner index k.
     """
 
     M: int
@@ -97,8 +96,9 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int, T: int,
     """Theorem-prescribed periods, batches, steps, and quantization levels.
 
     Fractional quantities are rounded up and floored at 1; levels are
-    additionally capped at 2^16.  With ``mode="unquantized"`` both links
-    send raw vectors (levels ``UNQUANTIZED``) on the same schedule.
+    additionally capped at 2^16.  ``mode="quantized"`` sends at these
+    levels; ``mode="unquantized"`` sends raw vectors on both links (levels
+    ``UNQUANTIZED``) on the same schedule.
     """
     if setting == "finite_convex":
         period = lambda i: 2 ** (i - 1)
@@ -130,7 +130,7 @@ def schedule_from_theorem(setting: str, n_total: int, M: int, d: int, T: int,
                      mode=mode)
 
 
-def _send_rows(V: np.ndarray, s: int, rngs: list[RngStream] | None,
+def _send_rows(V: np.ndarray, s: int, rngs: list[RngStream],
                ledger: BitLedger, round_: int, direction: str) -> np.ndarray:
     """Quantize-and-transmit each row of the stack V as its own message, row r
     drawing from ``rngs[r]``, in one encoder call; returns the stack the
@@ -186,9 +186,6 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
     if N % M != 0:
         raise ValueError(f"component count {N} not divisible by M={M}")
     n_local = N // M
-    if cfg.mode == "fl":
-        return _run_fl(problem, set_, cfg, T)
-
     x0 = set_.lmo_min(np.zeros(d))
     X = np.tile(x0, (M, 1))
     X_prev = X
@@ -237,27 +234,5 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
         trace.output_rule = "last"
     trace.meta["cum_bits_up"] = ledger.cum_up
     trace.meta["cum_bits_down"] = ledger.cum_down
-    return trace, ledger
-
-
-def _run_fl(problem, set_, cfg, T):
-    """Local-update heuristic: each worker takes one local FW step on its
-    own components, then the master averages the models (no guarantee)."""
-    N, M, d = problem.n, cfg.M, problem.dim
-    X = np.tile(set_.lmo_min(np.zeros(d)), (M, 1))
-    idx = range(N)                          # every worker's whole partition
-    ledger = BitLedger()
-    trace = SolveTrace(meta={"setting": cfg.setting, "M": M, "T": T,
-                             "mode": "fl", "guarantee": "none"})
-    for t, i, k in _round_schedule(cfg, T):
-        V = np.stack([set_.lmo_min(g) for g in problem.batch_grad(X, idx)])
-        X = X + float(cfg.eta_fn(i, k, t)) * (V - X)
-        sent = _send_rows(X, UNQUANTIZED, None, ledger, t, "up")
-        avg = _send_rows(ordered_means(sent)[None], UNQUANTIZED, None, ledger, t,
-                         "down")[0]
-        X = np.tile(avg, (M, 1))
-        trace.records.append(IterationRecord(
-            t=t, objective=problem.value(avg), cum_bits=ledger.total))
-    trace.output = X[0]
     return trace, ledger
 

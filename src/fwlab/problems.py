@@ -26,7 +26,6 @@ __all__ = [
     "Quadratic",
     "NQP",
     "LogisticL1",
-    "RobustLRMR",
     "MultilinearProblem",
     "FiniteSumProblem",
     "SetFunction",
@@ -262,83 +261,6 @@ class LogisticL1(StochasticProblem):
         return -ordered_means(self.A * (self.y * sig)[:, None])
 
 
-class RobustLRMR(StochasticProblem):
-    """Robust low-rank matrix recovery on observed entries.
-
-    The variable is a rows×cols matrix flattened to a vector; the loss per
-    observed entry is ψ(r) = 1 − exp(−r²/2σ) with residual r = X_ij − R_ij,
-    averaged over the observation set.  Samples are uniform observation
-    indices.
-    """
-
-    mode = "oblivious"
-
-    def __init__(self, rows: int, cols: int, observed: np.ndarray, sigma: float = 1.0):
-        super().__init__()
-        self.rows, self.cols = int(rows), int(cols)
-        self.dim = self.rows * self.cols
-        obs = check_finite(observed, "observations")
-        if obs.ndim != 2 or obs.shape[1] != 3:
-            raise ValueError("observed must be (k,3) rows of (i, j, rating)")
-        if np.any(obs[:, :2] != np.round(obs[:, :2])):
-            raise ValueError("observation indices must be integers")
-        i, j = obs[:, 0].astype(int), obs[:, 1].astype(int)
-        for what, index, size in (("row", i, self.rows), ("column", j, self.cols)):
-            if np.any(index < 0) or np.any(index >= size):
-                raise ValueError(f"observation {what} index outside 0..{size - 1}")
-        self.idx = i * self.cols + j
-        self.ratings = obs[:, 2]
-        self.sigma = float(sigma)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.n_obs = self.idx.size
-
-    @classmethod
-    def from_csv(cls, path: str, rows: int, cols: int, sigma: float = 1.0):
-        try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as e:
-            raise ValueError(f"bad ratings CSV {path!r}: {e}") from e
-        return cls(rows, cols, raw, sigma)
-
-    def _psi(self, r):
-        return 1.0 - np.exp(-(r**2) / (2.0 * self.sigma))
-
-    def _psi_d1(self, r):
-        return (r / self.sigma) * np.exp(-(r**2) / (2.0 * self.sigma))
-
-    def _psi_d2(self, r):
-        e = np.exp(-(r**2) / (2.0 * self.sigma))
-        return e * (1.0 / self.sigma - r**2 / self.sigma**2)
-
-    def _sample(self, x, rng):
-        return Sample(z=int(rng.integers(self.n_obs)))
-
-    def value(self, x, s):
-        r = x[self.idx[s.z]] - self.ratings[s.z]
-        return float(self._psi(r))
-
-    def one_sample_grad(self, x, s):
-        k = s.z
-        g = np.zeros(self.dim)
-        g[self.idx[k]] = self._psi_d1(x[self.idx[k]] - self.ratings[k])
-        return g
-
-    def hessian_estimate(self, x, s, u):
-        k = s.z
-        out = np.zeros(self.dim)
-        out[self.idx[k]] = self._psi_d2(x[self.idx[k]] - self.ratings[k]) * u[self.idx[k]]
-        return out
-
-    def exact_value(self, x):
-        return float(np.mean(self._psi(x[self.idx] - self.ratings)))
-
-    def exact_grad(self, x):
-        g = np.zeros(self.dim)
-        np.add.at(g, self.idx, self._psi_d1(x[self.idx] - self.ratings) / self.n_obs)
-        return g
-
-
 # --------------------------------------------------------------------------
 # set functions and multilinear extensions
 # --------------------------------------------------------------------------
@@ -571,31 +493,22 @@ def multilinear_exact(f: SetFunction, x: np.ndarray):
     return float(F[0]) if x.ndim == 1 else F
 
 
-def multilinear_grad_hess(f: SetFunction, x: np.ndarray, want_hess: bool = True):
-    """(F, gradF, hessF) of the multilinear extension: the rows of one
+def multilinear_grad_hess(f: SetFunction, x: np.ndarray):
+    """(F, gradF) of the multilinear extension: the rows of one
     :func:`_multilinear_rows` stack, which defines their rounding.
 
     Row 0 holds x's factors (1 − x_i, x_i) and gives F; row 1 + i swaps
-    coordinate i's pair for its derivative (−1, 1) and gives ∂F/∂x_i; with
-    ``want_hess``, one row per pair i < j swaps both pairs and gives
-    ∂²F/∂x_i∂x_j (the diagonal is zero by multilinearity).
+    coordinate i's pair for its derivative (−1, 1) and gives ∂F/∂x_i.
     """
     x = check_finite(x, "multilinear point")
     d = f.ground_size
     if x.shape != (d,):
         raise ValueError("dimension mismatch")
     diag = np.arange(d)
-    I, J = np.triu_indices(d, 1) if want_hess else (diag[:0], diag[:0])
-    P = np.tile(np.stack([1.0 - x, x], axis=-1), (1 + d + I.size, 1, 1))
+    P = np.tile(np.stack([1.0 - x, x], axis=-1), (1 + d, 1, 1))
     P[1 + diag, diag] = (-1.0, 1.0)
-    pair_rows = np.arange(1 + d, len(P))
-    P[pair_rows, I] = P[pair_rows, J] = (-1.0, 1.0)
     rows = _multilinear_rows(_all_values(f), P)
-    hess = None
-    if want_hess:
-        hess = np.zeros((d, d))
-        hess[I, J] = hess[J, I] = rows[1 + d:]
-    return float(rows[0]), rows[1:1 + d], hess
+    return float(rows[0]), rows[1:]
 
 
 def multilinear_value(f: SetFunction, x: np.ndarray, rng: RngStream | None = None,
@@ -698,8 +611,7 @@ class MultilinearProblem(StochasticProblem):
         """F and ∇F are rows of the one factor stack of
         :func:`multilinear_grad_hess`; the contraction rounds a row as that
         row alone, so F has the bits of :func:`multilinear_exact` at x."""
-        F, g, _ = multilinear_grad_hess(self.f, x, want_hess=False)
-        return F, g
+        return multilinear_grad_hess(self.f, x)
 
     def domain_constants(self, box) -> dict:
         """Analytic (B, G, L, L2) valid on [lo, hi]^d, the box ``box``

@@ -1,24 +1,28 @@
 """Reference code that the guarantee tests compare the package against:
 the quantizer's variance law (test_07), the ball smoothing (test_11),
-random bounded set functions (test_14) and a quadratic finite sum (test_10).
+random bounded set functions (test_14), the multilinear Hessian (test_06,
+test_14) and a quadratic finite sum (test_10).
 
 No ``fwlab`` run calls any of it, so it lives beside the tests, not in
-``src/fwlab``.  It reads three private names of the package, all on a run
+``src/fwlab``.  It reads five private names of the package, all on a run
 path: ``quantize._partition_law`` (the encoder's level law),
-``problems._softplus`` (the finite-sum logistic values) and
-``LogisticL1._margin`` (the per-sample margin).
+``problems._softplus`` (the finite-sum logistic values),
+``LogisticL1._margin`` (the per-sample margin), and
+``problems._multilinear_rows`` and ``problems._all_values`` (the multilinear
+contraction and the 2^d table it reads).
 """
 
 import numpy as np
 
-from fwlab.problems import (FiniteSumProblem, LogisticL1, Sample, SetFunction, _softplus,
-                            block_rows)
+from fwlab.problems import (FiniteSumProblem, LogisticL1, Sample, SetFunction, _all_values,
+                            _multilinear_rows, _softplus, block_rows)
 from fwlab.quantize import _partition_law
 from fwlab.rng import RngStream, check_finite, sample_unit_sphere
 
 __all__ = ["exact_variance", "variance_upper_bound", "encode_decode_batch",
            "sample_unit_ball", "smoothed_value_mc", "TableSetFunction",
-           "make_random_bounded", "quadratic_finite_sum", "logistic_value"]
+           "make_random_bounded", "multilinear_hessian", "quadratic_finite_sum",
+           "logistic_value"]
 
 
 def exact_variance(g: np.ndarray, s: int) -> float:
@@ -95,6 +99,25 @@ class TableSetFunction(SetFunction):
 def make_random_bounded(d: int, rng: RngStream) -> TableSetFunction:
     """A table of 2^d values uniform on [-1, 1]."""
     return TableSetFunction(rng.uniform(-1.0, 1.0, size=2**d))
+
+
+def multilinear_hessian(f: SetFunction, x: np.ndarray) -> np.ndarray:
+    """∇²F(x) of the multilinear extension, d × d: one row of a
+    ``_multilinear_rows`` stack per pair i < j, with both pairs swapped for
+    their derivative (−1, 1), gives ∂²F/∂x_i∂x_j (the diagonal is zero by
+    multilinearity).  A row rounds as it does alone, so each entry has the
+    bits of that pair's row in any stack."""
+    x = check_finite(x, "multilinear point")
+    d = f.ground_size
+    if x.shape != (d,):
+        raise ValueError("dimension mismatch")
+    I, J = np.triu_indices(d, 1)
+    P = np.tile(np.stack([1.0 - x, x], axis=-1), (I.size, 1, 1))
+    rows = np.arange(I.size)
+    P[rows, I] = P[rows, J] = (-1.0, 1.0)
+    H = np.zeros((d, d))
+    H[I, J] = H[J, I] = _multilinear_rows(_all_values(f), P)
+    return H
 
 
 def quadratic_finite_sum(targets: np.ndarray) -> FiniteSumProblem:

@@ -56,7 +56,8 @@ from fwlab.solvers import (
     scg_baseline,
 )
 from reference import (encode_decode_batch, exact_variance, make_random_bounded,
-                       quadratic_finite_sum, smoothed_value_mc, variance_upper_bound)
+                       multilinear_hessian, quadratic_finite_sum, smoothed_value_mc,
+                       variance_upper_bound)
 
 _INSTANCE_STREAM = 0x1857
 
@@ -224,7 +225,7 @@ def test_06_hessian_estimator_unbiased_by_enumeration():
     # fixed interpolation point: exact match with the Hessian-vector product
     a = 0.37
     xa = a * x_t + (1 - a) * x_p
-    _, _, H = multilinear_grad_hess(f, xa)
+    H = multilinear_hessian(f, xa)
     exp = _enum_expectation(p, xa, lambda s: p.hessian_estimate(xa, s, u))
     assert np.allclose(exp, H @ u, atol=1e-8)
 
@@ -237,8 +238,8 @@ def test_06_hessian_estimator_unbiased_by_enumeration():
         for a in grid
     ])
     integral = np.trapezoid(vals, grid, axis=0)
-    _, g_t, _ = multilinear_grad_hess(f, x_t, want_hess=False)
-    _, g_p, _ = multilinear_grad_hess(f, x_p, want_hess=False)
+    _, g_t = multilinear_grad_hess(f, x_t)
+    _, g_p = multilinear_grad_hess(f, x_p)
     assert np.allclose(integral, g_t - g_p, atol=1e-3)
 
 
@@ -425,7 +426,8 @@ def test_14_multilinear_derivative_norm_bounds():
         M = f.bound
         for _ in range(20):
             x = rng.uniform(0.0, 1.0, size=d)
-            _, g, H = multilinear_grad_hess(f, x)
+            _, g = multilinear_grad_hess(f, x)
+            H = multilinear_hessian(f, x)
             assert np.linalg.norm(g) <= 2 * M * math.sqrt(d) + 1e-9
             assert np.linalg.norm(H, 2) <= 4 * M * math.sqrt(d * (d - 1)) + 1e-9
 

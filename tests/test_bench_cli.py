@@ -615,6 +615,7 @@ def test_cli_distsim_unquantized_charges_raw_floats(tmp_path, capsys):
     "distsim.setting=stoch_nonconvex",
     "distsim.setting=bogus",
     "distsim.mode=bogus",
+    "distsim.mode=fl",
     "distsim.t=0",
     "distsim.t=oops",
     "distsim.m=0",
@@ -631,7 +632,6 @@ def test_cli_distsim_rejects_at_load(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [
     "distsim.setting=finite_nonconvex",
-    "distsim.mode=fl",
 ])
 def test_cli_distsim_accepted_values_run(tmp_path, capsys, override):
     path = _distsim_ini(tmp_path)
@@ -735,11 +735,6 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
      "bcg maximizes: it cannot run solver.mode=convex_min"),
     (SUBMAX_INI, ["solver.algorithm=dbg", "solver.mode=nonconvex_min"],
      "dbg maximizes: it cannot run solver.mode=nonconvex_min"),
-    # rows·cols agree, so the build once ran on the transposed ball
-    (QUAD_INI, ["problem.kind=lrmr_csv", "problem.path=ratings.csv",
-                "problem.rows=2", "problem.cols=3", "constraint.kind=nuclear",
-                "constraint.rows=3", "constraint.cols=2"],
-     "an lrmr_csv problem of 2x3 matrices on a nuclear ball of 3x2 matrices"),
 ], ids=["multilinear-kind", "constraint-kind", "bcg-quadratic", "dbg-quadratic",
         "dbg-box", "bcg-l1ball", "oblivious-multilinear", "bcg-zero-budget",
         "dbg-zero-budget", "dbg-full-budget", "bcg-box-without-origin",
@@ -748,15 +743,10 @@ def test_cli_distsim_needs_logistic_problem(tmp_path, capsys):
         "scg-multilinear-simplex-2", "one_sfw-multilinear-nuclear",
         "deterministic_fw-multilinear-l1ball",
         "dr-simplex", "dr-box-without-origin", "deterministic_fw-dr",
-        "deterministic_fw-nonconvex", "bcg-convex_min", "dbg-nonconvex_min",
-        "lrmr-transposed-nuclear"])
-def test_cli_pairings_rejected_at_load(tmp_path, capsys, monkeypatch, ini, overrides,
-                                       message):
+        "deterministic_fw-nonconvex", "bcg-convex_min", "dbg-nonconvex_min"])
+def test_cli_pairings_rejected_at_load(tmp_path, capsys, ini, overrides, message):
     # The rules ask the built problem and set, so the run refuses the pairing
-    # once it has built them, before any seed.  The lrmr case reads its
-    # ratings, a 2x3 matrix, from the working directory.
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "ratings.csv").write_text("0,0,1.0\n1,2,-0.5\n")
+    # once it has built them, before any seed.
     path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match=message):
         run_experiment(load_config(path, overrides, out_dir=tmp_path / "r"))
@@ -970,24 +960,12 @@ def test_cli_dr_ascent_on_box_leaves_the_origin(tmp_path, capsys, monkeypatch):
 
 
 _LOGISTIC_BLOCKS = ("kind = logistic_csv\n", "kind = l1ball\n")
-_LRMR_BLOCKS = ("kind = lrmr_csv\nrows = 2\ncols = 2\n",
-                "kind = nuclear\nrows = 2\ncols = 2\n")
 #: data file -> (problem and constraint blocks, its rows, the refusal)
 _BAD_DATA = {
     "nan": (_LOGISTIC_BLOCKS, "1,0.5,nan\n-1,0.25,0.75\n1,-0.5,0.1\n-1,1.0,0.2\n",
             "non-finite values in feature matrix"),
     "inf": (_LOGISTIC_BLOCKS, "1,0.5,inf\n-1,0.25,0.75\n1,-0.5,0.1\n-1,1.0,0.2\n",
             "non-finite values in feature matrix"),
-    "lrmr-nan-rating": (_LRMR_BLOCKS, "0,0,1.0\n1,1,nan\n0,1,-0.5\n",
-                        "non-finite values in observations"),
-    "lrmr-fractional-index": (_LRMR_BLOCKS, "0,0,1.0\n1.7,0,2.0\n0,1,-0.5\n",
-                              "observation indices must be integers"),
-    # each flat index i·cols + j lies in 0..3: once read as entries (1, 1)
-    # and (1, 0)
-    "lrmr-column-index": (_LRMR_BLOCKS, "0,0,1.0\n0,3,2.0\n0,1,-0.5\n",
-                          "observation column index outside 0..1"),
-    "lrmr-row-index": (_LRMR_BLOCKS, "0,0,1.0\n2,-2,2.0\n0,1,-0.5\n",
-                       "observation row index outside 0..1"),
 }
 
 
@@ -1025,14 +1003,20 @@ def test_cli_missing_dim_exit_2(tmp_path, capsys):
 
 
 def test_cli_modular_dim_other_than_weights_exit_2(tmp_path, capsys):
-    # dim 3 and dim 7 once ran the same 10 weights, trace for trace
-    out = tmp_path / "r"
-    assert main(["submax", "--config", _write(tmp_path, SUBMAX_INI), "--out", str(out),
-                 "--override", "problem.weights=" + " ".join(["1"] * 10),
-                 "--override", "problem.dim=3"]) == 2
-    assert ("config error: bad problem block: problem.dim=3 is not the number of "
-            "problem.weights (10)") in capsys.readouterr().err
-    assert not out.exists()
+    # dim 3 and dim 7 once ran the same 10 weights, trace for trace, and so
+    # did instance_seed 1 and 2, which draw nothing when weights are given
+    for override, refusal in [
+            ("problem.dim=3", "problem.dim=3 is not the number of problem.weights (10)"),
+            ("problem.instance_seed=1", "problem.instance_seed draws the weights "
+                                        "that problem.weights gives")]:
+        out = tmp_path / "r"
+        assert main(["submax", "--config", _write(tmp_path, SUBMAX_INI),
+                     "--out", str(out),
+                     "--override", "problem.weights=" + " ".join(["1"] * 10),
+                     "--override", "problem.dim=10", "--override", override]) == 2
+        assert (f"config error: bad problem block: {refusal}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_modular_weights_need_no_dim():
@@ -1099,8 +1083,7 @@ EVERY_KEY = {
     "experiment": {"name": "every", "seeds": "0", "out": "unused"},
     "problem": {"kind": "multilinear_modular", "dim": "4", "weights": "1 5 2 4",
                 "noise": "0.5", "instance_seed": "3", "path": "data.csv",
-                "rows": "2", "cols": "2", "sigma": "1.0", "n_clients": "3",
-                "n_topics": "3", "n_users": "3"},
+                "n_clients": "3", "n_topics": "3", "n_users": "3"},
     "constraint": {"kind": "matroid", "blocks": "0 1 | 2 3", "budgets": "1 1",
                    "radius": "1.0", "lower": "0", "upper": "1", "scale": "1.0",
                    "rows": "2", "cols": "2"},
@@ -1194,9 +1177,13 @@ def test_table_config_loads(tmp_path, section, group):
     load_config(_write_table_config(tmp_path, _table_config(section, group)))
 
 
+#: values the table once admitted, deleted with the code that ran them
+DELETED = [("problem", None, "kind", "lrmr_csv"), ("distsim", None, "mode", "fl")]
+
+
 @pytest.mark.parametrize("section, group, key, value", [
     (s, g, k, v) for s, g, k, e in _table_entries() for v in _refused_values(e)
-], ids=str)
+] + DELETED, ids=str)
 def test_table_refuses_value_at_load(tmp_path, capsys, section, group, key, value):
     cfg = _table_config(section, group)
     cfg[section][key] = value

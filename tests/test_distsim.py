@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -281,10 +280,10 @@ def test_anchor_exact_with_unquantized_links():
     assert np.allclose(trace.output, x0 + eta * (v - x0), atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["quantized", "fl"])
+@pytest.mark.parametrize("mode", ["quantized"])
 def test_one_batch_grad_call_per_round(mode, monkeypatch):
-    # Anchors (and fl rounds) name the whole range; a correction round
-    # evaluates X and X_prev in one stacked call.
+    # Anchors name the whole range; a correction round evaluates X and
+    # X_prev in one stacked call.
     fs = _tiny_logistic()
     calls, inner = [], fs.batch_grad
 
@@ -298,7 +297,7 @@ def test_one_batch_grad_call_per_round(mode, monkeypatch):
     run_qfw(fs, L1Ball(2.0, 6), cfg, T, RngStream(6))
     assert len(calls) == T
     for (rows, idx), (_, i, k) in zip(calls, _round_schedule(cfg, T)):
-        if k == 1 or mode == "fl":
+        if k == 1:
             assert rows == M and idx == range(40)
         else:
             assert rows == 2 * M and len(idx) == 2 * M * cfg.inner_batch_fn(i, k)
@@ -331,7 +330,7 @@ def test_bit_ledger_exact():
     assert ledger.cum_up + ledger.cum_down == ledger.total
 
 
-@pytest.mark.parametrize("mode", ["quantized", "unquantized", "fl"])
+@pytest.mark.parametrize("mode", ["quantized", "unquantized"])
 def test_ledger_lists_each_message_of_each_round(mode):
     # one stacked send per link per round still charges each message on its
     # own: M "up" entries, then one "down" entry, every round, in order
@@ -362,7 +361,7 @@ def test_stacked_send_charges_each_row_as_one_message():
         rngs = [RngStream(4, r) for r in range(3)]
         twins = [RngStream(4, r) for r in range(3)]
         ledger = BitLedger()
-        out = _send_rows(V, s, rngs if s else None, ledger, 2, "up")
+        out = _send_rows(V, s, rngs, ledger, 2, "up")
         if s == UNQUANTIZED:
             per_row, sent = 32 * 5, V
         else:
@@ -395,37 +394,6 @@ def test_quantized_tracks_unquantized():
     assert lq.total < lu.total
     # objectives land in the same neighbourhood
     assert abs(tq.records[-1].objective - tu.records[-1].objective) < 0.05
-
-
-def test_fl_mode_runs_without_guarantee():
-    fs = _tiny_logistic()
-    set_ = L1Ball(2.0, 6)
-    cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=8, mode="fl")
-    trace, ledger = run_qfw(fs, set_, cfg, 8, RngStream(4))
-    assert trace.meta["guarantee"] == "none"
-    assert ledger.total == 8 * (4 + 1) * 32 * 6
-    assert float(np.sum(np.abs(trace.output))) <= set_.radius + 1e-9
-
-
-@pytest.mark.parametrize("setting", ["finite_convex", "finite_nonconvex"])
-def test_fl_steps_follow_the_quantized_schedule(setting):
-    # fl takes round t's step from the same (i, k, t) as the quantized mode
-    T = 12
-    steps = {}
-    for mode in ("quantized", "fl"):
-        cfg = schedule_from_theorem(setting, 40, 4, 6, T=T, mode=mode)
-        calls = steps[mode] = []
-
-        def eta(i, k, t, eta_fn=cfg.eta_fn, calls=calls):
-            calls.append((t, eta_fn(i, k, t)))
-            return calls[-1][1]
-
-        run_qfw(_tiny_logistic(), L1Ball(2.0, 6),
-                dataclasses.replace(cfg, eta_fn=eta), T, RngStream(4))
-    assert [t for t, _ in steps["fl"]] == list(range(1, T + 1))
-    assert steps["fl"] == steps["quantized"]
-    if setting == "finite_convex":
-        assert steps["fl"][1][1] < steps["fl"][0][1] == 1.0
 
 
 def test_unquantized_mode_sends_raw_vectors():

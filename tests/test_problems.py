@@ -20,7 +20,6 @@ from fwlab.problems import (
     MultilinearProblem,
     NQP,
     Quadratic,
-    RobustLRMR,
     Sample,
     block_rows,
     make_coverage,
@@ -34,7 +33,8 @@ from fwlab.problems import (
     ordered_means,
 )
 from fwlab.rng import RngStream
-from reference import TableSetFunction, logistic_value, make_random_bounded
+from reference import (TableSetFunction, logistic_value, make_random_bounded,
+                       multilinear_hessian)
 
 
 def _fd_grad(fun, x, h=1e-5):
@@ -244,28 +244,15 @@ def test_logistic_exact_grad_is_the_in_order_loop_over_rows(n, d):
         [logistic_value(p, x, Sample(z=i)) for i in range(n)]))
 
 
-def test_lrmr_loss_shape():
-    obs = np.array([[0, 0, 1.0], [1, 1, -2.0]])
-    p = RobustLRMR(2, 2, obs, sigma=1.0)
-    assert p._psi(np.array([0.0]))[0] == 0.0
-    assert p._psi_d1(np.array([0.0]))[0] == 0.0
-    assert p._psi(np.array([100.0]))[0] == pytest.approx(1.0)
-    x = RngStream(5).normal(size=4)
-    assert np.allclose(_fd_grad(p.exact_value, x), p.exact_grad(x), atol=1e-6)
-    s = Sample(z=1)
-    assert np.allclose(_fd_grad(lambda w: p.value(w, s), x), p.one_sample_grad(x, s),
-                       atol=1e-6)
-
-
 # --- multilinear family ----------------------------------------------------
 
 def test_modular_multilinear_is_linear():
     f = Modular(np.ones(3))
     x = np.array([0.3, 0.7, 0.0])
-    F, g, H = multilinear_grad_hess(f, x)
+    F, g = multilinear_grad_hess(f, x)
     assert F == pytest.approx(1.0)
     assert np.allclose(g, 1.0)
-    assert np.allclose(H, 0.0)
+    assert np.allclose(multilinear_hessian(f, x), 0.0)
 
 
 def test_coverage_hand_value():
@@ -278,7 +265,7 @@ def test_multilinear_grad_matches_fd():
     rng = RngStream(6)
     f = make_random_bounded(8, rng)
     x = rng.uniform(0.1, 0.9, size=8)
-    _, g, _ = multilinear_grad_hess(f, x, want_hess=False)
+    _, g = multilinear_grad_hess(f, x)
     assert np.allclose(_fd_grad(lambda y: multilinear_exact(f, y), x), g, atol=1e-6)
 
 
@@ -286,10 +273,10 @@ def test_multilinear_hess_matches_fd():
     rng = RngStream(7)
     f = make_facility_location(5, 3, rng)
     x = rng.uniform(0.2, 0.8, size=5)
-    _, g, H = multilinear_grad_hess(f, x)
+    H = multilinear_hessian(f, x)
     for i in range(5):
         def gi(y):
-            _, gg, _ = multilinear_grad_hess(f, y, want_hess=False)
+            _, gg = multilinear_grad_hess(f, y)
             return gg[i]
         assert np.allclose(_fd_grad(gi, x), H[i], atol=1e-5)
     assert np.allclose(np.diag(H), 0.0)
@@ -303,7 +290,8 @@ def test_lemma12_style_bounds():
         M = f.bound
         for _ in range(10):
             x = rng.uniform(0, 1, size=d)
-            _, g, H = multilinear_grad_hess(f, x)
+            _, g = multilinear_grad_hess(f, x)
+            H = multilinear_hessian(f, x)
             assert np.linalg.norm(g) <= 2 * M * np.sqrt(d) + 1e-9
             assert np.linalg.norm(H, 2) <= 4 * M * np.sqrt(d * (d - 1)) + 1e-9
 
@@ -317,8 +305,8 @@ def test_monotone_dr_property():
         for _ in range(25):
             x = rng.uniform(0, 1, size=6)
             y = np.minimum(x + rng.uniform(0, 1, size=6) * (1 - x), 1.0)
-            Fx, gx, _ = multilinear_grad_hess(f, x, want_hess=False)
-            Fy, gy, _ = multilinear_grad_hess(f, y, want_hess=False)
+            Fx, gx = multilinear_grad_hess(f, x)
+            Fy, gy = multilinear_grad_hess(f, y)
             assert Fx <= Fy + 1e-9
             assert np.all(gx >= gy - 1e-9)
 
@@ -460,7 +448,7 @@ def test_multilinear_grad_error_within_contraction_bound(d):
     X = _exactness_points(d, rng)
     for f in _exactness_functions(d, rng):
         for x in X:
-            _, g, _ = multilinear_grad_hess(f, x, want_hess=False)
+            _, g = multilinear_grad_hess(f, x)
             for i in range(d):
                 exact, scale = _exact_contraction(f, x, [i])
                 assert abs(Fraction(g[i]) - exact) <= _contraction_gamma(d) * scale
@@ -484,15 +472,14 @@ def test_multilinear_grad_hess_equals_factor_rows(d):
     X = _exactness_points(d, rng)[::2] if d == 12 else _exactness_points(d, rng)
     for f in _exactness_functions(d, rng):
         for x in X:
-            F, g, H = multilinear_grad_hess(f, x)
+            F, g = multilinear_grad_hess(f, x)
+            H = multilinear_hessian(f, x)
             rg = [_ref_exact(f, _factor_pairs(x, [i])) for i in range(d)]
             rH = np.zeros((d, d))
             for i, j in itertools.combinations(range(d), 2):
                 rH[i, j] = rH[j, i] = _ref_exact(f, _factor_pairs(x, [i, j]))
             assert isinstance(F, float) and F.hex() == _ref_exact(f, x).hex()
             assert _bits(g) == _bits(rg) and _bits(H) == _bits(rH)
-            F2, g2, none = multilinear_grad_hess(f, x, want_hess=False)
-            assert F2.hex() == F.hex() and _bits(g2) == _bits(g) and none is None
 
 
 @pytest.mark.parametrize("d", [1, 4, 10, 12])
@@ -507,7 +494,8 @@ def test_multilinear_grad_hess_equals_pinning(d):
     for f in _exactness_functions(d, rng):
         abs_f = TableSetFunction(np.abs(_all_values(f)))
         for x in X:
-            F, g, H = multilinear_grad_hess(f, x)
+            F, g = multilinear_grad_hess(f, x)
+            H = multilinear_hessian(f, x)
             rF, rg, rH = _ref_grad_hess(f, x)
             assert F == rF
             for i in range(d):
@@ -531,9 +519,8 @@ def test_multilinear_grad_hess_is_one_kernel_call(d, monkeypatch):
     rng = RngStream(74)
     f = make_random_bounded(d, rng)
     x = rng.uniform(size=d)
-    multilinear_grad_hess(f, x, want_hess=False)
     multilinear_grad_hess(f, x)
-    assert shapes == [(1 + d, d, 2), (1 + d + d * (d - 1) // 2, d, 2)]
+    assert shapes == [(1 + d, d, 2)]
 
 
 def test_multilinear_exact_rejects_bad_shapes():
@@ -551,15 +538,15 @@ def test_multilinear_exact_rejects_bad_shapes():
 
 
 def test_multilinear_hessian_memory_is_bounded():
-    # 1 + 14 + C(14,2) = 106 rows: a single 106 x 2^14 weight table would
-    # take 14 MB; the two half tables take 106 x 2 x 2^7 weights.
+    # C(14,2) = 91 rows: a single 91 x 2^14 weight table would take 12 MB;
+    # the two half tables take 91 x 2 x 2^7 weights.
     d = 14
     rng = RngStream(71)
     f = make_random_bounded(d, rng)
     x = rng.uniform(size=d)
     tracemalloc.start()
     try:
-        multilinear_grad_hess(f, x)
+        multilinear_hessian(f, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -723,7 +710,7 @@ def test_one_sample_grad_unbiased():
     f = make_facility_location(4, 3, rng)
     p = MultilinearProblem(f)
     x = rng.uniform(0.3, 0.7, size=4)
-    _, g_true, _ = multilinear_grad_hess(f, x, want_hess=False)
+    _, g_true = multilinear_grad_hess(f, x)
     n = 40000
     acc = np.zeros(4)
     for _ in range(n):

@@ -1,4 +1,5 @@
-"""Every function defined in ``src/fwlab`` is reached by a run, or says why not.
+"""Every function defined in ``src/fwlab`` is reached by a run, or says why
+not; every value the config table admits names what exercises it.
 
 The test runs the ``RUNS`` table of ``test_run_pins.py`` (one seed each),
 ``fwlab oracle`` on the shipped facility config, ``fwlab report``, and one
@@ -10,7 +11,15 @@ time, an error path, or an admitted path with no run yet.  Code that only
 tests call belongs in ``tests/reference.py``, not in the package.  An
 unlisted unreached ``def`` fails the test, and so does a listed name that
 now runs or no longer exists, or a reason of another kind; a change that
-deletes a name deletes its line.  List the names that fail it with
+deletes a name deletes its line.
+
+``ADMITTED`` maps each value that a choice key of ``bench._TABLE`` admits
+(every problem kind, constraint kind, algorithm, mode, option, distsim
+setting and distsim mode) to a test function under ``tests/`` or
+``perfbench/``, a row of ``tests/claims_small.txt``, or a ``kept:`` reason.
+An admitted value with no line fails, and so does a line for a value the
+table no longer admits, or one whose test or row is not there.  List the
+names and values that fail either test with
 
     PYTHONPATH=src python tests/test_reachability.py
 """
@@ -19,6 +28,7 @@ import ast
 import sys
 from pathlib import Path
 
+from fwlab.bench import _SELECTORS, _TABLE
 from fwlab.cli import build_parser, main
 from fwlab.problems import Quadratic
 from test_run_pins import RUNS, run_pinned
@@ -29,7 +39,6 @@ SRC = ROOT / "src" / "fwlab"
 _ABSTRACT = "abstract base method; every concrete class overrides it"
 _IMPORT = "runs at import, before any hook is set"
 _NO_RUN = "admitted path with no run yet: "
-_LRMR = _NO_RUN + "problem.kind=lrmr_csv (ROADMAP item 5)"
 _ERROR_PATH = "error path: "
 
 #: "<module>.<qualname>" -> why no run reaches it
@@ -50,10 +59,6 @@ UNREACHED = {
     "problems.StochasticProblem.exact_grad": _ABSTRACT,
     "problems.SetFunction.batch": _ABSTRACT,
     "problems.SetFunction.bound": _ABSTRACT,
-    **{f"problems.RobustLRMR.{name}": _LRMR
-       for name in ("__init__", "from_csv", "_psi", "_psi_d1", "_psi_d2", "_sample",
-                    "value", "one_sample_grad", "hessian_estimate", "exact_value",
-                    "exact_grad")},
 }
 
 #: the four kinds of reason a ``def`` may stay for: each reason starts with one
@@ -152,6 +157,102 @@ def test_every_def_is_reached_or_listed(tmp_path, monkeypatch, capsys):
     assert not problems, "\n".join(problems)
 
 
+_ACCEPTANCE = "tests/test_acceptance.py::"
+_QUADRATIC = "| one-sample | quadratic d=6, l1 ball r=2, convex_min, T=256, 3 seeds |"
+_NQP = "| one-sample | NQP d=20, simplex, nonconvex_min, T=256, 3 seeds |"
+_FACILITY = "| black-box | facility d=10, matroid (2, 2), 2 seeds |"
+_QFW = "| quantized | logistic n=40 d=6, l1 ball r=2, M=4, T=15, seed 0 | qfw / raw |"
+
+#: "<section>.<key>=<value>" -> what exercises it: a test function
+#: ("<file>::<name>", under tests/ or perfbench/), the leading cells of a row
+#: of tests/claims_small.txt, or "kept: " and why the value stays without one
+ADMITTED = {
+    "problem.kind=quadratic": _QUADRATIC + " oblivious_sfw |",
+    "problem.kind=nqp": _NQP + " oblivious_sfw |",
+    "problem.kind=logistic_csv": _QFW,
+    "problem.kind=multilinear_facility": _FACILITY + " one_sfw T=200 |",
+    "problem.kind=multilinear_coverage":
+        _ACCEPTANCE + "test_12_black_box_continuous_greedy_guarantee",
+    "problem.kind=multilinear_concave_modular":
+        "tests/test_problems.py::test_monotone_dr_property",
+    "problem.kind=multilinear_logdet": "tests/test_problems.py::test_monotone_dr_property",
+    "problem.kind=multilinear_modular": "tests/test_solvers.py::test_dbg_modular_exact",
+    "constraint.kind=l1ball": _QUADRATIC + " oblivious_sfw |",
+    "constraint.kind=box": _ACCEPTANCE + "test_02_grad_diff_matches_exact_hessian_variant",
+    "constraint.kind=simplex": _NQP + " oblivious_sfw |",
+    "constraint.kind=matroid": _ACCEPTANCE + "test_04_submodular_approximation_guarantee",
+    "constraint.kind=nuclear": "tests/test_constraints.py::test_nuclear_lmo_vs_svd_oracle",
+    "solver.algorithm=one_sfw": _FACILITY + " one_sfw T=200 |",
+    "solver.algorithm=oblivious_sfw": _QUADRATIC + " oblivious_sfw |",
+    "solver.algorithm=scg": _QUADRATIC + " scg preset |",
+    "solver.algorithm=deterministic_fw":
+        "tests/test_solvers.py::test_deterministic_fw_simplex_quadratic",
+    "solver.algorithm=bcg": _FACILITY + " bcg T=100 |",
+    "solver.algorithm=dbg": _FACILITY + " dbg T=80 |",
+    "solver.mode=convex_min":
+        _ACCEPTANCE + "test_03_convex_suboptimality_shrinks_with_horizon",
+    "solver.mode=nonconvex_min": _ACCEPTANCE + "test_05_nonconvex_stationarity_gap_shrinks",
+    "solver.mode=dr_submodular_max":
+        _ACCEPTANCE + "test_04_submodular_approximation_guarantee",
+    "solver.option=exact_hessian": _ACCEPTANCE + "test_01_momentum_estimator_error_decays",
+    "solver.option=grad_diff":
+        _ACCEPTANCE + "test_02_grad_diff_matches_exact_hessian_variant",
+    "distsim.setting=finite_convex": _QFW,
+    "distsim.setting=finite_nonconvex":
+        "kept: the non-convex finite-sum setting of Quantized Frank-Wolfe (Zhang "
+        "et al., AISTATS 2020), one of the paper's two; its run is pinned and its "
+        "schedule checked (test_theorem_schedule_nonconvex), but no claims row or "
+        "guarantee test measures it yet",
+    "distsim.mode=quantized": _QFW,
+    "distsim.mode=unquantized":
+        _ACCEPTANCE + "test_10_single_worker_reduces_to_sequential_reference",
+}
+
+
+def admitted() -> set:
+    """Each value the table admits, as "<section>.<key>=<value>": the
+    allowed choices of each of its keys, and the groups of each section,
+    which its selector key picks."""
+    out = {f"{section}.{_SELECTORS[section]}={group}"
+           for section, groups in _TABLE.items() for group in groups if group}
+    return out | {f"{section}.{key}={value}"
+                  for section, groups in _TABLE.items() for keys in groups.values()
+                  for key, entry in keys.items() if isinstance(entry.allowed, tuple)
+                  for value in entry.allowed}
+
+
+def _is_there(what: str) -> bool:
+    """Whether the test function or claims row that ``what`` names exists;
+    a ``kept:`` reason is taken as given."""
+    if what.startswith("kept: "):
+        return True
+    if what.startswith("| "):
+        rows = (ROOT / "tests" / "claims_small.txt").read_text().splitlines()
+        return any(row.startswith(what) for row in rows)
+    path, _, name = what.partition("::")
+    file = ROOT / path
+    return (path.startswith(("tests/", "perfbench/")) and file.is_file()
+            and any(isinstance(node, ast.FunctionDef) and node.name == name
+                    for node in ast.parse(file.read_text()).body))
+
+
+def admitted_mismatches(values: set) -> list:
+    """What disagrees with ``ADMITTED``, for the admitted ``values``."""
+    out = [f"src/fwlab/bench.py: {v} is admitted and names nothing that exercises "
+           "it; give it an ADMITTED line, or delete it"
+           for v in sorted(values - ADMITTED.keys())]
+    out += [f"tests/test_reachability.py: {v} is no longer admitted; delete its "
+            "ADMITTED line" for v in sorted(ADMITTED.keys() - values)]
+    out += [f"tests/test_reachability.py: {v} names {what!r}, which is not there"
+            for v, what in sorted(ADMITTED.items()) if not _is_there(what)]
+    return out
+
+
+def test_every_admitted_value_names_what_exercises_it():
+    problems = admitted_mismatches(admitted())
+    assert not problems, "\n".join(problems)
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -163,4 +264,5 @@ if __name__ == "__main__":
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         reached = called(lambda: run_everything(Path(tmp)))
-    print("\n".join(mismatches(definitions(), reached)) or "ok")
+    print("\n".join(mismatches(definitions(), reached)
+                    + admitted_mismatches(admitted())) or "ok")

@@ -13,7 +13,7 @@ The digests were made on one platform (Python 3.11, numpy 2.4, and the
 OpenBLAS kernels that an AVX-512 host picks), as the float-hex pins in
 ``test_solvers.py`` were.  Under ``OPENBLAS_CORETYPE=Haswell`` (the AVX2
 kernels) and ``=Prescott`` (SSE3) these entries keep their bytes: the
-seven distsim entries that ``test_logistic_runs_hold_across_blas_kernels``
+four distsim entries that ``test_logistic_runs_hold_across_blas_kernels``
 guards, ``one_sfw-facility-matroid-convex``,
 ``deterministic_fw-facility-matroid``, ``scg-quadratic-l1ball-dr`` and the
 three ``dbg`` entries; the two ``bcg`` entries hold under Haswell only.
@@ -213,11 +213,11 @@ RUNS = {
                           ("modular", _multilinear("modular")))},
     **{f"distsim-{mode}-{setting}-m1": (
         "distsim", LOGISTIC, [f"distsim.mode={mode}", f"distsim.setting={setting}"])
-       for mode in ("quantized", "unquantized", "fl")
+       for mode in ("quantized", "unquantized")
        for setting in ("finite_convex", "finite_nonconvex")},
     **{f"distsim-{mode}-finite_convex-m2": (
         "distsim", LOGISTIC, [f"distsim.mode={mode}", "distsim.m=2"])
-       for mode in ("quantized", "unquantized", "fl")},
+       for mode in ("quantized", "unquantized")},
 }
 
 
