@@ -23,8 +23,10 @@ interquartile range, *regression* when its median is worse than the
 parent's by more than the metric's ``bound`` (a fraction of the parent's
 median), and *unresolved* otherwise.  Below 10 pairs an *unresolved*
 verdict gives the pair count as its reason.
-``--out`` also writes every run's value, the trace digests and the failed
-seed runs as JSON.
+It also says whether the two sides wrote the same trace bytes: ``trace
+bytes: same on both sides`` when every run of both sides has one digest,
+each side's digests otherwise.  ``--out`` also writes every run's value,
+each side's trace digests and the failed seed runs as JSON.
 """
 
 from __future__ import annotations
@@ -142,13 +144,18 @@ def main(argv=None) -> int:
     out = {"workload": args.workload, "workload_seed": args.seed,
            "pairs": args.pairs, "seconds": seconds,
            "machine": runs["change"][0]["machine"],
-           "trace_digests": sorted({r["trace_digest"] for side in runs.values()
-                                    for r in side}),
+           "trace_digests": {s: sorted({r["trace_digest"] for r in rs})
+                             for s, rs in runs.items()},
            "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in runs.items()},
            "failed": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()}}
     print(f"{args.workload}, workload seed {args.seed}, {args.pairs} pairs of "
-          f"{seconds:g} s; failed seed runs {out['failed']}; "
-          f"trace digests {len(out['trace_digests'])}")
+          f"{seconds:g} s; failed seed runs {out['failed']}")
+    digests = out["trace_digests"]
+    if digests["parent"] == digests["change"] and len(digests["parent"]) == 1:
+        print("trace bytes: same on both sides")
+    else:
+        print("trace bytes: " + "; ".join(f"{side} {', '.join(d)}"
+                                          for side, d in digests.items()))
     for m in bench["end_to_end"]:
         name = m["name"]
         s = out[name] = summarize(

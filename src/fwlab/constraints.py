@@ -10,6 +10,12 @@ smoothed continuous-greedy setting.
 Tie-breaking in every LMO: the smallest coordinate index wins, so traces
 are reproducible.  A zero gradient returns the lexicographically smallest
 vertex.
+
+Every ``lmo_min`` and ``lmo_max`` takes a ``(d,)`` gradient or a ``(k, d)``
+stack of them; row r of a stack's answer is, bit for bit, the answer to row
+r alone.  :class:`L1Ball` answers a stack in one vectorized pass and
+:class:`Box`'s ``where`` broadcasts over it; the other kinds answer it one row
+at a time (:func:`_each_row`).
 """
 
 from __future__ import annotations
@@ -48,10 +54,19 @@ class InfeasiblePointError(ValueError):
 
 
 def _check_dim(set_, g):
+    """g as a finite float array, a (dim,) vector or a (k, dim) stack."""
     g = check_finite(g, "LMO gradient")
-    if g.shape != (set_.dim,):
+    if g.shape != (set_.dim,) and (g.ndim != 2 or g.shape[1] != set_.dim):
         raise ValueError(f"dimension mismatch: set dim {set_.dim}, vector {g.shape}")
     return g
+
+
+def _each_row(lmo, G):
+    """The answers to a (k, d) stack from a (d,)-vector LMO, one row at a time."""
+    out = np.empty(G.shape)
+    for r, g in enumerate(G):
+        out[r] = lmo(g)
+    return out
 
 
 class FeasibleSet:
@@ -60,6 +75,7 @@ class FeasibleSet:
     dim: int
 
     def lmo_min(self, g: np.ndarray) -> np.ndarray:
+        """A vertex minimizing <v, g>; for a (k, d) stack, one per row."""
         raise NotImplementedError
 
     def lmo_max(self, g: np.ndarray) -> np.ndarray:
@@ -79,6 +95,15 @@ class L1Ball(FeasibleSet):
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
+        if g.ndim == 2:
+            # the rule below, row by row: the first max of |g|, and vertex 0
+            # at -radius for a zero row, whose first max is index 0 and whose
+            # entry there (0.0 or -0.0) is not negative
+            rows = np.arange(len(g))
+            i = np.abs(g).argmax(axis=1)
+            v = np.zeros(g.shape)
+            v[rows, i] = np.where(g[rows, i] < 0.0, self.radius, -self.radius)
+            return v
         v = np.zeros(self.dim)
         i = int(np.abs(g).argmax())  # the first max: smallest index
         if g[i] == 0.0:
@@ -133,6 +158,8 @@ class Simplex(FeasibleSet):
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
+        if g.ndim == 2:
+            return _each_row(self.lmo_min, g)
         v = np.zeros(self.dim)
         v[int(np.argmin(g))] = self.scale
         return v
@@ -255,6 +282,8 @@ class BudgetBoxPolytope(FeasibleSet):
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
+        if g.ndim == 2:
+            return _each_row(self.lmo_min, g)
         gp = g[self._perm]
         order = np.lexsort((gp, self._block_id))
         v = np.zeros(self.dim)
@@ -263,6 +292,8 @@ class BudgetBoxPolytope(FeasibleSet):
 
     def lmo_max(self, g):
         g = _check_dim(self, g)
+        if g.ndim == 2:
+            return _each_row(self.lmo_max, g)
         order = np.lexsort((-g[self._perm], self._block_id))
         v = np.zeros(self.dim)
         v[self._perm[order]] = self._fill
@@ -307,6 +338,8 @@ class NuclearNormBall(FeasibleSet):
 
     def lmo_min(self, g):
         g = _check_dim(self, g)
+        if g.ndim == 2:
+            return _each_row(self.lmo_min, g)
         return nuclear_lmo(g.reshape(self.rows, self.cols), self.radius).ravel()
 
     def contains(self, x):

@@ -178,9 +178,11 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
 
     The M replicas are the rows of one ``(M, d)`` array, advanced together:
     each round makes one stacked ``batch_grad`` call (on inner rounds over
-    X and X_prev stacked) and one encoder call for the M up-link messages.
-    Each worker still draws its batch and its quantizer bits from its own
-    stream, and each message is charged on its own.
+    X and X_prev stacked), one encoder call for the M up-link messages and
+    one ``lmo_min`` call on the ``(M, d)`` stack of the replicas' gradient
+    estimates.  Each worker still draws its batch indices and its quantizer
+    bits from its own stream, in worker order, and each message is charged
+    on its own.
     """
     N, M, d = problem.n, cfg.M, problem.dim
     if N % M != 0:
@@ -204,8 +206,11 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
             G = problem.batch_grad(X, range(N))
         else:   # X and X_prev as one stack of 2M rows, each block alone
             size = int(cfg.inner_batch_fn(i, k))
-            idx = (np.stack([r.integers(n_local, size=size)
-                             for r in worker_rngs]) + offsets).ravel()
+            idx = np.empty((M, size), dtype=np.int64)
+            for m, r in enumerate(worker_rngs):
+                idx[m] = r.integers(n_local, size=size)
+            idx += offsets
+            idx = idx.ravel()
             both = problem.batch_grad(np.concatenate([X, X_prev]),
                                       np.concatenate([idx, idx]))
             G = both[:M] - both[M:]
@@ -215,7 +220,7 @@ def run_qfw(problem: FiniteSumProblem, set_: FeasibleSet, cfg: QfwConfig,
 
         Gbar = np.tile(broadcast, (M, 1)) if k == 1 else Gbar + broadcast
         eta = float(cfg.eta_fn(i, k, t))
-        V = np.stack([set_.lmo_min(g) for g in Gbar])
+        V = set_.lmo_min(Gbar)
         X_prev, X = X, X + eta * (V - X)
         if not _replicas_agree(np.concatenate([X, Gbar], axis=1)):
             raise AssertionError("replica divergence across workers")

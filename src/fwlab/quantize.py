@@ -43,21 +43,26 @@ class QuantizedMessage:
     s: int
 
     def __post_init__(self):
-        levels, inf = self.levels, self.inf_norm
-        if levels.shape != self.signs.shape:
+        signs, levels, inf = self.signs, self.levels, self.inf_norm
+        if levels.shape != signs.shape:
             raise ValueError("signs and levels length mismatch")
         if levels.ndim != 2 or np.shape(inf) != levels.shape[:1]:
             raise ValueError("need (k, d) rows and one inf_norm per row")
-        # count_nonzero, one C call each, where .any()/.min()/.max() each pass
-        # through numpy's Python reduction wrapper
-        nonpositive = inf <= 0       # rare: a zero row or a broken message
-        if np.count_nonzero(nonpositive):
+        # the k norms as Python floats, in one pass that a NaN fails as a
+        # zero norm does (numpy's min/max reductions cost more per call at
+        # these sizes); count_nonzero answers .any() in one C call
+        if not all(0.0 < v < math.inf for v in inf.tolist()):
+            # rare: a zero row or a broken message
             if np.count_nonzero(inf < 0):
                 raise ValueError("negative inf_norm")
-            if np.count_nonzero(levels[nonpositive]):
+            if np.count_nonzero(np.isfinite(inf)) != inf.size:
+                raise ValueError("non-finite inf_norm")
+            if np.count_nonzero(levels[inf == 0]):
                 raise ValueError("zero vector must have all-zero levels")
         if np.count_nonzero((levels < 0) | (levels > self.s)):
             raise ValueError("level outside [0, s]")
+        if np.count_nonzero(np.abs(signs) > 1):
+            raise ValueError("sign outside {-1, 0, +1}")
 
     @property
     def bits_per_row(self) -> int:
@@ -75,7 +80,10 @@ def _partition_law(g: np.ndarray, s: int):
     a = np.abs(g)
     inf = np.maximum.reduce(a, axis=-1, initial=0.0)
     col = inf[..., None]
-    np.divide(a, col, out=a, where=col > 0)  # a zero row stays zero
+    if np.count_nonzero(inf) == inf.size:    # no zero row: the usual case
+        a /= col
+    else:
+        np.divide(a, col, out=a, where=col > 0)  # a zero row stays zero
     a *= s                                   # the ratio |g_i| / inf, times s
     lo = np.floor(a)
     np.minimum(lo, s - 1, out=lo)
@@ -97,9 +105,10 @@ def encode_partition(g: np.ndarray, s: int,
     if g.ndim != 2 or len(rng) != len(g):
         raise ValueError("need a (k, d) stack with k streams")
     inf, lo, q = _partition_law(g, s)
+    k, d = g.shape
     u = np.zeros(g.shape)             # q = 0 on a zero row, which draws nothing
-    for r in inf.nonzero()[0]:
-        u[r] = rng[r].random(g.shape[1])
+    for r in range(k) if np.count_nonzero(inf) == k else inf.nonzero()[0]:
+        u[r] = rng[r].random(d)
     return QuantizedMessage(signs=np.sign(g).astype(np.int64), levels=lo + (u < q),
                             inf_norm=inf, s=s)
 

@@ -21,7 +21,7 @@ from fwlab.constraints import (
     shrunk_cap,
 )
 from fwlab.problems import FacilityLocation, Modular, multilinear_exact
-from fwlab.rng import RngStream
+from fwlab.rng import NumericsError, RngStream
 
 finite_vec = st.integers(2, 5).flatmap(
     lambda d: st.lists(
@@ -119,6 +119,42 @@ def test_lmo_matches_enumeration(g, kind):
     assert float(v @ g) <= best + 1e-9
     w = s.lmo_max(g)
     assert float(w @ g) >= -min(float(u @ -g) for u in _vertices(s)) - 1e-9
+
+
+# Rows with ties in |g| and in g at both ends, an all-zero row and a -0.0 row.
+_STACK = np.array([[2.0, -2.0, 1.0, 2.0, -0.5, 0.0],
+                   [-1.0, 1.0, -1.0, 0.5, 1.0, -0.0],
+                   [0.0] * 6,
+                   [-0.0] * 6])
+
+_STACK_SETS = {
+    "l1ball": L1Ball(1.5, 6),
+    "box": Box(np.array([0.0, -1.0, 0.25, 0.0, 0.0, -2.0]),
+               np.array([0.6, 2.0, 0.5, 1.0, 0.0, 1.0])),
+    "simplex": Simplex(2.0, 6),
+    "matroid": PartitionMatroidPolytope([[0, 1, 2], [3, 4, 5]], [2, 1], 6),
+    "nuclear": NuclearNormBall(1.0, 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(_STACK_SETS))
+def test_stack_lmo_equals_per_row_calls(kind):
+    # the kinds distsim admits: a (k, d) stack's answer is the (d,) answers
+    # stacked, bit for bit, at k = 4 and for each row as a k = 1 stack
+    s = _STACK_SETS[kind]
+    for G in [_STACK, *_STACK[:, None]]:
+        for lmo in (s.lmo_min, s.lmo_max):
+            got = lmo(G)
+            assert got.shape == G.shape
+            assert got.tobytes() == np.stack([lmo(g) for g in G]).tobytes()
+    # refused as a (d,) vector is, with the same messages
+    bad = _STACK.copy()
+    bad[2, 3] = np.nan
+    with pytest.raises(NumericsError, match="non-finite values in LMO gradient"):
+        s.lmo_min(bad)
+    for shape in [(4, 5), (2, 2, 6)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            s.lmo_max(np.ones(shape))
 
 
 def test_matroid_lmo_vs_enumeration():

@@ -166,14 +166,15 @@ def test_stacked_batch_grad_equals_per_worker_loop(parts, n, M, d, zero_col):
 
 
 class _OneBadVertex:
-    """An l1 ball whose ``lmo_min`` moves the vertex of its ``bad_call``-th
-    call (counting from 1, the start point included).  It wraps the ball
-    rather than subclassing it: perfbench's tracer binds every FeasibleSet
-    subclass alive in the process, and its test runs in the same session."""
+    """An l1 ball whose ``lmo_min`` moves row ``bad_row`` of the answer to its
+    ``bad_call``-th call (counting from 1, the start point included).  It
+    wraps the ball rather than subclassing it: perfbench's tracer binds every
+    FeasibleSet subclass alive in the process, and its test runs in the same
+    session."""
 
-    def __init__(self, radius, dim, bad_call):
+    def __init__(self, radius, dim, bad_call, bad_row=0):
         self.ball = L1Ball(radius, dim)
-        self.calls, self.bad_call = 0, bad_call
+        self.calls, self.bad_call, self.bad_row = 0, bad_call, bad_row
 
     def __getattr__(self, name):
         return getattr(self.ball, name)
@@ -183,7 +184,7 @@ class _OneBadVertex:
         self.calls += 1
         if self.calls == self.bad_call:
             v = v.copy()
-            v[0] += 1e-3
+            v[self.bad_row, 0] += 1e-3
         return v
 
 
@@ -192,8 +193,8 @@ def test_one_divergent_replica_is_caught(replica):
     fs = _tiny_logistic()
     cfg = schedule_from_theorem("finite_convex", 40, 4, 6, T=5)
     run_qfw(fs, _OneBadVertex(2.0, 6, bad_call=0), cfg, 5, RngStream(6))
-    # call 1 is the start point, calls 2-5 are round 1; this is round 2
-    bad = _OneBadVertex(2.0, 6, bad_call=6 + replica)
+    # call 1 is the start point and call 2 is round 1's stack; this is round 2
+    bad = _OneBadVertex(2.0, 6, bad_call=3, bad_row=replica)
     with pytest.raises(AssertionError, match="replica divergence"):
         run_qfw(fs, bad, cfg, 5, RngStream(6))
 
@@ -301,6 +302,22 @@ def test_one_batch_grad_call_per_round(mode, monkeypatch):
             assert rows == M and idx == range(40)
         else:
             assert rows == 2 * M and len(idx) == 2 * M * cfg.inner_batch_fn(i, k)
+
+
+def test_one_lmo_call_per_round(monkeypatch):
+    # The start vertex, then each round's M replicas as one (M, d) stack.
+    fs, set_ = _tiny_logistic(), L1Ball(2.0, 6)
+    shapes, inner = [], set_.lmo_min
+
+    def counted(g):
+        shapes.append(np.shape(g))
+        return inner(g)
+
+    monkeypatch.setattr(set_, "lmo_min", counted)
+    T, M = 20, 4
+    cfg = schedule_from_theorem("finite_convex", 40, M, 6, T=T)
+    run_qfw(fs, set_, cfg, T, RngStream(6))
+    assert shapes == [(6,)] + [(M, 6)] * T
 
 
 def test_replica_consistency_and_determinism():

@@ -232,7 +232,11 @@ _GOOD_MESSAGE = dict(signs=np.array([[1, -1]]), levels=np.array([[2, 1]]),
     (dict(inf_norm=np.array([-1.5])), "negative inf_norm"),
     (dict(levels=np.array([[-1, 1]])), "outside"),
     (dict(levels=np.array([[2, 3]])), "outside"),
-], ids=["length", "negative-norm", "level-below-0", "level-above-s"])
+    (dict(inf_norm=np.array([np.nan])), "non-finite inf_norm"),
+    (dict(inf_norm=np.array([np.inf])), "non-finite inf_norm"),
+    (dict(signs=np.array([[2, -1]])), "sign outside"),
+], ids=["length", "negative-norm", "level-below-0", "level-above-s", "nan-norm",
+        "infinite-norm", "sign-outside"])
 def test_message_rejects_each_broken_invariant(broken, match):
     # the zero-vector invariant is test_message_invariant_validation's case
     QuantizedMessage(**_GOOD_MESSAGE)

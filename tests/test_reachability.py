@@ -50,6 +50,9 @@ UNREACHED = {
     "rng._ServedStream._generator": _NO_RUN + "a draw past a served stream's "
                                     "first doubles, which no estimator makes "
                                     "(tests/test_rng.py draws them)",
+    "constraints._each_row": _NO_RUN + "distsim on a simplex, matroid or "
+                             "nuclear-norm ball, whose LMO answers the replica "
+                             "stack row by row (test_stack_lmo_equals_per_row_calls)",
     "constraints.FeasibleSet.lmo_min": _ABSTRACT,
     "constraints.FeasibleSet.contains": _ABSTRACT,
     "problems.StochasticProblem._sample": _ABSTRACT,

@@ -150,6 +150,36 @@ def test_ab_reads_no_gain_from_fewer_than_ten_pairs(monkeypatch, tmp_path, capsy
             assert "verdict_reason" not in s and line.endswith(": gain")
 
 
+def test_ab_says_whether_trace_bytes_agree(monkeypatch, tmp_path, capsys):
+    # one digest on both sides reads "same"; any other split names each
+    # side's digests, in the printout and in --out.  run_once is stubbed: no
+    # perfbench run is launched.
+    ab = _script_module("ab")
+    sides = {}   # each side's digests, one popped per run
+
+    def run_once(tree, workload, seed, seconds, trees):
+        return {"metrics": {k: {"value": 1.0}
+                            for k in ("iters_per_s", "setup_s", "peak_rss_mb")},
+                "trace_digest": sides[tree.name].pop(), "machine": {},
+                "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    for digests, want, recorded in (
+            ((["a", "a"], ["a", "a"]), "trace bytes: same on both sides",
+             {"parent": ["a"], "change": ["a"]}),
+            ((["a", "a"], ["b", "b"]), "trace bytes: parent a; change b",
+             {"parent": ["a"], "change": ["b"]}),
+            ((["a", "a"], ["a", "b"]), "trace bytes: parent a; change a, b",
+             {"parent": ["a"], "change": ["a", "b"]})):
+        sides.update(zip(("parent", "change"), (list(d) for d in digests)))
+        assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "w", "--seed", "1", "--pairs", "2",
+                        "--out", str(out)]) == 0
+        assert want in capsys.readouterr().out.splitlines()
+        assert json.loads(out.read_text())["trace_digests"] == recorded
+
+
 def test_settable_values_rule():
     # parameters without self/cls, lambdas excluded, plus dataclass fields;
     # the second count is the parameters with defaults
